@@ -156,8 +156,8 @@ func TestDiagnoseBatchCancelled(t *testing.T) {
 }
 
 // TestWithParallelTrainingMatchesSerial is the facade-level determinism check:
-// WithParallelTraining and WithChains must leave single-chain verdicts
-// bit-identical and multi-chain rankings intact.
+// WithParallelTraining and multi-chain sampling must leave single-chain
+// verdicts bit-identical and multi-chain rankings intact.
 func TestWithParallelTrainingMatchesSerial(t *testing.T) {
 	want, err := testSystem(t).Diagnose(demoSymptom())
 	if err != nil {
@@ -169,7 +169,7 @@ func TestWithParallelTrainingMatchesSerial(t *testing.T) {
 	}
 	sameReport(t, "parallel training", want, got)
 
-	chained, err := testSystem(t, WithParallelTraining(4), WithChains(4)).Diagnose(demoSymptom())
+	chained, err := testSystem(t, WithParallelTraining(4), WithSampler(SamplerConfig{Chains: 4})).Diagnose(demoSymptom())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -457,7 +457,7 @@ func BenchmarkAblationCombinedTraining(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Inference fast path: factor cache + early-stopped counterfactual tests
+// Inference fast path: factor-store reuse + early-stopped counterfactual tests
 
 // BenchmarkFastPathDiagnoseParallel times the operator triage loop (online
 // retrain + DiagnoseParallel at the same slice) with the shared-computation
@@ -477,26 +477,26 @@ func BenchmarkFastPathDiagnoseParallel(b *testing.B) {
 	base.Samples = 4000
 	variants := []struct {
 		name         string
-		early, cache bool
+		early, store bool
 	}{
 		{"baseline", false, false},
-		{"cache", false, true},
-		{"cache+earlystop", true, true},
+		{"store", false, true},
+		{"store+earlystop", true, true},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			cfg := base
 			if v.early {
-				cfg.EarlyStop = true
-				cfg.EarlyStopConfidence = 0.999
+				cfg.Sampler.EarlyStop = true
+				cfg.Sampler.EarlyStopConfidence = 0.999
 			}
-			var cache *core.FactorCache
-			if v.cache {
-				cache = core.NewFactorCache(0)
+			var store *core.FactorStore
+			if v.store {
+				store = core.NewFactorStore()
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1, Cache: cache})
+				m, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1, Store: store})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -619,7 +619,7 @@ func BenchmarkDiagnoseChains(b *testing.B) {
 	for _, chains := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("chains%d", chains), func(b *testing.B) {
 			cfg := benchConfig()
-			cfg.Chains = chains
+			cfg.Sampler.Chains = chains
 			m, sc := contentionModel(b, cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -41,8 +41,6 @@ func main() {
 		chains   = flag.Int("chains", 1, "independent Gibbs chains per counterfactual test (1 = single-stream sampler)")
 		prec     = flag.String("precision", "float64", "sampling kernel precision: float64 (bit-stable default) or float32 (fast path)")
 		retries  = flag.Int("retries", 0, "retry attempts for transient telemetry read faults (0 = no retry layer)")
-		cache    = flag.Bool("cache", false, "reuse trained factors across the diagnoses of this run (behavior-preserving)")
-		inctrain = flag.Bool("inctrain", false, "maintain trained factors incrementally across the diagnoses of this run: windows that slide between diagnoses update sufficient statistics instead of retraining (supersedes -cache)")
 		early    = flag.Float64("earlystop", 0, "early-stop confidence for the counterfactual tests, e.g. 0.999 (0 = full sample budget)")
 		edges    = flag.String("edges", "", "edge-list file overlaying known associations onto the snapshot (\"a -> b\" directed, \"a -- b\" loose)")
 		outFmt   = flag.String("o", "text", "output format: text or json (the versioned Report schema)")
@@ -96,6 +94,10 @@ func main() {
 		opts = append(opts, murphy.WithParallelTraining(*trainW))
 	}
 	sampler := murphy.SamplerConfig{Chains: *chains}
+	if *early > 0 {
+		sampler.EarlyStop = true
+		sampler.EarlyStopConfidence = *early
+	}
 	switch *prec {
 	case "float64", "f64", "":
 		sampler.Precision = murphy.PrecisionFloat64
@@ -112,15 +114,6 @@ func main() {
 		opts = append(opts, murphy.WithResilience(murphy.Resilience{
 			Retry: &murphy.RetryPolicy{MaxAttempts: *retries},
 		}))
-	}
-	if *cache {
-		opts = append(opts, murphy.WithCaching(murphy.Caching{}))
-	}
-	if *inctrain {
-		opts = append(opts, murphy.WithIncrementalTraining(murphy.IncrementalTraining{}))
-	}
-	if *early > 0 {
-		opts = append(opts, murphy.WithEarlyStop(*early))
 	}
 	if *stats || *listen != "" {
 		opts = append(opts, murphy.WithStats())
@@ -172,8 +165,8 @@ func main() {
 		fmt.Printf("found %d problematic symptom(s) in app %q\n", len(symptoms), *app)
 	}
 	// One DiagnoseBatch call trains the MRF once and reuses the model (and
-	// the session's subgraph/factor caches) for every symptom, instead of
-	// paying the online training pass per symptom.
+	// the session's subgraph cache) for every symptom, instead of paying the
+	// online training pass per symptom.
 	items, err := sys.DiagnoseBatch(ctx, symptoms)
 	if err != nil {
 		fatal(err)

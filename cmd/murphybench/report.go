@@ -46,13 +46,15 @@ type benchReport struct {
 type fastPathJSON struct {
 	Diagnoses         int     `json:"diagnoses"`
 	BaselineMs        float64 `json:"baseline_ms"`
-	CacheOnlyMs       float64 `json:"cache_only_ms"`
+	StoreOnlyMs       float64 `json:"store_only_ms"`
 	FastMs            float64 `json:"fast_ms"`
 	Speedup           float64 `json:"speedup"`
 	RankingsIdentical bool    `json:"rankings_identical"`
 	Top1Identical     bool    `json:"top1_identical"`
 	BaselineSamples   int     `json:"baseline_samples"`
 	FastSamples       int     `json:"fast_samples"`
+	StoreHits         uint64  `json:"store_hits"`
+	StoreRefits       uint64  `json:"store_refits"`
 	// Kernel throughput A/B: the float32 batched kernel against the
 	// bit-stable float64 baseline, as raw Monte-Carlo draws per second of
 	// diagnosis wall time.
@@ -111,13 +113,15 @@ func fastPathReport(r *harness.FastPathResult) *fastPathJSON {
 	return &fastPathJSON{
 		Diagnoses:         r.Diagnoses,
 		BaselineMs:        float64(r.BaselineTime) / float64(time.Millisecond),
-		CacheOnlyMs:       float64(r.CacheOnlyTime) / float64(time.Millisecond),
+		StoreOnlyMs:       float64(r.StoreOnlyTime) / float64(time.Millisecond),
 		FastMs:            float64(r.FastTime) / float64(time.Millisecond),
 		Speedup:           r.Speedup,
 		RankingsIdentical: r.RankingsIdentical,
 		Top1Identical:     r.Top1Identical,
 		BaselineSamples:   r.BaselineSamples,
 		FastSamples:       r.FastSamples,
+		StoreHits:         r.StoreHits,
+		StoreRefits:       r.StoreRefits,
 
 		F32Ms:                 float64(r.F32Time) / float64(time.Millisecond),
 		BaselineSamplesPerSec: r.BaselineSamplesPerSec,

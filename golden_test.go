@@ -1,7 +1,8 @@
 // Golden end-to-end ranking tests: seed-fixed diagnoses whose exact ranked
-// cause lists are pinned, proving (a) the pipeline is deterministic, (b) the
-// factor cache is behavior-preserving bit for bit, and (c) the early-stop
-// fast path keeps the top-1 verdict. Any intended ranking change must update
+// cause lists are pinned, proving (a) the pipeline is deterministic, (b)
+// factor-store reuse is behavior-preserving bit for bit, both on the
+// anchoring diagnosis and on a store hit, and (c) the early-stop fast path
+// keeps the top-1 verdict. Any intended ranking change must update
 // these lists consciously.
 package murphy
 
@@ -62,6 +63,28 @@ func diagnoseRanked(t *testing.T, db *telemetry.DB, sym telemetry.Symptom, extra
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// assertStoreReuseIdentical diagnoses twice at the same slice on one System
+// with incremental training — the anchoring pass, then a pass served from the
+// store — and requires both reports to be bit-identical to the baseline.
+func assertStoreReuseIdentical(t *testing.T, label string, db *telemetry.DB, sym telemetry.Symptom, baseline *Report, extra ...Option) {
+	t.Helper()
+	opts := append([]Option{WithConfig(goldenConfig()), WithSeeds(sym.Entity), WithIncrementalTraining(IncrementalTraining{})}, extra...)
+	sys, err := New(db, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []string{"anchor", "hit"} {
+		rep, err := sys.Diagnose(sym)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdenticalCauses(t, label+" "+pass, baseline, rep)
+	}
+	if st, _ := sys.FactorStoreStats(); st.Hits == 0 || st.Hits != st.Refits {
+		t.Fatalf("%s: the second diagnosis should be served from the store: %+v", label, st)
+	}
 }
 
 // rankedEntities lists the certified (non-degraded) causes in rank order.
@@ -141,16 +164,14 @@ func TestGoldenMicrosimRanking(t *testing.T) {
 		t.Errorf("top-1 = %q, want the contended search service", top[0])
 	}
 
-	// The factor cache must be invisible in the output, bit for bit —
+	// Store reuse must be invisible in the output, bit for bit —
 	// sequentially and under DiagnoseParallel.
-	cached := diagnoseRanked(t, db, sc.Symptom, WithFactorCache(0))
-	assertIdenticalCauses(t, "cache on vs off", baseline, cached)
-	cachedPar := diagnoseRanked(t, db, sc.Symptom, WithFactorCache(0), WithWorkers(4))
-	assertIdenticalCauses(t, "cache+parallel vs baseline", baseline, cachedPar)
+	assertStoreReuseIdentical(t, "store", db, sc.Symptom, baseline)
+	assertStoreReuseIdentical(t, "store+parallel", db, sc.Symptom, baseline, WithWorkers(4))
 
 	// The early-stop fast path may truncate p-values but must keep the
 	// top-ranked cause (and, on this clear-cut scenario, the accept set).
-	fast := diagnoseRanked(t, db, sc.Symptom, WithFactorCache(0), WithEarlyStop(0.999), WithWorkers(4))
+	fast := diagnoseRanked(t, db, sc.Symptom, WithSampler(SamplerConfig{EarlyStop: true, EarlyStopConfidence: 0.999}), WithWorkers(4))
 	assertSameTop1(t, "early stop vs baseline", baseline, fast)
 	assertGolden(t, rankedEntities(fast), goldenMicrosim)
 }
@@ -166,9 +187,9 @@ func TestGoldenEnterpriseRanking(t *testing.T) {
 	baseline := diagnoseRanked(t, db, inc.Symptom)
 	assertGolden(t, rankedEntities(baseline), goldenEnterprise)
 
-	cached := diagnoseRanked(t, db, inc.Symptom, WithFactorCache(0), WithWorkers(4))
-	assertIdenticalCauses(t, "cache on vs off", baseline, cached)
+	assertStoreReuseIdentical(t, "store", db, inc.Symptom, baseline)
+	assertStoreReuseIdentical(t, "store+parallel", db, inc.Symptom, baseline, WithWorkers(4))
 
-	fast := diagnoseRanked(t, db, inc.Symptom, WithFactorCache(0), WithEarlyStop(0.999), WithWorkers(4))
+	fast := diagnoseRanked(t, db, inc.Symptom, WithSampler(SamplerConfig{EarlyStop: true, EarlyStopConfidence: 0.999}), WithWorkers(4))
 	assertSameTop1(t, "early stop vs baseline", baseline, fast)
 }

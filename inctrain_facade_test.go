@@ -95,9 +95,8 @@ func TestWithIncrementalTrainingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWithIncrementalTrainingPrecedence mirrors the WithSampler bundle
-// rules: non-zero fields override, zero fields inherit, and option order
-// does not matter.
+// TestWithIncrementalTrainingPrecedence: zero fields keep the default
+// policy, non-zero fields override it, and every System gets its own store.
 func TestWithIncrementalTrainingPrecedence(t *testing.T) {
 	// Zero-value bundle: own store with the default policy.
 	sys := testSystem(t, WithIncrementalTraining(IncrementalTraining{}))
@@ -106,63 +105,33 @@ func TestWithIncrementalTrainingPrecedence(t *testing.T) {
 		t.Fatalf("zero bundle should inherit defaults: %+v (ok=%v)", st, ok)
 	}
 
-	// Non-zero fields override on a shared store.
-	shared := NewFactorStore()
+	// Non-zero fields override.
 	sys2 := testSystem(t, WithIncrementalTraining(IncrementalTraining{
-		Store: shared, DriftThreshold: 2.5, RefreshEvery: 64,
+		DriftThreshold: 2.5, RefreshEvery: 64,
 	}))
-	if sys2.FactorStore() != shared {
-		t.Fatal("shared store should be installed")
-	}
 	if st, _ := sys2.FactorStoreStats(); st.DriftThreshold != 2.5 || st.RefreshEvery != 64 {
 		t.Fatalf("non-zero fields should override: %+v", st)
 	}
 
-	// Zero fields inherit the store's current policy instead of resetting.
-	sys3 := testSystem(t, WithIncrementalTraining(IncrementalTraining{Store: shared}))
-	if st, _ := sys3.FactorStoreStats(); st.DriftThreshold != 2.5 || st.RefreshEvery != 64 {
-		t.Fatalf("zero fields should inherit the shared store's policy: %+v", st)
+	// A partial bundle overrides only what it sets.
+	sys3 := testSystem(t, WithIncrementalTraining(IncrementalTraining{RefreshEvery: 64}))
+	if st, _ := sys3.FactorStoreStats(); st.DriftThreshold != 4.0 || st.RefreshEvery != 64 {
+		t.Fatalf("zero fields should keep the default policy: %+v", st)
 	}
-}
-
-// TestIncrementalTrainingSupersedesCaching: with both reuse mechanisms
-// configured the store takes over and the cache sees no traffic, in either
-// option order.
-func TestIncrementalTrainingSupersedesCaching(t *testing.T) {
-	sym := telemetry.Symptom{Entity: "backend", Metric: telemetry.MetricCPU, High: true}
-	for _, order := range []string{"cache-first", "store-first"} {
-		cache := NewFactorCache(0)
-		store := NewFactorStore()
-		opts := []Option{
-			WithCaching(Caching{Shared: cache}),
-			WithIncrementalTraining(IncrementalTraining{Store: store}),
-		}
-		if order == "store-first" {
-			opts[0], opts[1] = opts[1], opts[0]
-		}
-		sys := testSystem(t, opts...)
-		if _, err := sys.Diagnose(sym); err != nil {
-			t.Fatal(err)
-		}
-		if cs, _ := sys.FactorCacheStats(); cs.Hits != 0 || cs.Misses != 0 {
-			t.Fatalf("%s: cache should see no traffic: %+v", order, cs)
-		}
-		if ss, _ := sys.FactorStoreStats(); ss.Refits == 0 {
-			t.Fatalf("%s: store should have anchored: %+v", order, ss)
-		}
+	if sys.FactorStore() == sys2.FactorStore() || sys2.FactorStore() == sys3.FactorStore() {
+		t.Fatal("every System should own its store")
 	}
 }
 
 // TestIncrementalTrainingBypassedWithSource: an interposed (fallible) read
-// path bypasses the store exactly like it bypasses the cache.
+// path bypasses the store.
 func TestIncrementalTrainingBypassedWithSource(t *testing.T) {
 	db := demoDB(t)
 	cfg := DefaultConfig()
 	cfg.Samples = 200
 	cfg.TrainWindow = 220
-	store := NewFactorStore()
 	sys, err := New(db, WithConfig(cfg),
-		WithIncrementalTraining(IncrementalTraining{Store: store}),
+		WithIncrementalTraining(IncrementalTraining{}),
 		WithResilience(Resilience{Source: chaos.Wrap(db, chaos.Config{})}))
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 // Multi-chain Gibbs sampling: one candidate's factual and counterfactual
-// Monte-Carlo budgets are split across Config.Chains independent chains, each
-// with its own splitmix-derived RNG stream and its own arena, executed on up
-// to min(K, GOMAXPROCS) goroutines. Chain c always owns the same contiguous
-// slice of the budget and the same seed, and merges happen in chain order, so
-// for a fixed K the merged draws — and every verdict derived from them — are
-// bit-identical no matter how many goroutines actually ran.
+// Monte-Carlo budgets are split across Config.Sampler.Chains independent
+// chains, each with its own splitmix-derived RNG stream and its own arena,
+// executed on up to min(K, GOMAXPROCS) goroutines. Chain c always owns the
+// same contiguous slice of the budget and the same seed, and merges happen in
+// chain order, so for a fixed K the merged draws — and every verdict derived
+// from them — are bit-identical no matter how many goroutines actually ran.
 
 package core
 
@@ -41,7 +41,7 @@ func chainSeed(base int64, c int) int64 {
 // chainCount clamps the configured chain count to the sample budget (every
 // chain must own at least one draw).
 func (m *Model) chainCount(n int) int {
-	k := m.cfg.Chains
+	k := m.cfg.Sampler.Chains
 	if k > n {
 		k = n
 	}

@@ -55,11 +55,11 @@ func TestChainSeedIndependence(t *testing.T) {
 }
 
 func TestChainCountClamp(t *testing.T) {
-	m := &Model{cfg: Config{Chains: 8}}
+	m := &Model{cfg: Config{Sampler: SamplerConfig{Chains: 8}}}
 	if got := m.chainCount(3); got != 3 {
 		t.Errorf("chainCount(3) with Chains=8 = %d, want 3", got)
 	}
-	m.cfg.Chains = 0
+	m.cfg.Sampler.Chains = 0
 	if got := m.chainCount(100); got != 1 {
 		t.Errorf("chainCount with Chains=0 = %d, want 1", got)
 	}
@@ -72,8 +72,8 @@ func diagnoseChains(t *testing.T, chains int, earlyStop bool) *Diagnosis {
 	db := chainDB(t, 220, 5, 42)
 	g := chainGraph(t, db)
 	cfg := testConfig()
-	cfg.Chains = chains
-	cfg.EarlyStop = earlyStop
+	cfg.Sampler.Chains = chains
+	cfg.Sampler.EarlyStop = earlyStop
 	m, err := Train(db, g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestChainsCounter(t *testing.T) {
 	db := chainDB(t, 220, 5, 42)
 	g := chainGraph(t, db)
 	cfg := testConfig()
-	cfg.Chains = 4
+	cfg.Sampler.Chains = 4
 	m, err := Train(db, g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -154,5 +154,68 @@ func TestChainsCounter(t *testing.T) {
 	chains := rec.Counter(obs.CtrGibbsChains)
 	if chains == 0 || chains%4 != 0 {
 		t.Errorf("CtrGibbsChains = %d, want a positive multiple of 4", chains)
+	}
+}
+
+// TestEarlyStopDeterministicAndSound checks the early-stop path on the chain
+// fixture: repeated runs are bit-identical (its RNG streams are seeded
+// deterministically), the true cause chain stays certified with the same
+// top-1, and SamplesUsed reflects actual truncation.
+func TestEarlyStopDeterministicAndSound(t *testing.T) {
+	db := chainDB(t, 220, 5, 42)
+	g := chainGraph(t, db)
+	cfg := testConfig()
+	cfg.Samples = 2000
+	sym := telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}
+
+	plain, err := Train(db, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Diagnose(sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fastCfg := cfg
+	fastCfg.Sampler.EarlyStop = true
+	fastCfg.Sampler.EarlyStopConfidence = 0.999
+	m, err := Train(db, g, fastCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := m.DiagnoseParallel(sym, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := m.Diagnose(sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameDiagnosis(t, "early-stop determinism (parallel vs sequential)", first, again)
+
+	if len(want.Causes) == 0 || len(first.Causes) == 0 {
+		t.Fatal("both paths should certify causes on the chain incident")
+	}
+	if want.Causes[0].Entity != first.Causes[0].Entity {
+		t.Fatalf("top-1 differs: %q vs %q", want.Causes[0].Entity, first.Causes[0].Entity)
+	}
+	budget := 2 * fastCfg.Samples
+	truncated := false
+	for _, c := range first.Causes {
+		if c.SamplesUsed <= 0 || c.SamplesUsed > budget {
+			t.Errorf("cause %q: SamplesUsed %d outside (0, %d]", c.Entity, c.SamplesUsed, budget)
+		}
+		if c.SamplesUsed < budget {
+			truncated = true
+		}
+	}
+	if !truncated {
+		t.Error("early stop never truncated the budget on a clear-cut incident")
+	}
+	for _, c := range want.Causes {
+		if c.SamplesUsed != budget {
+			t.Errorf("full path: cause %q used %d samples, want %d", c.Entity, c.SamplesUsed, budget)
+		}
 	}
 }

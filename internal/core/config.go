@@ -49,21 +49,6 @@ type Config struct {
 	Seed int64
 	// Timeout bounds a whole Diagnose call (0 = no bound).
 	Timeout time.Duration
-	// EarlyStop enables sequential significance testing: the Monte-Carlo
-	// samples of each counterfactual test are drawn in batches through a
-	// streaming Welch t-test, and sampling stops as soon as the verdict at
-	// Alpha is decided with margin to spare (see stats.StreamingWelch). This
-	// cuts the Samples budget by an order of magnitude for clear-cut
-	// candidates; borderline candidates still run the full budget. The
-	// accept/reject verdicts are the same in practice, but reported p-values
-	// come from the truncated sample.
-	EarlyStop bool
-	// EarlyStopConfidence is how decided a verdict must be before sampling
-	// stops early, as a confidence c in (0.5, 1): both the t statistic
-	// (vs its critical value) and the effect estimate (vs MinEffect) must
-	// sit Φ⁻¹(c) standard deviations past their thresholds. Zero (or out of
-	// range) defaults to 0.999 (≈3.1σ).
-	EarlyStopConfidence float64
 	// SeedFor, when non-nil, replaces the default per-candidate-pair RNG
 	// seed derivation (Seed mixed with hashes of the candidate and symptom
 	// entity IDs). It exists for metamorphic testing: a transform that
@@ -71,22 +56,8 @@ type Config struct {
 	// streams — and therefore every p-value bit — survive the rename.
 	// Production diagnoses should leave it nil.
 	SeedFor func(candidate, symptom telemetry.EntityID) int64
-	// Chains splits each counterfactual test's factual and counterfactual
-	// Monte-Carlo draws across K independent Gibbs chains, each with its own
-	// splitmix-derived RNG stream and arena, executed on up to
-	// min(K, GOMAXPROCS) goroutines. For a fixed K the merged draws are
-	// bit-identical regardless of how many goroutines actually run (one
-	// included), so verdicts never depend on scheduling. 0 or 1 keeps the
-	// single-stream sampler — the historical bit pattern the golden rankings
-	// are pinned against; K >= 2 changes individual p-value bits (different
-	// RNG streams) but preserves the rankings on clear-cut workloads.
-	Chains int
-	// Sampler bundles every sampling-kernel knob behind one versioned
-	// surface. A non-zero bundle field overrides the corresponding flat
-	// field above (EarlyStop, EarlyStopConfidence, Chains — kept as
-	// deprecated aliases); new kernel knobs (Precision, ArenaSamples) exist
-	// only here. After sanitization the bundle and the aliases agree, so
-	// either view reports the effective configuration.
+	// Sampler bundles every sampling-kernel knob: precision, chain
+	// parallelism, sequential early stopping, and scratch sizing.
 	Sampler SamplerConfig
 }
 
@@ -116,21 +87,36 @@ func (p Precision) String() string {
 
 // SamplerConfig is the bundled configuration of the batched Gibbs sampling
 // kernel: arithmetic precision, chain parallelism, sequential early
-// stopping, and scratch sizing. The zero value inherits the deprecated flat
-// Config fields and otherwise means "defaults".
+// stopping, and scratch sizing. The zero value is the bit-stable default
+// sampler.
 type SamplerConfig struct {
 	// Precision selects float64 (default, bit-compatible with the original
 	// sampler) or the float32 fast path.
 	Precision Precision
-	// Chains is the number of independent Gibbs chains per counterfactual
-	// test (see Config.Chains). 0 inherits Config.Chains.
+	// Chains splits each counterfactual test's factual and counterfactual
+	// Monte-Carlo draws across K independent Gibbs chains, each with its own
+	// splitmix-derived RNG stream and arena, executed on up to
+	// min(K, GOMAXPROCS) goroutines. For a fixed K the merged draws are
+	// bit-identical regardless of how many goroutines actually run (one
+	// included), so verdicts never depend on scheduling. 0 or 1 keeps the
+	// single-stream sampler — the historical bit pattern the golden rankings
+	// are pinned against; K >= 2 changes individual p-value bits (different
+	// RNG streams) but preserves the rankings on clear-cut workloads.
 	Chains int
-	// EarlyStop enables the sequential streaming-Welch test (see
-	// Config.EarlyStop). false inherits Config.EarlyStop, so the deprecated
-	// flag cannot be un-set through the bundle.
+	// EarlyStop enables sequential significance testing: the Monte-Carlo
+	// samples of each counterfactual test are drawn in batches through a
+	// streaming Welch t-test, and sampling stops as soon as the verdict at
+	// Alpha is decided with margin to spare (see stats.StreamingWelch). This
+	// cuts the Samples budget by an order of magnitude for clear-cut
+	// candidates; borderline candidates still run the full budget. The
+	// accept/reject verdicts are the same in practice, but reported p-values
+	// come from the truncated sample.
 	EarlyStop bool
-	// EarlyStopConfidence is the sequential test's decision confidence (see
-	// Config.EarlyStopConfidence). 0 inherits the flat field.
+	// EarlyStopConfidence is how decided a verdict must be before sampling
+	// stops early, as a confidence c in (0.5, 1): both the t statistic
+	// (vs its critical value) and the effect estimate (vs MinEffect) must
+	// sit Φ⁻¹(c) standard deviations past their thresholds. Zero (or out of
+	// range) defaults to 0.999 (≈3.1σ).
 	EarlyStopConfidence float64
 	// ArenaSamples pre-sizes the per-chain scratch vectors (in samples) so
 	// arenas reused across diagnoses with growing budgets never regrow
@@ -186,26 +172,11 @@ func (c Config) sanitized() Config {
 	if c.AnomalyZ <= 0 {
 		c.AnomalyZ = d.AnomalyZ
 	}
-	if c.EarlyStopConfidence <= 0.5 || c.EarlyStopConfidence >= 1 {
-		c.EarlyStopConfidence = 0.999
-	}
-	// Resolve the sampler bundle against the deprecated flat aliases: a
-	// non-zero bundle field wins, an unset one inherits, and the result is
-	// mirrored both ways so cfg.Sampler and the flat fields agree.
-	if c.Sampler.Chains > 0 {
-		c.Chains = c.Sampler.Chains
-	}
-	if c.Sampler.EarlyStop {
-		c.EarlyStop = true
-	}
-	if c.Sampler.EarlyStopConfidence > 0.5 && c.Sampler.EarlyStopConfidence < 1 {
-		c.EarlyStopConfidence = c.Sampler.EarlyStopConfidence
+	if c.Sampler.EarlyStopConfidence <= 0.5 || c.Sampler.EarlyStopConfidence >= 1 {
+		c.Sampler.EarlyStopConfidence = 0.999
 	}
 	if c.Sampler.ArenaSamples < 0 {
 		c.Sampler.ArenaSamples = 0
 	}
-	c.Sampler.Chains = c.Chains
-	c.Sampler.EarlyStop = c.EarlyStop
-	c.Sampler.EarlyStopConfidence = c.EarlyStopConfidence
 	return c
 }

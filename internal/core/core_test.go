@@ -71,6 +71,31 @@ func chainDB(t *testing.T, total, incident int, seed int64) *telemetry.DB {
 	return db
 }
 
+func chainGraph(t *testing.T, db *telemetry.DB) *graph.Graph {
+	t.Helper()
+	g, err := graph.Build(db, []telemetry.EntityID{"back"}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// sameDiagnosis requires two diagnoses to certify identical causes: same
+// entities, order, p-values, effects, and scores.
+func sameDiagnosis(t *testing.T, label string, a, b *Diagnosis) {
+	t.Helper()
+	if len(a.Causes) != len(b.Causes) {
+		t.Fatalf("%s: %d causes vs %d", label, len(a.Causes), len(b.Causes))
+	}
+	for i := range a.Causes {
+		x, y := a.Causes[i], b.Causes[i]
+		if x.Entity != y.Entity || x.PValue != y.PValue || x.Effect != y.Effect || x.Score != y.Score {
+			t.Fatalf("%s: cause %d: %q p=%v e=%v vs %q p=%v e=%v",
+				label, i, x.Entity, x.PValue, x.Effect, y.Entity, y.PValue, y.Effect)
+		}
+	}
+}
+
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Samples = 300
@@ -318,10 +343,22 @@ func TestConfigSanitized(t *testing.T) {
 		s.TrainWindow != d.TrainWindow || s.Alpha != d.Alpha || s.AnomalyZ != d.AnomalyZ {
 		t.Fatalf("sanitized zero config should match defaults: %+v", s)
 	}
+	if want := (SamplerConfig{EarlyStopConfidence: 0.999}); s.Sampler != want {
+		t.Fatalf("sanitized zero sampler = %+v, want %+v", s.Sampler, want)
+	}
 	c = DefaultConfig()
 	c.Alpha = 5 // invalid
 	if got := c.sanitized().Alpha; got != d.Alpha {
 		t.Fatalf("invalid alpha should reset, got %v", got)
+	}
+	c.Sampler = SamplerConfig{EarlyStop: true, EarlyStopConfidence: 1.5, ArenaSamples: -1}
+	want := SamplerConfig{EarlyStop: true, EarlyStopConfidence: 0.999}
+	if got := c.sanitized().Sampler; got != want {
+		t.Fatalf("out-of-range sampler fields should clamp: got %+v, want %+v", got, want)
+	}
+	c.Sampler = SamplerConfig{Chains: 4, EarlyStopConfidence: 0.99, ArenaSamples: 64}
+	if got := c.sanitized().Sampler; got != c.Sampler {
+		t.Fatalf("in-range sampler fields should pass through: got %+v, want %+v", got, c.Sampler)
 	}
 }
 

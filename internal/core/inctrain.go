@@ -170,7 +170,8 @@ type storeEntry struct {
 // consistency validation against the restored database, so a murphyd warm
 // restart's first diagnosis performs zero full retrains.
 //
-// Like the FactorCache it supersedes, the store is only consulted on the
+// A train at the same window as the last one is a pure hit: every factor
+// comes back exactly as fitted. The store is only consulted on the
 // default-trainer, direct-read path, and it identifies the window by
 // explicit [lo, hi) bounds: a slid window can never alias stale entries.
 // All methods are safe for concurrent use; a training pass holds the store

@@ -429,54 +429,6 @@ func TestFactorStoreSnapshotMismatchDiscarded(t *testing.T) {
 	compareFactorViews(t, "discard-data", fullTrainAt(t, db2, g2, cfg, 300), inc2, db2, g2, 0)
 }
 
-// TestFactorCacheWindowBoundsInvalidate is the sliding-window regression
-// test for the cache keying: the key carries the explicit [lo, hi) training
-// window, so sliding by a single point must miss every entry (a stale
-// factor served across windows was the failure mode this guards).
-func TestFactorCacheWindowBoundsInvalidate(t *testing.T) {
-	db := chainDB(t, 320, 5, 42)
-	g := chainGraph(t, db)
-	cfg := testConfig()
-	cache := NewFactorCache(0)
-	if _, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: 300, Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	st := cache.Stats()
-	if st.Misses != 5 || st.Hits != 0 {
-		t.Fatalf("first train: %+v", st)
-	}
-	m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: 301, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = cache.Stats()
-	if st.Hits != 0 || st.Misses != 10 {
-		t.Fatalf("one-point slide must invalidate every cache key: %+v", st)
-	}
-	compareFactorViews(t, "cache-slide", fullTrainAt(t, db, g, cfg, 301), m, db, g, 0)
-}
-
-// TestStoreSupersedesCache: when both reuse mechanisms are configured the
-// store takes over and the cache must stay untouched.
-func TestStoreSupersedesCache(t *testing.T) {
-	db := chainDB(t, 320, 5, 42)
-	g := chainGraph(t, db)
-	cfg := testConfig()
-	cache := NewFactorCache(0)
-	store := NewFactorStore()
-	m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: 300, Cache: cache, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := cache.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("cache must be bypassed when the store is set: %+v", st)
-	}
-	if st := store.Stats(); st.Refits != 5 {
-		t.Fatalf("store should have anchored: %+v", st)
-	}
-	compareFactorViews(t, "supersede", fullTrainAt(t, db, g, cfg, 300), m, db, g, 0)
-}
-
 // TestIncrementalWorkersBitIdentical: the pooled factor phase must produce
 // the same factors as the serial one.
 func TestIncrementalWorkersBitIdentical(t *testing.T) {

@@ -30,8 +30,8 @@ type RootCause struct {
 	Path []telemetry.EntityID
 	// SamplesUsed is the total number of Monte-Carlo draws the verdict
 	// consumed across the factual and counterfactual runs. Without early
-	// stopping it is 2×cfg.Samples; with cfg.EarlyStop it shows how much of
-	// the budget the sequential test actually needed.
+	// stopping it is 2×cfg.Samples; with cfg.Sampler.EarlyStop it shows how
+	// much of the budget the sequential test actually needed.
 	SamplesUsed int
 	// Degraded marks an anomaly-score-only fallback verdict: the candidate's
 	// counterfactual evaluation failed or was cut off, so it was ranked by
@@ -327,13 +327,13 @@ const (
 // sequential, one chain or many — with the mode differences reduced to seed
 // derivation, budget partitioning, and when the verdict is examined:
 //
-//   - Fixed budget (cfg.EarlyStop off): every chain draws its whole quota
-//     counterfactual-then-factual from one stream into its owned segment of
-//     the merged draw vectors, then one batch Welch t-test runs on the
-//     merge. A single chain reproduces the original sequential sampler's
+//   - Fixed budget (cfg.Sampler.EarlyStop off): every chain draws its whole
+//     quota counterfactual-then-factual from one stream into its owned
+//     segment of the merged draw vectors, then one batch Welch t-test runs
+//     on the merge. A single chain reproduces the original sequential sampler's
 //     stream bit-for-bit (one pairSeed stream, CF then F).
 //
-//   - Sequential (cfg.EarlyStop on): each chain owns two independent
+//   - Sequential (cfg.Sampler.EarlyStop on): each chain owns two independent
 //     streams (counterfactual and factual, so neither run's draws depend on
 //     where the other stopped) and draws in earlyStopBatch-sized rounds;
 //     batches merge into the streaming Welch state in chain order, and the
@@ -362,7 +362,7 @@ const (
 func (m *Model) sampleCandidate(ctx context.Context, a, d telemetry.EntityID, plan *pathPlan, ov *overrides, alt stats.Alternative, ar *arena, effScale float64) (stats.TTestResult, float64, int, error) {
 	n := m.cfg.Samples
 	base := m.pairSeed(a, d)
-	multi := m.cfg.Chains > 1
+	multi := m.cfg.Sampler.Chains > 1
 	k := 1
 	if multi {
 		k = m.chainCount(n)
@@ -375,7 +375,7 @@ func (m *Model) sampleCandidate(ctx context.Context, a, d telemetry.EntityID, pl
 		return base
 	}
 
-	if !m.cfg.EarlyStop {
+	if !m.cfg.Sampler.EarlyStop {
 		d1 := ar.draws1(n) // counterfactual draws
 		d2 := ar.draws2(n) // factual draws
 		err := m.runChains(ctx, k, ar, func(c int, car *arena) error {
@@ -422,7 +422,7 @@ func (m *Model) sampleCandidate(ctx context.Context, a, d telemetry.EntityID, pl
 			quota: hi - lo,
 		}
 	}
-	zConf := stats.NormalQuantile(m.cfg.EarlyStopConfidence)
+	zConf := stats.NormalQuantile(m.cfg.Sampler.EarlyStopConfidence)
 	var st stats.StreamingWelch
 	minDraws := earlyStopMinSamples
 	if minDraws > n {

@@ -184,15 +184,12 @@ type TrainOpts struct {
 	// Trainer overrides the per-factor regression model; nil uses ridge with
 	// cfg.Lambda (the paper's production choice).
 	Trainer regress.Trainer
-	// Cache, when non-nil, reuses trained factors across Train calls (see
-	// FactorCache). It is consulted only on the default-trainer, direct-read
+	// Store, when non-nil, reuses training work across Train calls: a
+	// repeat at the same slice gets the stored factors back, and a slid
+	// window updates per-(entity, window, hyperparameters) sufficient
+	// statistics instead of recomputing every factor from scratch (see
+	// FactorStore). It is only consulted on the default-trainer, direct-read
 	// path; a custom Trainer or an interposed Src trains from scratch.
-	Cache *FactorCache
-	// Store, when non-nil, amortizes training across Train calls by sliding
-	// per-(entity, window, hyperparameters) sufficient statistics instead of
-	// recomputing every factor from scratch (see FactorStore). Like Cache it
-	// is only consulted on the default-trainer, direct-read path, and when
-	// both are set the store takes over (it subsumes whole-window reuse).
 	Store *FactorStore
 	// Obs receives pipeline instrumentation for this model (training spans
 	// and counters now, inference spans on every later Diagnose call). Nil
@@ -207,7 +204,7 @@ type TrainOpts struct {
 
 // TrainOpt is the general training entry point: TrainContext plus the
 // optional knobs of TrainOpts (interposed source, window endpoint, custom
-// trainer, shared factor cache).
+// trainer, incremental factor store).
 func TrainOpt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, opts TrainOpts) (*Model, error) {
 	if opts.Now < 0 {
 		opts.Now = db.Len() - 1
@@ -221,14 +218,6 @@ func TrainOpt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config,
 func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, opts TrainOpts) (*Model, error) {
 	src, trainer := opts.Src, opts.Trainer
 	now := opts.Now
-	// The cache stores complete trained factors; it is only sound when the
-	// factor is a pure function of the cache key, which requires the default
-	// (deterministic, stateless) trainer and the direct (infallible)
-	// database read path.
-	cache := opts.Cache
-	if trainer != nil || src != nil {
-		cache = nil
-	}
 	rec := opts.Obs
 	if rec == nil {
 		rec = obs.Global()
@@ -281,7 +270,8 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		return nil, fmt.Errorf("core: training window too short (%d slices)", n)
 	}
 
-	// The incremental store, like the cache, is only sound on the default
+	// The store keeps trained factors across calls, which is only sound
+	// when a factor is a pure function of the window: the default
 	// (deterministic, stateless) trainer and the direct (infallible) read
 	// path. When it is in play, the incremental pass replaces the whole
 	// from-scratch pipeline below.
@@ -386,33 +376,24 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		m.current[p.ref] = p.col[len(p.col)-1]
 	}
 
-	// Fit one factor per (entity, metric), consulting the factor cache when
-	// one is in play: a hit hands back the immutable trained factor and
-	// skips the correlation ranking, robust statistics, and the ridge fit.
-	// Jobs are assembled in graph order and each writes only its own slot,
-	// so the trained model is bit-identical whatever the pool size; the
-	// candidate list and its ranking tie-break keys are built once per
-	// entity (the tie-break used to call ref.String() inside the sort
-	// comparator — two string allocations per comparison).
+	// Fit one factor per (entity, metric). Jobs are assembled in graph order
+	// and each writes only its own slot, so the trained model is
+	// bit-identical whatever the pool size; the candidate list and its
+	// ranking tie-break keys are built once per entity (the tie-break used to
+	// call ref.String() inside the sort comparator — two string allocations
+	// per comparison).
 	type fitJob struct {
 		ref      metricRef
 		cand     []metricRef // shared across the entity's jobs
 		candKeys []string    // cand[i].String(), precomputed
 		candCtr  []*stats.Centered
-		ckey     factorCacheKey
-		useCache bool
 		out      *factor
 	}
 	var jobs []*fitJob
 	for _, id := range g.IDs() {
-		inIDs := g.InIDs(id)
-		var nbrHash uint64
-		if cache != nil {
-			nbrHash = neighborhoodHash(inIDs)
-		}
 		// Collect all candidate neighbor metric refs.
 		var cand []metricRef
-		for _, nb := range inIDs {
+		for _, nb := range g.InIDs(id) {
 			for _, name := range m.metricsOf[nb] {
 				cand = append(cand, metricRef{nb, name})
 			}
@@ -424,32 +405,15 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 			candCtr[i] = centered[c]
 		}
 		for _, name := range m.metricsOf[id] {
-			job := &fitJob{
+			jobs = append(jobs, &fitJob{
 				ref:  metricRef{id, name},
 				cand: cand, candKeys: candKeys, candCtr: candCtr,
-			}
-			if cache != nil {
-				job.useCache = true
-				job.ckey = factorCacheKey{
-					db: db, entity: id, metric: name,
-					lo: m.trainLo, hi: m.trainHi,
-					topB: cfg.TopB, lambda: cfg.Lambda, nbrHash: nbrHash,
-				}
-			}
-			jobs = append(jobs, job)
+			})
 		}
 	}
 	pooled := workers > 1 && len(jobs) > 1
 	if err := forEachIndex(ctx, workers, len(jobs), func(jid int) error {
 		job := jobs[jid]
-		if job.useCache {
-			if f, ok := cache.get(job.ckey); ok {
-				rec.Add(obs.CtrFactorCacheHits, 1)
-				job.out = f
-				return nil
-			}
-			rec.Add(obs.CtrFactorCacheMisses, 1)
-		}
 		ref := job.ref
 		y := windows[ref]
 		yctr := centered[ref]
@@ -531,9 +495,6 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		rec.Add(obs.CtrFactorsTrained, 1)
 		if pooled {
 			rec.Add(obs.CtrTrainParallelFits, 1)
-		}
-		if job.useCache {
-			cache.put(job.ckey, f)
 		}
 		return nil
 	}); err != nil {

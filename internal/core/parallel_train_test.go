@@ -68,41 +68,6 @@ func TestParallelTrainingCounter(t *testing.T) {
 	}
 }
 
-// TestParallelTrainingWithFactorCache runs pooled training against a shared
-// factor cache twice: the second pass must be served entirely from the cache
-// and diagnoses must stay bit-identical to the cacheless serial run.
-func TestParallelTrainingWithFactorCache(t *testing.T) {
-	db := chainDB(t, 220, 5, 42)
-	g := chainGraph(t, db)
-	cfg := testConfig()
-	sym := telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}
-
-	serial, err := Train(db, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serial.Diagnose(sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewFactorCache(0)
-	for round := 0; round < 2; round++ {
-		m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1, Workers: 4, Cache: cache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		diag, err := m.Diagnose(sym)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameDiagnosis(t, "pooled+cache round", want, diag)
-	}
-	st := cache.Stats()
-	if st.Misses == 0 || st.Hits != st.Misses {
-		t.Errorf("second pooled training should hit every factor: %+v", st)
-	}
-}
-
 // cancelAfterTrainer wraps the ridge trainer so the shared context is
 // cancelled after a fixed number of fits — a deterministic way to hit the
 // pool mid-flight.

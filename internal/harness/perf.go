@@ -271,7 +271,7 @@ func (r *CycleStatsResult) String() string {
 
 // FastPathOptions parameterizes the shared-computation fast-path A/B
 // measurement: the Table-2 contention workload diagnosed with the classic
-// fixed-budget inference versus the factor cache + early-stopped
+// fixed-budget inference versus factor-store reuse + early-stopped
 // counterfactual tests, both fanned out over DiagnoseParallel workers.
 type FastPathOptions struct {
 	// Scenarios is the number of contention incidents.
@@ -283,8 +283,8 @@ type FastPathOptions struct {
 	// Workers is the DiagnoseParallel fan-out.
 	Workers int
 	// Rounds is how many times each incident is diagnosed at the same
-	// slice (an operator re-triaging: this is what the factor cache
-	// amortizes — every round after the first hits cached factors).
+	// slice (an operator re-triaging: this is what the factor store
+	// amortizes — every round after the first is served from the store).
 	Rounds int
 	// Confidence is the early-stop confidence (0 uses the 0.999 default).
 	Confidence float64
@@ -306,13 +306,13 @@ type FastPathResult struct {
 	Opts FastPathOptions
 	// Diagnoses is Scenarios * Rounds.
 	Diagnoses int
-	// BaselineTime / CacheOnlyTime / FastTime are total train+diagnose
-	// wall times across all diagnoses for: the classic path, the factor
-	// cache with full-budget sampling, and cache + early stop.
-	BaselineTime, CacheOnlyTime, FastTime time.Duration
+	// BaselineTime / StoreOnlyTime / FastTime are total train+diagnose
+	// wall times across all diagnoses for: the classic path, factor-store
+	// reuse with full-budget sampling, and store + early stop.
+	BaselineTime, StoreOnlyTime, FastTime time.Duration
 	// Speedup is BaselineTime / FastTime.
 	Speedup float64
-	// RankingsIdentical is whether the cache-only ranked cause lists (and
+	// RankingsIdentical is whether the store-only ranked cause lists (and
 	// their p-values) are bit-identical to the baseline's, per diagnosis.
 	RankingsIdentical bool
 	// Top1Identical is whether the fast path's top-ranked cause matches
@@ -322,7 +322,7 @@ type FastPathResult struct {
 	// certified causes.
 	BaselineSamples, FastSamples int
 	// F32Time is the total train+diagnose wall time of the float32-kernel
-	// arm (full sample budget, factor cache — the kernel A/B against the
+	// arm (full sample budget, factor store — the kernel A/B against the
 	// baseline arm).
 	F32Time time.Duration
 	// BaselineSamplesPerSec / F32SamplesPerSec are raw sampling-kernel
@@ -335,8 +335,9 @@ type FastPathResult struct {
 	// baseline's ranked cause list (same entities, same order) in every
 	// diagnosis — the certified-set equality check of the fast path.
 	F32CausesIdentical bool
-	// CacheStats aggregates the factor cache counters of the fast runs.
-	CacheStats core.FactorCacheStats
+	// StoreHits / StoreRefits total the factor-store counters of the fast
+	// runs: factors served from the store vs fitted from scratch.
+	StoreHits, StoreRefits uint64
 }
 
 // RunFastPath measures the inference fast path against the classic
@@ -350,8 +351,8 @@ func RunFastPath(opts FastPathOptions) (*FastPathResult, error) {
 	}
 	baseCfg := murphyConfig(opts.Samples, opts.TrainWindow)
 	fastCfg := baseCfg
-	fastCfg.EarlyStop = true
-	fastCfg.EarlyStopConfidence = opts.Confidence
+	fastCfg.Sampler.EarlyStop = true
+	fastCfg.Sampler.EarlyStopConfidence = opts.Confidence
 	f32Cfg := baseCfg
 	f32Cfg.Sampler.Precision = core.PrecisionFloat32
 	res := &FastPathResult{Opts: opts, RankingsIdentical: true, Top1Identical: true, F32CausesIdentical: true}
@@ -374,14 +375,14 @@ func RunFastPath(opts FastPathOptions) (*FastPathResult, error) {
 		// run returns the diagnoses, the total train+diagnose wall time, the
 		// diagnosis-only wall time, and the Monte-Carlo draws taken — the
 		// last two feed the raw kernel-throughput (samples/sec) comparison.
-		run := func(cfg core.Config, cache *core.FactorCache) ([]*core.Diagnosis, time.Duration, time.Duration, int64, error) {
+		run := func(cfg core.Config, store *core.FactorStore) ([]*core.Diagnosis, time.Duration, time.Duration, int64, error) {
 			rec := obs.New()
 			rec.Enable()
 			var out []*core.Diagnosis
 			var diagTime time.Duration
 			t0 := time.Now()
 			for r := 0; r < opts.Rounds; r++ {
-				model, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1, Cache: cache, Obs: rec})
+				model, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1, Store: store, Obs: rec})
 				if err != nil {
 					return nil, 0, 0, 0, err
 				}
@@ -402,18 +403,18 @@ func RunFastPath(opts FastPathOptions) (*FastPathResult, error) {
 		res.BaselineTime += dt
 		baseDiagTime += diagDt
 		baseDraws += draws
-		cached, dt, _, _, err := run(baseCfg, core.NewFactorCache(0))
+		stored, dt, _, _, err := run(baseCfg, core.NewFactorStore())
 		if err != nil {
 			return nil, err
 		}
-		res.CacheOnlyTime += dt
-		fastCache := core.NewFactorCache(0)
-		fast, dt, _, _, err := run(fastCfg, fastCache)
+		res.StoreOnlyTime += dt
+		fastStore := core.NewFactorStore()
+		fast, dt, _, _, err := run(fastCfg, fastStore)
 		if err != nil {
 			return nil, err
 		}
 		res.FastTime += dt
-		f32, dt, diagDt, draws, err := run(f32Cfg, core.NewFactorCache(0))
+		f32, dt, diagDt, draws, err := run(f32Cfg, core.NewFactorStore())
 		if err != nil {
 			return nil, err
 		}
@@ -425,14 +426,12 @@ func RunFastPath(opts FastPathOptions) (*FastPathResult, error) {
 				res.F32CausesIdentical = false
 			}
 		}
-		st := fastCache.Stats()
-		res.CacheStats.Hits += st.Hits
-		res.CacheStats.Misses += st.Misses
-		res.CacheStats.Entries += st.Entries
-		res.CacheStats.Capacity = st.Capacity
+		st := fastStore.Stats()
+		res.StoreHits += st.Hits
+		res.StoreRefits += st.Refits
 		for r := 0; r < opts.Rounds; r++ {
 			res.Diagnoses++
-			if !sameCauses(base[r], cached[r]) {
+			if !sameCauses(base[r], stored[r]) {
 				res.RankingsIdentical = false
 			}
 			if top1(base[r]) != top1(fast[r]) {
@@ -502,18 +501,18 @@ func top1(d *core.Diagnosis) telemetry.EntityID {
 // String prints the fast-path A/B table.
 func (r *FastPathResult) String() string {
 	var b strings.Builder
-	b.WriteString("inference fast path — factor cache + early-stopped counterfactual tests\n")
+	b.WriteString("inference fast path — factor-store reuse + early-stopped counterfactual tests\n")
 	fmt.Fprintf(&b, "  workload: %d contention scenarios × %d diagnoses, %d samples, %d workers\n",
 		r.Opts.Scenarios, r.Opts.Rounds, r.Opts.Samples, r.Opts.Workers)
 	fmt.Fprintf(&b, "  %-28s %12s\n", "baseline (classic)", r.BaselineTime.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  %-28s %12s\n", "factor cache only", r.CacheOnlyTime.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  %-28s %12s\n", "cache + early stop", r.FastTime.Round(time.Millisecond))
+	fmt.Fprintf(&b, "  %-28s %12s\n", "factor store only", r.StoreOnlyTime.Round(time.Millisecond))
+	fmt.Fprintf(&b, "  %-28s %12s\n", "store + early stop", r.FastTime.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  %-28s %12s\n", "float32 kernel", r.F32Time.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  speedup %.1fx   rankings identical (cache): %v   top-1 identical (fast): %v\n",
+	fmt.Fprintf(&b, "  speedup %.1fx   rankings identical (store): %v   top-1 identical (fast): %v\n",
 		r.Speedup, r.RankingsIdentical, r.Top1Identical)
 	fmt.Fprintf(&b, "  kernel throughput: %.3gM samples/sec (float64) -> %.3gM samples/sec (float32), %.1fx, causes identical: %v\n",
 		r.BaselineSamplesPerSec/1e6, r.F32SamplesPerSec/1e6, r.KernelSpeedup, r.F32CausesIdentical)
-	fmt.Fprintf(&b, "  MC draws in causes: %d -> %d   cache: %d hits / %d misses\n",
-		r.BaselineSamples, r.FastSamples, r.CacheStats.Hits, r.CacheStats.Misses)
+	fmt.Fprintf(&b, "  MC draws in causes: %d -> %d   store: %d hits / %d refits\n",
+		r.BaselineSamples, r.FastSamples, r.StoreHits, r.StoreRefits)
 	return b.String()
 }

@@ -133,7 +133,7 @@ func RunTrainScale(opts TrainScaleOptions) (*TrainScaleResult, error) {
 		var diags []*core.Diagnosis
 		for _, sc := range scs {
 			cfg := murphyConfig(opts.Samples, opts.TrainWindow)
-			cfg.Chains = chains
+			cfg.Sampler.Chains = chains
 			t0 := time.Now()
 			model, err := core.TrainOpt(context.Background(), sc.db, sc.g, cfg,
 				core.TrainOpts{Now: -1, Workers: workers, Obs: rec})

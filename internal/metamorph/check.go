@@ -14,17 +14,16 @@ import (
 // Options selects one fast-path configuration of the pipeline. The zero
 // value is the reference serial path every invariant compares against.
 type Options struct {
-	// Cache trains through a fresh FactorCache (exercising the cache fill
-	// path; a second Train through the same cache exercises the hit path).
-	Cache bool
 	// EarlyStop enables the sequential Welch test.
 	EarlyStop bool
 	// Chains is the Gibbs chain count (0/1 = single stream).
 	Chains int
 	// Workers is the training worker pool size (0/1 = serial).
 	Workers int
-	// Store trains through a fresh incremental factor store (the anchoring
-	// pass, which promises bit-identical factors to a full retrain).
+	// Store trains twice at the same slice through a fresh incremental
+	// factor store: the anchoring pass, then a pass served from the store,
+	// both of which promise bit-identical factors to a full retrain. The
+	// diagnosis runs on the second pass's model.
 	Store bool
 	// Precision selects the sampling kernel width (the zero value is the
 	// bit-stable float64 reference; PrecisionFloat32 is the fast path).
@@ -50,8 +49,8 @@ func BaseConfig() core.Config {
 // Diagnose trains and diagnoses one case under the given configuration.
 func Diagnose(c *Case, opt Options) (*core.Diagnosis, error) {
 	cfg := BaseConfig()
-	cfg.EarlyStop = opt.EarlyStop
-	cfg.Chains = opt.Chains
+	cfg.Sampler.EarlyStop = opt.EarlyStop
+	cfg.Sampler.Chains = opt.Chains
 	cfg.Sampler.Precision = opt.Precision
 	cfg.SeedFor = opt.SeedFor
 	if opt.Samples > 0 {
@@ -62,15 +61,18 @@ func Diagnose(c *Case, opt Options) (*core.Diagnosis, error) {
 		return nil, fmt.Errorf("build graph: %w", err)
 	}
 	topts := core.TrainOpts{Now: -1, Workers: opt.Workers}
-	if opt.Cache {
-		topts.Cache = core.NewFactorCache(4)
-	}
 	if opt.Store {
 		topts.Store = core.NewFactorStore()
+		if _, err := core.TrainOpt(context.Background(), c.DB, g, cfg, topts); err != nil {
+			return nil, fmt.Errorf("anchor store: %w", err)
+		}
 	}
 	model, err := core.TrainOpt(context.Background(), c.DB, g, cfg, topts)
 	if err != nil {
 		return nil, fmt.Errorf("train: %w", err)
+	}
+	if opt.Store && topts.Store.Stats().Hits == 0 {
+		return nil, fmt.Errorf("second train at the same slice served no store hits: %+v", topts.Store.Stats())
 	}
 	diag, err := model.Diagnose(c.Symptom)
 	if err != nil {
@@ -283,28 +285,22 @@ func hitTopK(d *core.Diagnosis, accept map[telemetry.EntityID]bool, k int) bool 
 }
 
 // FastPathGrid enumerates every fast-path configuration the cross-check
-// compares against the reference serial path: cache × early-stop × chains ×
-// train workers × kernel precision, plus the incremental-store training arm
-// (serial and pooled — both anchor bit-identically, so a full cross product
+// compares against the reference serial path: early-stop × chains × train
+// workers × kernel precision, plus the incremental-store reuse arm (serial
+// and pooled — both anchor and hit bit-identically, so a full cross product
 // with the sampling axes would only re-test the sampling paths).
 func FastPathGrid() []Options {
 	var grid []Options
-	for _, cache := range []bool{false, true} {
-		for _, es := range []bool{false, true} {
-			for _, chains := range []int{1, 2} {
-				for _, workers := range []int{1, 4} {
-					for _, prec := range []core.Precision{core.PrecisionFloat64, core.PrecisionFloat32} {
-						grid = append(grid, Options{Cache: cache, EarlyStop: es, Chains: chains, Workers: workers, Precision: prec})
-					}
+	for _, es := range []bool{false, true} {
+		for _, chains := range []int{1, 2} {
+			for _, workers := range []int{1, 4} {
+				for _, prec := range []core.Precision{core.PrecisionFloat64, core.PrecisionFloat32} {
+					grid = append(grid, Options{EarlyStop: es, Chains: chains, Workers: workers, Precision: prec})
 				}
 			}
 		}
 	}
-	grid = append(grid,
-		Options{Store: true},
-		Options{Store: true, Workers: 4},
-		Options{Store: true, Cache: true}) // store supersedes cache
-	return grid
+	return append(grid, Options{Store: true}, Options{Store: true, Workers: 4})
 }
 
 // crossCheckSamples is the Monte-Carlo budget of the configuration
@@ -318,8 +314,8 @@ const crossCheckSamples = 640
 
 // CheckCrossConfigs diagnoses one case under every fast-path configuration
 // and checks agreement with the reference serial path: decisive root causes
-// always match; configurations that only change training (cache, workers)
-// must additionally match bit for bit, since those paths promise
+// always match; configurations that only change training (store reuse,
+// workers) must additionally match bit for bit, since those paths promise
 // bit-identical factors.
 func CheckCrossConfigs(c *Case) error {
 	ref, err := Diagnose(c, Options{Samples: crossCheckSamples})
@@ -327,11 +323,11 @@ func CheckCrossConfigs(c *Case) error {
 		return caseErr(c, "reference", err)
 	}
 	for _, opt := range FastPathGrid() {
-		if !opt.Cache && !opt.EarlyStop && opt.Chains <= 1 && opt.Workers <= 1 && opt.Precision == core.PrecisionFloat64 && !opt.Store {
+		if !opt.EarlyStop && opt.Chains <= 1 && opt.Workers <= 1 && opt.Precision == core.PrecisionFloat64 && !opt.Store {
 			continue // the reference itself
 		}
 		opt.Samples = crossCheckSamples
-		label := fmt.Sprintf("config{cache=%v earlystop=%v chains=%d workers=%d prec=%s store=%v}", opt.Cache, opt.EarlyStop, opt.Chains, opt.Workers, opt.Precision, opt.Store)
+		label := fmt.Sprintf("config{earlystop=%v chains=%d workers=%d prec=%s store=%v}", opt.EarlyStop, opt.Chains, opt.Workers, opt.Precision, opt.Store)
 		got, err := Diagnose(c, opt)
 		if err != nil {
 			return caseErr(c, label, err)
@@ -369,8 +365,8 @@ const (
 // forward one slice at a time must arrive at factors within incSlideTol of a
 // from-scratch retrain at the final slice — with identically selected
 // features — and the resulting diagnosis must certify the same decisive
-// causes. (The fresh-store bit-identity contract is covered by the
-// cross-config grid's store arms.)
+// causes. (The same-slice bit-identity contract of the anchor and of a
+// store hit is covered by the cross-config grid's store arms.)
 func CheckIncrementalSlide(c *Case) error {
 	cfg := BaseConfig()
 	g, err := graph.Build(c.DB, []telemetry.EntityID{c.Symptom.Entity}, -1)

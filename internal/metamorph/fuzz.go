@@ -12,8 +12,9 @@
 //     survive entity renaming, edge-insertion-order permutation, affine
 //     metric rescaling, and injection of disconnected decoy entities, must
 //     never *gain* a root cause when the true cause's telemetry is ablated,
-//     and every fast-path configuration (factor cache × early stopping ×
-//     chains × train workers) must agree with the reference serial path.
+//     and every fast-path configuration (early stopping × chains × train
+//     workers × kernel precision, plus incremental-store reuse) must agree
+//     with the reference serial path.
 //
 // The same fuzzer feeds harness.RunAccuracy, whose precision/recall numbers
 // cmd/accguard pins against testdata/acc_baseline.json in CI.

@@ -61,10 +61,6 @@ type Counter uint8
 const (
 	// CtrFactorsTrained counts per-metric factors fitted from scratch.
 	CtrFactorsTrained Counter = iota
-	// CtrFactorCacheHits / CtrFactorCacheMisses count factor-cache lookups
-	// during training (zero when no cache is configured).
-	CtrFactorCacheHits
-	CtrFactorCacheMisses
 	// CtrSubgraphCacheHits / CtrSubgraphCacheMisses count shortest-path
 	// subgraph memoization lookups during candidate evaluation.
 	CtrSubgraphCacheHits
@@ -99,8 +95,8 @@ const (
 	// worker pool was active (pool size > 1); zero on serial training runs.
 	CtrTrainParallelFits
 	// CtrGibbsChains counts independent Gibbs chains launched by the
-	// multi-chain sampler (Config.Chains >= 2); zero on the single-stream
-	// sampler.
+	// multi-chain sampler (Config.Sampler.Chains >= 2); zero on the
+	// single-stream sampler.
 	CtrGibbsChains
 	// CtrIngestBatches / CtrIngestPoints count telemetry batches and
 	// individual observations accepted by the serve layer's ingest path;
@@ -153,8 +149,6 @@ const (
 
 var counterNames = [numCounters]string{
 	"factors_trained",
-	"factor_cache_hits",
-	"factor_cache_misses",
 	"subgraph_cache_hits",
 	"subgraph_cache_misses",
 	"gibbs_samples",

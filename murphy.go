@@ -27,15 +27,18 @@
 // The exported surface of this package is versioned: Report carries
 // SchemaVersion and round-trips through WriteJSON/ReadJSON, internal types
 // appear only as intentional aliases (Config, RetryPolicy, BreakerConfig,
-// FactorCache, Observer, …), and apisurface_test.go pins the exported
+// FactorStore, Observer, …), and apisurface_test.go pins the exported
 // declarations against a golden file so surface changes are deliberate.
+// Each concern has exactly one option: WithSampler for the sampling kernel,
+// WithResilience for the read path, WithIncrementalTraining for training
+// reuse.
 // Context-taking methods (DiagnoseContext, WhatIfContext) are canonical;
 // their context-less twins are one-line Background wrappers.
 //
 // # Observability
 //
 // The pipeline self-instruments: per-stage spans (train, prune, test, rank,
-// explain) with wall/CPU timings, counters (factors trained, cache hits,
+// explain) with wall/CPU timings, counters (factors trained, store hits,
 // Gibbs samples, early-stop decisions, retries, breaker trips), and a
 // progress-event stream. Subscribe with WithObserver, enable passive
 // collection with WithStats, read it back with Stats, or serve it with
@@ -77,12 +80,9 @@ type System struct {
 	workers int
 	// trainWorkers bounds the training-pass worker pool (0 = follow workers).
 	trainWorkers int
-	// cache, when set, carries trained factors across the Diagnose calls of
-	// this System (and any other System sharing the cache).
-	cache *core.FactorCache
-	// incStore, when set, amortizes training by sliding per-factor
-	// sufficient statistics across Diagnose calls (WithIncrementalTraining).
-	// It subsumes cache when both are configured.
+	// incStore, when set, amortizes training across Diagnose calls by
+	// sliding per-factor sufficient statistics, and serves a repeat at the
+	// same slice from the stored factors (WithIncrementalTraining).
 	incStore *core.FactorStore
 	// rec is the session's instrumentation recorder. Always non-nil;
 	// disabled unless WithObserver/WithStats (or EnableStats) turned it on.
@@ -231,11 +231,11 @@ type BatchItem struct {
 // DiagnoseBatch diagnoses several symptoms of one incident against a single
 // online-trained model: the MRF is trained once (on the pool configured by
 // WithParallelTraining) and every symptom then reuses it — along with the
-// session's shortest-path subgraph cache and factor cache — instead of paying
-// the per-call retraining that separate Diagnose calls would. Per-symptom
-// failures (unknown entity, cancellation mid-inference) land in the item's
-// Err without aborting the remaining symptoms; the call itself errors only
-// when training fails, since then no symptom can be answered. Reports are
+// session's shortest-path subgraph cache — instead of paying the per-call
+// retraining that separate Diagnose calls would. Per-symptom failures
+// (unknown entity, cancellation mid-inference) land in the item's Err
+// without aborting the remaining symptoms; the call itself errors only when
+// training fails, since then no symptom can be answered. Reports are
 // identical to what per-symptom DiagnoseContext calls at the same time slice
 // would produce.
 func (s *System) DiagnoseBatch(ctx context.Context, symptoms []telemetry.Symptom) ([]BatchItem, error) {
@@ -260,7 +260,7 @@ func (s *System) DiagnoseBatch(ctx context.Context, symptoms []telemetry.Symptom
 
 // train fits the MRF through the configured read path.
 func (s *System) train(ctx context.Context) (*core.Model, error) {
-	opts := core.TrainOpts{Now: -1, Cache: s.cache, Store: s.incStore, Obs: s.rec, Workers: s.trainWorkers}
+	opts := core.TrainOpts{Now: -1, Store: s.incStore, Obs: s.rec, Workers: s.trainWorkers}
 	if opts.Workers == 0 {
 		// Unset: a session that fans inference out across workers gets the
 		// same fan-out for its training fits.
@@ -268,7 +268,7 @@ func (s *System) train(ctx context.Context) (*core.Model, error) {
 	}
 	if plain, ok := s.src.(*telemetry.DB); !ok || plain != s.db {
 		// An interposed source (chaos, resilience, remote): route reads
-		// through it. The factor cache is bypassed on this path.
+		// through it. The factor store is bypassed on this path.
 		opts.Src = s.src
 	}
 	return core.TrainOpt(ctx, s.db, s.g, s.cfg, opts)
@@ -309,17 +309,6 @@ func (s *System) FindSymptoms(app string) []telemetry.Symptom {
 		out[i] = sc.Symptom
 	}
 	return out
-}
-
-// FactorCacheStats reports the factor cache's hit/miss counters. ok is false
-// when no factor cache is configured (WithCaching/WithFactorCache unused),
-// distinguishing "disabled" from a configured cache that has absorbed no
-// traffic yet.
-func (s *System) FactorCacheStats() (stats FactorCacheStats, ok bool) {
-	if s.cache == nil {
-		return FactorCacheStats{}, false
-	}
-	return s.cache.Stats(), true
 }
 
 // FactorStoreStats reports the incremental trainer's hit/refit/drift

@@ -142,7 +142,7 @@ func TestFindSymptoms(t *testing.T) {
 }
 
 func TestTopClamps(t *testing.T) {
-	r := &Report{Causes: []RootCause{{}, {}}}
+	r := &Report{Causes: []Cause{{}, {}}}
 	if len(r.Top(10)) != 2 || len(r.Top(1)) != 1 {
 		t.Fatal("Top should clamp")
 	}
@@ -279,10 +279,10 @@ func TestWithSourceRetryAbsorbsChaos(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Samples = 300
 	cfg.TrainWindow = 220
+	retry := resilience.Policy{MaxAttempts: 6, Seed: 3}.
+		WithSleep(func(context.Context, time.Duration) error { return nil })
 	sys, err := New(db, WithConfig(cfg),
-		WithSource(inj),
-		WithRetry(resilience.Policy{MaxAttempts: 6, Seed: 3}.
-			WithSleep(func(context.Context, time.Duration) error { return nil })))
+		WithResilience(Resilience{Source: inj, Retry: &retry}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,9 +320,10 @@ func TestWithBreakerDegradesDeadSource(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Samples = 200
 	cfg.TrainWindow = 220
-	sys, err := New(db, WithConfig(cfg),
-		WithSource(inj),
-		WithBreaker(resilience.BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour}))
+	sys, err := New(db, WithConfig(cfg), WithResilience(Resilience{
+		Source:  inj,
+		Breaker: &BreakerConfig{FailureThreshold: 3, Cooldown: time.Hour},
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,23 +170,23 @@ func TestConcurrentObserversUnderParallelDiagnosis(t *testing.T) {
 
 func TestStatsOkBool(t *testing.T) {
 	plain := testSystem(t)
-	if _, ok := plain.FactorCacheStats(); ok {
-		t.Error("FactorCacheStats ok=true without a configured cache")
+	if _, ok := plain.FactorStoreStats(); ok {
+		t.Error("FactorStoreStats ok=true without incremental training")
 	}
 	if _, ok := plain.SourceStats(); ok {
 		t.Error("SourceStats ok=true without a resilient source")
 	}
 
-	cached := testSystem(t, WithCaching(Caching{}))
-	if _, err := cached.Diagnose(demoSymptom()); err != nil {
+	stored := testSystem(t, WithIncrementalTraining(IncrementalTraining{}))
+	if _, err := stored.Diagnose(demoSymptom()); err != nil {
 		t.Fatal(err)
 	}
-	cst, ok := cached.FactorCacheStats()
+	fst, ok := stored.FactorStoreStats()
 	if !ok {
-		t.Fatal("FactorCacheStats ok=false with caching configured")
+		t.Fatal("FactorStoreStats ok=false with incremental training configured")
 	}
-	if cst.Misses == 0 {
-		t.Errorf("cache stats show no misses after a first diagnosis: %+v", cst)
+	if fst.Refits == 0 {
+		t.Errorf("store stats show no refits after a first diagnosis: %+v", fst)
 	}
 
 	resilient := testSystem(t, WithResilience(Resilience{

@@ -31,17 +31,6 @@ type BreakerConfig = resilience.BreakerConfig
 // failures, breaker rejections); see System.SourceStats.
 type SourceStats = resilience.SourceStats
 
-// FactorCache shares trained factors between Systems; see WithCaching.
-type FactorCache = core.FactorCache
-
-// FactorCacheStats reports a factor cache's hit/miss/occupancy counters; see
-// System.FactorCacheStats.
-type FactorCacheStats = core.FactorCacheStats
-
-// NewFactorCache builds a shareable trained-factor cache holding up to
-// capacity factors (<= 0 uses the default); entries are evicted LRU.
-func NewFactorCache(capacity int) *FactorCache { return core.NewFactorCache(capacity) }
-
 // FactorStore is the persistent incremental factor store behind
 // WithIncrementalTraining: per-(entity, window, hyperparameters) sufficient
 // statistics slid point by point instead of retrained from scratch, with
@@ -51,10 +40,6 @@ type FactorStore = core.FactorStore
 // FactorStoreStats reports the incremental trainer's hit/refit/drift
 // counters; see System.FactorStoreStats.
 type FactorStoreStats = core.FactorStoreStats
-
-// NewFactorStore builds a shareable incremental factor store with the
-// default drift threshold and refresh interval.
-func NewFactorStore() *FactorStore { return core.NewFactorStore() }
 
 // SamplerConfig bundles every knob of the batched Gibbs sampling kernel
 // (precision, chains, early stopping, scratch sizing); see WithSampler.
@@ -126,7 +111,8 @@ func WithWorkers(n int) Option {
 // train. n <= 0 uses GOMAXPROCS. The trained model is bit-identical at any
 // worker count (deterministic job order, per-slot outputs), so this is purely
 // a latency knob; without it, training follows WithWorkers. The worker pool
-// composes with the factor cache and honors context cancellation mid-pool.
+// composes with incremental training and honors context cancellation
+// mid-pool.
 func WithParallelTraining(n int) Option {
 	return func(s *System) {
 		if n <= 0 {
@@ -136,9 +122,7 @@ func WithParallelTraining(n int) Option {
 	}
 }
 
-// WithSampler configures the batched Gibbs sampling kernel in one bundle
-// (the survivor of WithChains/WithEarlyStop, which set the deprecated flat
-// Config fields):
+// WithSampler configures the batched Gibbs sampling kernel in one bundle:
 //
 //   - Precision: PrecisionFloat64 (default, bit-identical to the original
 //     sampler) or PrecisionFloat32 (the fast path — several times the
@@ -154,37 +138,9 @@ func WithParallelTraining(n int) Option {
 //     (confidence 0 uses the 0.999 default).
 //   - ArenaSamples: pre-size the per-chain scratch vectors.
 //
-// Apply after WithConfig. A non-zero bundle field overrides the
-// corresponding deprecated flat Config field (and option); zero-value bundle
-// fields inherit them, so existing WithChains/WithEarlyStop callers keep
-// their behavior.
+// Apply after WithConfig: the bundle replaces Config.Sampler.
 func WithSampler(sc SamplerConfig) Option {
 	return func(s *System) { s.cfg.Sampler = sc }
-}
-
-// WithChains splits each counterfactual test's Monte-Carlo draws across k
-// independent Gibbs chains.
-//
-// Deprecated: use WithSampler(SamplerConfig{Chains: k}).
-func WithChains(k int) Option {
-	return func(s *System) {
-		if k < 1 {
-			k = 1
-		}
-		s.cfg.Chains = k
-	}
-}
-
-// WithEarlyStop enables sequential significance testing at the given
-// confidence (0 uses the 0.999 default).
-//
-// Deprecated: use WithSampler(SamplerConfig{EarlyStop: true,
-// EarlyStopConfidence: confidence}).
-func WithEarlyStop(confidence float64) Option {
-	return func(s *System) {
-		s.cfg.EarlyStop = true
-		s.cfg.EarlyStopConfidence = confidence
-	}
 }
 
 // Resilience bundles the resilient telemetry read path: an optional
@@ -205,11 +161,11 @@ type Resilience struct {
 	Breaker *BreakerConfig
 }
 
-// WithResilience configures the resilient telemetry read path in one bundle
-// (the survivor of WithSource/WithRetry/WithBreaker). Reads that still fail
-// after the configured resilience degrade to missing data and are reported
-// via Report.ReadFailures and System.SourceStats. The factor cache is
-// bypassed while a fallible read path is interposed (see WithCaching).
+// WithResilience configures the resilient telemetry read path in one bundle.
+// Reads that still fail after the configured resilience degrade to missing
+// data and are reported via Report.ReadFailures and System.SourceStats.
+// Incremental training is bypassed while a fallible read path is interposed
+// (see WithIncrementalTraining).
 func WithResilience(r Resilience) Option {
 	return func(s *System) {
 		if r.Source != nil {
@@ -226,52 +182,18 @@ func WithResilience(r Resilience) Option {
 	}
 }
 
-// Caching bundles the trained-factor reuse configuration. Exactly one of
-// Shared or Capacity is consulted: a non-nil Shared wins.
-type Caching struct {
-	// Capacity caps this System's own factor cache (<= 0 uses the
-	// default). Ignored when Shared is set.
-	Capacity int
-	// Shared installs an existing cache, so several Systems over the same
-	// database (e.g. one per symptom seed set) share trained factors.
-	Shared *FactorCache
-}
-
-// WithCaching reuses trained factors across Diagnose and WhatIf calls (the
-// survivor of WithFactorCache/WithSharedFactorCache): Murphy retrains its
-// MRF online on every call, but between two calls at the same time slice
-// every factor comes out identical, so an operator triaging several symptoms
-// of one incident pays the ridge fits and feature selection only once.
-// Behavior-preserving: rankings are bit-identical with the cache on or off.
-// The cache is bypassed automatically while a fallible read path is
-// interposed (see core.FactorCache for why).
-func WithCaching(c Caching) Option {
-	return func(s *System) {
-		if c.Shared != nil {
-			s.cache = c.Shared
-			return
-		}
-		s.cache = core.NewFactorCache(c.Capacity)
-	}
-}
-
-// IncrementalTraining bundles the amortized-training configuration. The
-// zero value of every field inherits a default: a nil Store builds this
-// System its own store, and non-positive thresholds keep the store's current
-// policy (DefaultDriftThreshold / DefaultRefreshEvery for a fresh store).
+// IncrementalTraining bundles the amortized-training configuration. Each
+// System builds its own store (the store binds to the System's relationship
+// graph); reach it through System.FactorStore, e.g. to snapshot and restore
+// it across daemon restarts. Non-positive fields keep the defaults
+// (DefaultDriftThreshold / DefaultRefreshEvery).
 type IncrementalTraining struct {
-	// Store installs an existing incremental factor store, so several
-	// Systems over the same database share slid statistics, or so a daemon
-	// can snapshot/restore the store across restarts. Nil builds an own
-	// store.
-	Store *FactorStore
 	// DriftThreshold is the MASE score of a factor's one-step-ahead
 	// predictions above which the incremental path falls back to a full
-	// refit. <= 0 inherits the store's current policy.
+	// refit. <= 0 keeps the default.
 	DriftThreshold float64
 	// RefreshEvery bounds how many window slides a factor's statistics may
-	// accumulate before a scheduled full re-anchor. <= 0 inherits the
-	// store's current policy.
+	// accumulate before a scheduled full re-anchor. <= 0 keeps the default.
 	RefreshEvery int
 }
 
@@ -283,57 +205,18 @@ type IncrementalTraining struct {
 // feature selection shifts, the drift score trips, or numeric conditioning
 // degrades. Steady-state training cost drops by an order of magnitude on
 // point-by-point replays at unchanged diagnosis output (rounding-bounded
-// factors, property-tested).
+// factors, property-tested). It is also the session's only training-reuse
+// path: a repeated call at the same time slice (an operator triaging
+// several symptoms of one incident, repeated what-if queries) gets every
+// factor back exactly as fitted, so rankings stay bit-identical.
 //
-// Like WithSampler, the bundle's non-zero fields override and zero fields
-// inherit, so option order does not matter. The store subsumes the factor
-// cache: when both WithCaching and WithIncrementalTraining are configured,
-// the store takes over and the cache sees no traffic. Like the cache, the
-// store is bypassed automatically while a fallible read path is interposed
-// (WithResilience) or a custom trainer is in play.
+// The store is bypassed automatically while a fallible read path is
+// interposed (WithResilience), since its reads may fail or degrade
+// nondeterministically.
 func WithIncrementalTraining(it IncrementalTraining) Option {
 	return func(s *System) {
-		st := it.Store
-		if st == nil {
-			st = core.NewFactorStore()
-		}
+		st := core.NewFactorStore()
 		st.SetPolicy(it.DriftThreshold, it.RefreshEvery)
 		s.incStore = st
 	}
-}
-
-// WithSource routes the online-training reads through src instead of the
-// database directly.
-//
-// Deprecated: use WithResilience(Resilience{Source: src}).
-func WithSource(src telemetry.Source) Option {
-	return func(s *System) { s.src = src }
-}
-
-// WithRetry wraps the training-window reads in a retry policy.
-//
-// Deprecated: use WithResilience(Resilience{Retry: &p}).
-func WithRetry(p RetryPolicy) Option {
-	return func(s *System) { s.retry = &p }
-}
-
-// WithBreaker adds a circuit breaker on the telemetry read path.
-//
-// Deprecated: use WithResilience(Resilience{Breaker: &cfg}).
-func WithBreaker(cfg BreakerConfig) Option {
-	return func(s *System) { s.brkCfg = &cfg }
-}
-
-// WithFactorCache gives this System its own trained-factor cache.
-//
-// Deprecated: use WithCaching(Caching{Capacity: capacity}).
-func WithFactorCache(capacity int) Option {
-	return func(s *System) { s.cache = core.NewFactorCache(capacity) }
-}
-
-// WithSharedFactorCache installs an existing trained-factor cache.
-//
-// Deprecated: use WithCaching(Caching{Shared: c}).
-func WithSharedFactorCache(c *FactorCache) Option {
-	return func(s *System) { s.cache = c }
 }

@@ -48,11 +48,6 @@ type Cause struct {
 	Explanation string
 }
 
-// RootCause is the pre-v1 name of Cause.
-//
-// Deprecated: use Cause.
-type RootCause = Cause
-
 // causeFromCore flattens an internal verdict into the public schema.
 func causeFromCore(c core.RootCause) Cause {
 	return Cause{
