@@ -417,7 +417,7 @@ func BenchmarkAblationFactorModel(b *testing.B) {
 		tr := tr
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m, err := core.TrainAt(sc.Result.DB, g, cfg, sc.Result.DB.Len()-1, tr)
+				m, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1, Trainer: tr})
 				if err != nil {
 					b.Fatal(err)
 				}

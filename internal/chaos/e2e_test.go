@@ -54,7 +54,7 @@ func TestDiagnosisSurvivesTransientFaults(t *testing.T) {
 		Seed:        1,
 	}.WithSleep(func(context.Context, time.Duration) error { return nil }), nil)
 
-	m, err := core.TrainSource(context.Background(), db, src, g, murphyConfig())
+	m, err := core.TrainOpt(context.Background(), db, g, murphyConfig(), core.TrainOpts{Now: -1, Src: src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestParallelDiagnosisUnderChaosAndPanic(t *testing.T) {
 		MaxAttempts: 5,
 		Seed:        2,
 	}.WithSleep(func(context.Context, time.Duration) error { return nil }), nil)
-	m, err := core.TrainSource(context.Background(), db, src, g, murphyConfig())
+	m, err := core.TrainOpt(context.Background(), db, g, murphyConfig(), core.TrainOpts{Now: -1, Src: src})
 	if err != nil {
 		t.Fatal(err)
 	}

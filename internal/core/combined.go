@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"murphy/internal/graph"
@@ -44,9 +45,13 @@ func TrainCombined(db *telemetry.DB, g *graph.Graph, cfg Config, offlineEnd int,
 	if wOnline < 0 || wOnline > 1 {
 		return nil, fmt.Errorf("core: online weight %v outside [0,1]", wOnline)
 	}
+	if offlineEnd < 0 {
+		// TrainOpt would read a negative endpoint as "the last slice".
+		return nil, fmt.Errorf("core: offline endpoint %d outside timeline [0,%d)", offlineEnd, db.Len())
+	}
 	offCfg := cfg
 	offCfg.TrainWindow = offlineWindow
-	offline, err := TrainAt(db, g, offCfg, offlineEnd, nil)
+	offline, err := TrainOpt(context.Background(), db, g, offCfg, TrainOpts{Now: offlineEnd})
 	if err != nil {
 		return nil, fmt.Errorf("core: offline half: %w", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -143,14 +144,10 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train(telemetry.NewDB(60), g, testConfig()); err == nil {
 		t.Fatal("empty db should error")
 	}
-	if _, err := TrainAt(db, g, testConfig(), -1, nil); err == nil {
-		t.Fatal("negative endpoint should error")
-	}
-	if _, err := TrainAt(db, g, testConfig(), 9999, nil); err == nil {
+	if _, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: 9999}); err == nil {
 		t.Fatal("endpoint past timeline should error")
 	}
-	cfg := testConfig()
-	if _, err := TrainAt(db, g, cfg, 3, nil); err == nil {
+	if _, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: 3}); err == nil {
 		t.Fatal("window of 4 slices should be too short")
 	}
 }

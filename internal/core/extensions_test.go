@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"murphy/internal/graph"
@@ -109,7 +110,7 @@ func TestRebind(t *testing.T) {
 	}
 	cfg := testConfig()
 	// Train strictly before the incident.
-	m, err := TrainAt(db, g, cfg, 250, nil)
+	m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: 250})
 	if err != nil {
 		t.Fatal(err)
 	}

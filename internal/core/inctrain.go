@@ -50,7 +50,7 @@ const (
 	factorStoreSnapshotVersion = 1
 )
 
-// seriesState is the incremental trainer's per-(entity, metric) state: the
+// seriesState is the trainer's per-(entity, metric) state: the
 // placeholder-filled window, its sorted copy (for O(1) median / O(n) MAD),
 // shifted running moments, and the in-window missing-value bookkeeping.
 type seriesState struct {
@@ -74,7 +74,10 @@ type seriesState struct {
 }
 
 // targetStats returns the robust center/scale and novelty flag for the
-// series as a factor target, matching trainAt's observed-only computation.
+// series as a factor target. Anomaly scoring uses only actually-observed
+// history: an entity whose past was never recorded (newly spawned, or the
+// Table 2 missing-values corruption) is judged against what was seen, not
+// against the training-time placeholders.
 func (st *seriesState) targetStats() (med, madScale float64, novel bool) {
 	if len(st.nanAt) > 0 {
 		return st.med, st.madScale, st.novel
@@ -83,7 +86,12 @@ func (st *seriesState) targetStats() (med, madScale float64, novel bool) {
 }
 
 // newSeriesState builds the full per-series state from a raw window starting
-// at absolute slice lo, replicating trainAt's placeholder rule exactly.
+// at absolute slice lo. Missing observations (NaN) get a placeholder (§4.2
+// edge cases): the metric's observed median — zero-filling would fabricate a
+// step aligned with whenever observation began, which pollutes correlations.
+// A series observed for under a quarter of the window is novel: the
+// in-incident tail does not count as judgeable history, so normality cannot
+// be certified.
 func newSeriesState(raw []float64, lo int) *seriesState {
 	st := &seriesState{win: append([]float64(nil), raw...)}
 	for i, v := range raw {
@@ -95,7 +103,7 @@ func newSeriesState(raw []float64, lo int) *seriesState {
 		obsY := observedOnly(raw)
 		def := stats.Median(obsY)
 		if def != def {
-			def = 0
+			def = 0 // nothing observed at all: the type default
 		}
 		for i, v := range st.win {
 			if v != v {
@@ -112,6 +120,17 @@ func newSeriesState(raw []float64, lo int) *seriesState {
 	st.mom.Anchor(st.win)
 	st.sorted = stats.NewSortedWindow(st.win)
 	return st
+}
+
+// observedOnly filters NaN (missing) observations out of a raw window.
+func observedOnly(w []float64) []float64 {
+	out := make([]float64, 0, len(w))
+	for _, v := range w {
+		if v == v {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // storeEntry is the incremental trainer's per-factor state: the last trained
@@ -136,20 +155,24 @@ type storeEntry struct {
 	drift  *stats.DriftTracker
 }
 
-// FactorStore is the persistent incremental factor store behind
-// TrainOpts.Store: it keeps per-(entity, metric) sufficient statistics —
-// shifted Gram matrices, cross-term vectors, running moments, sorted windows
-// — keyed to an explicit training window [lo, hi) and the hyperparameters
-// (TrainWindow, TopB, Lambda) they were built under, and slides them as the
-// window advances instead of letting every Train call recompute
-// mat.GramCols, the |Pearson| ranking, and the robust statistics from
-// scratch. A factor is served from the slid statistics (a "hit": one O(B³)
-// solve, no O(n·C) passes). When the slid ranking cannot prove the feature
-// selection (adjacent ranks within selectionMarginEps — routine in
-// homogeneous topologies full of near-duplicate series), the store re-ranks
-// with the exact centered |Pearson| the full path computes, and a changed
-// selection is adopted in place (a "reselect": cross terms picked from the
-// slid per-candidate accumulators, only the B×B Gram rebuilt). A full refit
+// FactorStore is the MRF's training pass (§4.2 "Model training") and its
+// persistent incremental state: it keeps per-(entity, metric) sufficient
+// statistics — shifted Gram matrices, cross-term vectors, running moments,
+// sorted windows — keyed to an explicit training window [lo, hi) and the
+// hyperparameters (TrainWindow, TopB, Lambda) they were built under, and
+// slides them as the window advances instead of letting every Train call
+// recompute mat.GramCols, the |Pearson| ranking, and the robust statistics
+// from scratch. Every training pass runs through a store: TrainOpts.Store
+// when reuse is sound, a fresh one otherwise, whose first pass fits every
+// factor from scratch.
+//
+// A factor is served from the slid statistics (a "hit": one O(B³) solve, no
+// O(n·C) passes). When the slid ranking cannot prove the feature selection
+// (adjacent ranks within selectionMarginEps — routine in homogeneous
+// topologies full of near-duplicate series), the store re-ranks with the
+// exact centered |Pearson| a full fit computes, and a changed selection is
+// adopted in place (a "reselect": cross terms picked from the slid
+// per-candidate accumulators, only the B×B Gram rebuilt). A full refit
 // happens only when a guard trips:
 //
 //   - the MASE drift score of the factor's one-step-ahead predictions
@@ -160,9 +183,9 @@ type storeEntry struct {
 //     database changed, or a series has in-window missing values (its
 //     placeholder fill is window-dependent).
 //
-// Every fallback is a full refit through the same bit-exact path trainAt
-// takes (stats.Center ranking + Ridge.FitColumns), so an anchored or refit
-// factor is bit-identical to a full retrain; slid factors agree within a
+// A full refit ranks the candidates by exact centered |Pearson| and fits the
+// factor's regression model over the whole window, so an anchored or refit
+// factor is bit-identical to a fresh store's; slid factors agree within a
 // rounding bound (property-tested by the metamorph incremental arm).
 //
 // The store serializes to a compact snapshot (Snapshot/SaveFile with the
@@ -171,7 +194,7 @@ type storeEntry struct {
 // restart's first diagnosis performs zero full retrains.
 //
 // A train at the same window as the last one is a pure hit: every factor
-// comes back exactly as fitted. The store is only consulted on the
+// comes back exactly as fitted. A caller's store is only consulted on the
 // default-trainer, direct-read path, and it identifies the window by
 // explicit [lo, hi) bounds: a slid window can never alias stale entries.
 // All methods are safe for concurrent use; a training pass holds the store
@@ -224,8 +247,9 @@ type FactorStoreStats struct {
 	// included); DriftTrips is the subset of refits forced by the MASE drift
 	// score; Slides counts window slides applied to the statistics; Resets
 	// counts whole-store invalidations (database/hyperparameter changes,
-	// out-of-order windows); Reselects is the subset of hits that re-ranked
-	// features exactly and adopted a changed selection in place.
+	// out-of-order windows, failed passes); Reselects is the subset of hits
+	// that re-ranked features exactly and adopted a changed selection in
+	// place.
 	Hits, Refits, Reselects, DriftTrips, Slides, Resets uint64
 	// Factors and Series are the current state sizes.
 	Factors, Series int
@@ -324,18 +348,25 @@ func refsEqual(a, b []metricRef) bool {
 	return true
 }
 
-// incPrep lazily shares the full-refit precomputations across the refitting
-// factors of one training pass: centered views (for the bit-identical
-// |Pearson| ranking) and shift-subtracted columns (for anchoring the slid
-// statistics). Guarded by a mutex because the factor phase runs pooled.
-type incPrep struct {
+// trainPass is the state one training pass shares across its factor jobs:
+// the window move, the regression trainer, and the full-refit
+// precomputations — centered views (for the |Pearson| ranking) and
+// shift-subtracted columns (for anchoring the slid statistics), built lazily
+// under a mutex because the factor phase runs pooled.
+type trainPass struct {
+	cfg       Config
+	trainer   regress.Trainer
+	hi        int                     // window end
+	drop, add int                     // slices leaving / entering the window
+	leaving   map[metricRef][]float64 // expired window prefix per series
+
 	mu      sync.Mutex
 	store   *FactorStore
 	ctr     map[metricRef]*stats.Centered
 	shifted map[metricRef][]float64
 }
 
-func (p *incPrep) centered(ref metricRef) *stats.Centered {
+func (p *trainPass) centered(ref metricRef) *stats.Centered {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if c, ok := p.ctr[ref]; ok {
@@ -346,7 +377,7 @@ func (p *incPrep) centered(ref metricRef) *stats.Centered {
 	return &c
 }
 
-func (p *incPrep) shiftedCol(ref metricRef) []float64 {
+func (p *trainPass) shiftedCol(ref metricRef) []float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if c, ok := p.shifted[ref]; ok {
@@ -361,7 +392,7 @@ func (p *incPrep) shiftedCol(ref metricRef) []float64 {
 	return c
 }
 
-// incJob is one factor's unit of work in the incremental training pass.
+// incJob is one factor's unit of work in the training pass.
 type incJob struct {
 	ref       metricRef
 	cand      []metricRef // shared across the entity's jobs
@@ -384,12 +415,90 @@ func (j *incJob) candIndex(ref metricRef) (int, bool) {
 	return 0, false
 }
 
-// train is the incremental training pass: it fills the prepared Model shell
-// from the store's slid statistics, refitting only where a guard trips. The
-// caller (trainAt) has already validated the window and set m's bounds.
+// candidateRefs lists an entity's candidate features: every metric of every
+// in-neighbor, in graph order. names enumerates an entity's metrics.
+func candidateRefs(g *graph.Graph, id telemetry.EntityID, names func(telemetry.EntityID) []string) []metricRef {
+	var cand []metricRef
+	for _, nb := range g.InIDs(id) {
+		for _, name := range names(nb) {
+			cand = append(cand, metricRef{nb, name})
+		}
+	}
+	return cand
+}
+
+// rankTopB orders the candidates by descending |correlation| rs, breaking
+// ties by candidate key, and keeps the top b with a non-zero correlation (the
+// one-in-ten rule, §4.2). order is the full ranking.
+func rankTopB(cand []metricRef, keys []string, rs []float64, b int) (feats []metricRef, order []int) {
+	order = make([]int, len(cand))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, c int) bool {
+		ia, ic := order[a], order[c]
+		if rs[ia] != rs[ic] {
+			return rs[ia] > rs[ic]
+		}
+		return keys[ia] < keys[ic]
+	})
+	if b > len(order) {
+		b = len(order)
+	}
+	feats = make([]metricRef, 0, b)
+	for _, i := range order[:b] {
+		if rs[i] > 0 {
+			feats = append(feats, cand[i])
+		}
+	}
+	return feats, order
+}
+
+// readWindow reads one raw training window through src. A context abort
+// fails training; any other read error (already past the source's own
+// retries) or a short read degrades the series to all-missing, which the
+// placeholder rule absorbs exactly like never-observed history, and is
+// recorded on the model.
+func readWindow(ctx context.Context, src telemetry.Source, m *Model, ref metricRef, rec *obs.Recorder) ([]float64, error) {
+	n := m.trainHi - m.trainLo
+	w, err := src.ReadRawWindow(ctx, ref.entity, ref.metric, m.trainLo, m.trainHi)
+	if err == nil && len(w) == n {
+		return w, nil
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, fmt.Errorf("core: training cancelled: %w", cerr)
+	}
+	if err == nil {
+		err = fmt.Errorf("core: short read (%d of %d slices)", len(w), n)
+	}
+	m.readFailures = append(m.readFailures, ReadFailure{Entity: ref.entity, Metric: ref.metric, Err: err})
+	rec.Add(obs.CtrReadFailures, 1)
+	w = make([]float64, n)
+	for i := range w {
+		w[i] = math.NaN()
+	}
+	return w, nil
+}
+
+// train is the training pass: it fills the prepared Model shell from the
+// store's statistics, sliding them when the window advanced and refitting
+// only where a guard trips (a fresh store refits every factor). The caller
+// (TrainOpt) has already validated the window and set m's bounds.
 func (s *FactorStore) train(ctx context.Context, m *Model, opts TrainOpts, rec *obs.Recorder) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	err := s.trainLocked(ctx, m, opts, rec)
+	if err != nil && s.db != nil {
+		// A pass that failed midway may have slid some series and entries
+		// but not the window bounds: void the state so the next pass
+		// re-anchors instead of sliding them twice.
+		s.resets++
+		s.resetLocked(s.db, s.g, s.window, s.topB, s.lambda)
+	}
+	return err
+}
+
+func (s *FactorStore) trainLocked(ctx context.Context, m *Model, opts TrainOpts, rec *obs.Recorder) error {
 	db, g, cfg := m.db, m.g, m.cfg
 	lo, hi := m.trainLo, m.trainHi
 
@@ -420,23 +529,37 @@ func (s *FactorStore) train(ctx context.Context, m *Model, opts TrainOpts, rec *
 		s.lo, s.hi = lo, hi
 	}
 
-	// Phase 1: slide (or build) every series' state. Serial: the per-point
-	// work is trivial and the enumeration order is part of determinism.
+	// Phase 1: read (or slide) every series' state. Reads are serial and in
+	// graph order: sources may be stateful (fault injectors, rate-limited
+	// collectors) and the order of recorded read failures is part of the
+	// model's contract. Only a fresh store sees an interposed source, so
+	// slides read the database directly.
+	var src telemetry.Source = db
+	if opts.Src != nil {
+		src = opts.Src
+	}
 	drop, add := lo-s.lo, hi-s.hi
 	leaving := make(map[metricRef][]float64)
 	live := make(map[metricRef]bool)
+	var fresh []metricRef
+	var raws [][]float64
 	for _, id := range g.IDs() {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: training cancelled: %w", err)
 		}
-		names := db.MetricNames(id)
+		names := src.MetricNames(id)
 		m.metricsOf[id] = names
 		for _, name := range names {
 			ref := metricRef{id, name}
 			live[ref] = true
 			st, ok := s.series[ref]
 			if !ok {
-				s.series[ref] = newSeriesState(db.RawWindow(id, name, lo, hi), lo)
+				raw, err := readWindow(ctx, src, m, ref, rec)
+				if err != nil {
+					return err
+				}
+				fresh = append(fresh, ref)
+				raws = append(raws, raw)
 				continue
 			}
 			if add == 0 && drop == 0 {
@@ -444,6 +567,18 @@ func (s *FactorStore) train(ctx context.Context, m *Model, opts TrainOpts, rec *
 			}
 			leaving[ref] = s.slideSeries(st, ref, lo, hi, drop, add)
 		}
+	}
+	// A new series' state (placeholder fill, moments, sorted copy) is pure
+	// in its window, so building it fans out across the pool.
+	states := make([]*seriesState, len(fresh))
+	if err := forEachIndex(ctx, opts.Workers, len(fresh), func(i int) error {
+		states[i] = newSeriesState(raws[i], lo)
+		return nil
+	}); err != nil {
+		return fmt.Errorf("core: training cancelled: %w", err)
+	}
+	for i, ref := range fresh {
+		s.series[ref] = states[i]
 	}
 	for ref := range s.series {
 		if !live[ref] {
@@ -455,17 +590,13 @@ func (s *FactorStore) train(ctx context.Context, m *Model, opts TrainOpts, rec *
 		rec.Add(obs.CtrIncTrainSlides, int64(add))
 	}
 
-	// Phase 2: assemble the factor jobs in graph order (same order and
-	// candidate construction as trainAt) and make sure every job has an
-	// entry before the pooled phase mutates them.
+	// Phase 2: assemble the factor jobs in graph order, with each entity's
+	// candidate list and its ranking tie-break keys built once, and make
+	// sure every job has an entry before the pooled phase mutates them.
 	var jobs []*incJob
+	metricsOf := func(id telemetry.EntityID) []string { return m.metricsOf[id] }
 	for _, id := range g.IDs() {
-		var cand []metricRef
-		for _, nb := range g.InIDs(id) {
-			for _, name := range m.metricsOf[nb] {
-				cand = append(cand, metricRef{nb, name})
-			}
-		}
+		cand := candidateRefs(g, id, metricsOf)
 		candKeys := make([]string, len(cand))
 		for i, c := range cand {
 			candKeys[i] = c.String()
@@ -492,12 +623,26 @@ func (s *FactorStore) train(ctx context.Context, m *Model, opts TrainOpts, rec *
 
 	// Phase 3: per-factor pooled pass — slide the entry's statistics, run
 	// the guards, and either derive the factor from the statistics (hit) or
-	// fall back to the bit-exact full refit.
-	prep := &incPrep{store: s, ctr: make(map[metricRef]*stats.Centered), shifted: make(map[metricRef][]float64)}
+	// fall back to the full refit. Each job writes only its own entry and
+	// slot, so the trained model is bit-identical whatever the pool size.
+	trainer := opts.Trainer
+	if trainer == nil {
+		trainer = regress.RidgeTrainer(cfg.Lambda)
+	}
+	p := &trainPass{
+		cfg: cfg, trainer: trainer, hi: hi, drop: drop, add: add, leaving: leaving,
+		store: s, ctr: make(map[metricRef]*stats.Centered), shifted: make(map[metricRef][]float64),
+	}
 	pooled := opts.Workers > 1 && len(jobs) > 1
-	if err := forEachIndex(ctx, opts.Workers, len(jobs), func(i int) error {
-		return s.runJob(jobs[i], lo, hi, drop, add, leaving, prep, cfg)
-	}); err != nil {
+	err := forEachIndex(ctx, opts.Workers, len(jobs), func(i int) error {
+		return s.runJob(jobs[i], p)
+	})
+	if err == nil {
+		// The pool checks the context before each job only: a cancellation
+		// that lands during the last jobs must still fail the pass.
+		err = ctx.Err()
+	}
+	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return fmt.Errorf("core: training cancelled: %w", err)
 		}
@@ -534,7 +679,6 @@ func (s *FactorStore) train(ctx context.Context, m *Model, opts TrainOpts, rec *
 	s.reselects += uint64(reselects)
 	s.driftTrips += uint64(trips)
 	rec.Add(obs.CtrIncTrainHits, hits)
-	rec.Add(obs.CtrIncTrainRefits, refits)
 	rec.Add(obs.CtrIncTrainReselects, reselects)
 	rec.Add(obs.CtrIncTrainDriftTrips, trips)
 	rec.Add(obs.CtrFactorsTrained, refits)
@@ -584,10 +728,9 @@ func (s *FactorStore) slideSeries(st *seriesState, ref metricRef, lo, hi, drop, 
 
 // runJob processes one factor: guards, statistic slides, and either the
 // statistics-derived solve or the full refit.
-func (s *FactorStore) runJob(job *incJob, lo, hi, drop, add int, leaving map[metricRef][]float64, prep *incPrep, cfg Config) error {
+func (s *FactorStore) runJob(job *incJob, p *trainPass) error {
 	e := job.entry
 	sty := s.series[job.ref]
-	n := len(sty.win)
 
 	needRefit := false
 	trip := false
@@ -608,9 +751,10 @@ func (s *FactorStore) runJob(job *incJob, lo, hi, drop, add int, leaving map[met
 		}
 	}
 
-	if !needRefit && (add > 0 || drop > 0) {
-		s.slideEntry(e, job, sty, n, drop, add, leaving)
-		e.slides += add
+	moved := p.add > 0 || p.drop > 0
+	if !needRefit && moved {
+		s.slideEntry(e, job, sty, p)
+		e.slides += p.add
 		if e.slides >= s.refreshEvery {
 			needRefit = true // scheduled re-anchor bounds accumulated rounding
 		} else if score := e.drift.Score(sty.win, driftMinPairs); score > s.driftThreshold {
@@ -618,22 +762,22 @@ func (s *FactorStore) runJob(job *incJob, lo, hi, drop, add int, leaving map[met
 		}
 	}
 
-	if !needRefit && add == 0 && drop == 0 && e.fittedHi == hi {
+	if !needRefit && !moved && e.fittedHi == p.hi {
 		// Same window as the last fit: the trained factor is exactly valid.
 		job.out, job.hit = e.f, true
 		return nil
 	}
 
 	if !needRefit {
-		if f, ok := s.solveFromStats(e, job, sty, n, prep, cfg); ok {
-			e.f, e.fittedHi = f, hi
+		if f, ok := s.solveFromStats(e, job, sty, p); ok {
+			e.f, e.fittedHi = f, p.hi
 			job.out, job.hit = f, true
 			return nil
 		}
 		needRefit = true // selection margin / selection change / conditioning
 	}
 
-	f, err := s.refitEntry(e, job, sty, n, hi, prep, cfg)
+	f, err := s.refitEntry(e, job, sty, p)
 	if err != nil {
 		return err
 	}
@@ -644,14 +788,15 @@ func (s *FactorStore) runJob(job *incJob, lo, hi, drop, add int, leaving map[met
 // slideEntry applies the entering/expired rows to the entry's sufficient
 // statistics as blocked rank-1 corrections, refreshes stale candidate cross
 // terms, and records the one-step-ahead drift evidence.
-func (s *FactorStore) slideEntry(e *storeEntry, job *incJob, sty *seriesState, n, drop, add int, leaving map[metricRef][]float64) {
+func (s *FactorStore) slideEntry(e *storeEntry, job *incJob, sty *seriesState, p *trainPass) {
+	n, drop, add := len(sty.win), p.drop, p.add
 	shY := sty.mom.Shift
 	enterY := make([]float64, add)
 	for i := 0; i < add; i++ {
 		enterY[i] = sty.win[n-add+i] - shY
 	}
 	leaveY := make([]float64, drop)
-	leftY := leaving[job.ref]
+	leftY := p.leaving[job.ref]
 	for i := 0; i < drop; i++ {
 		leaveY[i] = leftY[i] - shY
 	}
@@ -666,7 +811,7 @@ func (s *FactorStore) slideEntry(e *storeEntry, job *incJob, sty *seriesState, n
 				ec[i] = fst.win[n-add+i] - fst.mom.Shift
 			}
 			lc := make([]float64, drop)
-			lf := leaving[fr]
+			lf := p.leaving[fr]
 			for i := 0; i < drop; i++ {
 				lc[i] = lf[i] - fst.mom.Shift
 			}
@@ -697,7 +842,7 @@ func (s *FactorStore) slideEntry(e *storeEntry, job *incJob, sty *seriesState, n
 		for i := 0; i < add; i++ {
 			sum += (cst.win[n-add+i] - shC) * enterY[i]
 		}
-		lf := leaving[c]
+		lf := p.leaving[c]
 		for i := 0; i < drop; i++ {
 			sum -= (lf[i] - shC) * leaveY[i]
 		}
@@ -719,17 +864,18 @@ func (s *FactorStore) slideEntry(e *storeEntry, job *incJob, sty *seriesState, n
 }
 
 // solveFromStats re-ranks the candidates from the slid moments and, when the
-// selection provably matches the full ranking, derives the ridge fit from
+// selection provably matches the exact ranking, derives the ridge fit from
 // the sufficient statistics: an O(C + B³) path replacing the O(n·C + n·B²)
 // full recomputation. ok is false when a guard trips.
-func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesState, n int, prep *incPrep, cfg Config) (*factor, bool) {
+func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesState, p *trainPass) (*factor, bool) {
+	cfg := p.cfg
+	n := len(sty.win)
 	momY := &sty.mom
 	s1y := momY.S1
 	cssY := momY.CenteredSumSq()
 	nf := float64(n)
 
 	rs := make([]float64, len(job.cand))
-	order := make([]int, len(job.cand))
 	for i, c := range job.cand {
 		cst := s.series[c]
 		num := e.cross[i] - cst.mom.S1*s1y/nf
@@ -742,59 +888,36 @@ func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesStat
 			}
 		}
 		rs[i] = r
-		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if rs[ia] != rs[ib] {
-			return rs[ia] > rs[ib]
-		}
-		return job.candKeys[ia] < job.candKeys[ib]
-	})
-	b := cfg.TopB
-	if b > len(order) {
-		b = len(order)
-	}
-	// Margin guard: the slid correlations agree with the full recomputation
+	feats, order := rankTopB(job.cand, job.candKeys, rs, cfg.TopB)
+	// Margin guard: the slid correlations agree with the exact recomputation
 	// to rounding; adjacent ranks closer than the margin (or selected ranks
-	// grazing zero) could order differently under the full ranking, so the
+	// grazing zero) could order differently under the exact ranking, so the
 	// slid ranking alone cannot prove the selection.
 	trusted := true
-	for i := 0; i < b; i++ {
+	for i := range feats {
 		ri := rs[order[i]]
-		if ri == 0 {
-			break // everything from here on is unselected either way
-		}
 		if ri < selectionMarginEps ||
 			(i+1 < len(order) && ri-rs[order[i+1]] < selectionMarginEps) {
 			trusted = false
 			break
 		}
 	}
-	var feats []metricRef
-	if trusted {
-		feats = make([]metricRef, 0, b)
-		for _, i := range order[:b] {
-			if rs[i] > 0 {
-				feats = append(feats, job.cand[i])
-			}
-		}
-	}
 	if !trusted || !refsEqual(feats, e.feats) {
 		// The slid ranking cannot prove the selection (sub-margin gaps are
 		// routine in homogeneous topologies, where near-duplicate series tie
-		// almost exactly). Re-rank with the exact centered |Pearson| the
-		// full path computes — bit-identical selection by construction at
-		// O(n·C), still skipping the O(n·B²) fit and the O(n·(B+C))
-		// re-anchor a full refit would pay.
-		feats = s.rankExact(job, prep, cfg)
+		// almost exactly). Re-rank with the exact centered |Pearson| a full
+		// fit computes — bit-identical selection by construction at O(n·C),
+		// still skipping the O(n·B²) fit and the O(n·(B+C)) re-anchor a
+		// full refit would pay.
+		feats = s.rankExact(job, p)
 		if !refsEqual(feats, e.feats) {
 			// The selection genuinely changed. The slid cross accumulators
 			// already hold X'y against the current shifts for every
 			// candidate, so adopt the new selection in place: pick the
 			// cross terms, rebuild only the B×B Gram over the shifted
 			// columns, and fall through to the closed-form solve.
-			if !s.reselectEntry(e, job, feats, prep) {
+			if !s.reselectEntry(e, job, feats, p) {
 				return nil, false
 			}
 			job.reselect = true
@@ -892,7 +1015,7 @@ func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesStat
 // batch-shared shifted columns. Returns false — forcing the full refit —
 // when any new feature's cross term is stale (epoch moved since it was
 // accumulated; slideEntry refreshes those, so this is a safety net).
-func (s *FactorStore) reselectEntry(e *storeEntry, job *incJob, feats []metricRef, prep *incPrep) bool {
+func (s *FactorStore) reselectEntry(e *storeEntry, job *incJob, feats []metricRef, p *trainPass) bool {
 	xty := make([]float64, len(feats))
 	epochs := make([]uint32, len(feats))
 	for j, fr := range feats {
@@ -912,49 +1035,34 @@ func (s *FactorStore) reselectEntry(e *storeEntry, job *incJob, feats []metricRe
 	}
 	cols := make([][]float64, len(feats))
 	for j, fr := range feats {
-		cols[j] = prep.shiftedCol(fr)
+		cols[j] = p.shiftedCol(fr)
 	}
 	e.gram = mat.GramCols(cols)
 	return true
 }
 
-// rankExact performs the full path's feature selection: centered |Pearson|
-// ranking over the window with the candidate-key tiebreak, bit-identical to
-// trainAt's. The centered columns come from the batch-shared prep cache, so
-// the per-entry cost is one length-n dot product per candidate.
-func (s *FactorStore) rankExact(job *incJob, prep *incPrep, cfg Config) []metricRef {
-	yctr := prep.centered(job.ref)
+// rankExact is the exact feature selection: rank the candidates by centered
+// |Pearson| with the target over the window and keep the top B. The centered
+// columns come from the pass-shared cache, so the per-entry cost is one
+// length-n dot product per candidate.
+func (s *FactorStore) rankExact(job *incJob, p *trainPass) []metricRef {
+	yctr := p.centered(job.ref)
 	rs := make([]float64, len(job.cand))
-	order := make([]int, len(job.cand))
 	for i, c := range job.cand {
-		rs[i] = stats.AbsPearsonCentered(prep.centered(c), yctr)
-		order[i] = i
+		rs[i] = stats.AbsPearsonCentered(p.centered(c), yctr)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if rs[ia] != rs[ib] {
-			return rs[ia] > rs[ib]
-		}
-		return job.candKeys[ia] < job.candKeys[ib]
-	})
-	b := cfg.TopB
-	if b > len(order) {
-		b = len(order)
-	}
-	feats := make([]metricRef, 0, b)
-	for _, i := range order[:b] {
-		if rs[i] > 0 {
-			feats = append(feats, job.cand[i])
-		}
-	}
+	feats, _ := rankTopB(job.cand, job.candKeys, rs, p.cfg.TopB)
 	return feats
 }
 
-// refitEntry is the fallback: the bit-exact full fit trainAt would perform
-// (centered |Pearson| ranking, Ridge.FitColumns), plus a fresh anchor of the
+// refitEntry is the full fit of one factor — exact ranking, then the pass's
+// regression trainer over the whole window — plus a fresh anchor of the
 // entry's sufficient statistics against the current shifts.
-func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, n, hi int, prep *incPrep, cfg Config) (*factor, error) {
-	yctr := prep.centered(job.ref)
+func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, p *trainPass) (*factor, error) {
+	n := len(sty.win)
+	yctr := p.centered(job.ref)
+	// The historical mean/std come from the centered view; the sum of
+	// squares was accumulated in MeanStd's order, so the bits match.
 	f := &factor{target: job.ref, hmean: yctr.Mean}
 	if n >= 2 {
 		f.hstd = math.Sqrt(yctr.SumSq / float64(n-1))
@@ -962,20 +1070,37 @@ func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, n
 	f.med, f.madScale, f.novel = sty.targetStats()
 	f.rscore = f.robustScoreAt(sty.win[n-1])
 
-	feats := s.rankExact(job, prep, cfg)
+	feats := s.rankExact(job, p)
 	f.features = feats
 	featCols := make([][]float64, len(feats))
 	for j, fr := range feats {
 		featCols[j] = s.series[fr].win
 	}
-	model := regress.NewRidge(cfg.Lambda)
-	if err := model.FitColumns(featCols, sty.win); err != nil {
+	// The training windows already are the design matrix's columns: a
+	// trainer with the column fast path (the default ridge) consumes them
+	// directly; others get the row-major assembly.
+	model := p.trainer()
+	var err error
+	if cf, ok := model.(regress.ColumnsFitter); ok {
+		err = cf.FitColumns(featCols, sty.win)
+	} else {
+		x := make([][]float64, n)
+		for t := range x {
+			row := make([]float64, len(feats))
+			for j := range feats {
+				row[j] = featCols[j][t]
+			}
+			x[t] = row
+		}
+		err = model.Fit(x, sty.win)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: fit factor %s: %w", job.ref, err)
 	}
 	f.model = model
 
 	// Anchor the slid statistics against the current shifts.
-	shiftedY := prep.shiftedCol(job.ref)
+	shiftedY := p.shiftedCol(job.ref)
 	e.feats = append(e.feats[:0], feats...)
 	e.cand = job.cand
 	e.targetEpoch = sty.epoch
@@ -983,7 +1108,7 @@ func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, n
 	if len(feats) > 0 {
 		shiftedCols := make([][]float64, len(feats))
 		for j, fr := range feats {
-			shiftedCols[j] = prep.shiftedCol(fr)
+			shiftedCols[j] = p.shiftedCol(fr)
 			e.featEpochs[j] = s.series[fr].epoch
 		}
 		e.gram = mat.GramCols(shiftedCols)
@@ -994,12 +1119,12 @@ func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, n
 	e.cross = make([]float64, len(job.cand))
 	e.candEpochs = make([]uint32, len(job.cand))
 	for i, c := range job.cand {
-		e.cross[i] = mat.Dot(prep.shiftedCol(c), shiftedY)
+		e.cross[i] = mat.Dot(p.shiftedCol(c), shiftedY)
 		e.candEpochs[i] = s.series[c].epoch
 	}
 	e.slides = 0
 	e.drift.Reset()
-	e.f, e.fittedHi = f, hi
+	e.f, e.fittedHi = f, p.hi
 	return f, nil
 }
 
@@ -1357,12 +1482,7 @@ func (s *FactorStore) adoptLocked(db *telemetry.DB, cfg Config) {
 		}
 		ci := candOf[ref.entity]
 		if ci == nil {
-			var cand []metricRef
-			for _, nb := range s.g.InIDs(ref.entity) {
-				for _, name := range db.MetricNames(nb) {
-					cand = append(cand, metricRef{nb, name})
-				}
-			}
+			cand := candidateRefs(s.g, ref.entity, db.MetricNames)
 			ci = &candInfo{cand: cand, hash: candListHash(cand)}
 			candOf[ref.entity] = ci
 		}

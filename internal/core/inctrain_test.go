@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"murphy/internal/graph"
@@ -99,9 +101,9 @@ func incTrainAt(t *testing.T, db *telemetry.DB, g *graph.Graph, cfg Config, now 
 	return m
 }
 
-// TestIncrementalAnchorBitIdentical: the store's first (anchoring) train is
-// a full refit of every factor through trainAt's exact path, so it must be
-// bit-identical to a storeless train.
+// TestIncrementalAnchorBitIdentical: a caller's store's first (anchoring)
+// train is a full refit of every factor, exactly what the fresh store of a
+// storeless train performs, so the two must be bit-identical.
 func TestIncrementalAnchorBitIdentical(t *testing.T) {
 	db := chainDB(t, 320, 5, 42)
 	g := chainGraph(t, db)
@@ -332,8 +334,8 @@ func TestIncrementalDirtySeries(t *testing.T) {
 		if (now-280)%15 == 0 || now == 339 {
 			full := fullTrainAt(t, rngDB, g, cfg, now)
 			compareFactorViews(t, "dirty", full, inc, rngDB, g, incViewTol)
-			// The dirty-target factor must be bit-identical: it refits
-			// through trainAt's exact path while any NaN is in-window.
+			// The dirty-target factor must be bit-identical: it takes a
+			// full refit while any NaN is in-window.
 			if now < 300+cfg.TrainWindow && now >= 290 {
 				w, _ := full.FactorView("front", telemetry.MetricCPU)
 				v, _ := inc.FactorView("front", telemetry.MetricCPU)
@@ -470,4 +472,44 @@ func TestIncrementalFarJumpResets(t *testing.T) {
 		t.Fatalf("far jump should reset: %+v", st)
 	}
 	compareFactorViews(t, "jump", fullTrainAt(t, db, g, cfg, 339), m, db, g, 0)
+}
+
+// countdownCtx reports cancellation once Err has been polled `left` times:
+// a deterministic way to abort a training pass partway through.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestIncrementalCancelledPassResets: a pass cancelled midway has already
+// slid some series (or entries) but not the window bounds. The store must
+// void its state, so the next pass re-anchors, bit-exact, instead of
+// sliding the same series twice.
+func TestIncrementalCancelledPassResets(t *testing.T) {
+	db := chainDB(t, 340, 5, 42)
+	g := chainGraph(t, db)
+	cfg := testConfig()
+	// The chain graph has 5 entities of one metric each; the context is
+	// polled once per entity, then once per factor.
+	for _, polls := range []int64{2, 7} {
+		store := NewFactorStore()
+		incTrainAt(t, db, g, cfg, 260, store)
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.left.Store(polls)
+		if _, err := TrainOpt(ctx, db, g, cfg, TrainOpts{Now: 261, Store: store}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("polls=%d: err = %v, want context.Canceled", polls, err)
+		}
+		if st := store.Stats(); st.Resets != 1 || st.Factors != 0 {
+			t.Fatalf("polls=%d: a failed pass should void the store: %+v", polls, st)
+		}
+		m := incTrainAt(t, db, g, cfg, 261, store)
+		compareFactorViews(t, "after cancel", fullTrainAt(t, db, g, cfg, 261), m, db, g, 0)
+	}
 }

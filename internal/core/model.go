@@ -2,15 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"murphy/internal/graph"
 	"murphy/internal/obs"
 	"murphy/internal/regress"
-	"murphy/internal/stats"
 	"murphy/internal/telemetry"
 )
 
@@ -84,8 +81,6 @@ type Model struct {
 	trainLo, trainHi int
 	// now is the diagnosis time slice (the last slice of the window).
 	now int
-	// trainer builds one regression model per factor.
-	trainer regress.Trainer
 	// readFailures records telemetry reads that failed even after the
 	// source's own resilience; training degraded each to missing data.
 	readFailures []ReadFailure
@@ -110,7 +105,7 @@ type Model struct {
 	// starts each pass from. Per-model (Rebind changes `current`).
 	base *slotBase
 	// obs receives pipeline instrumentation (stage spans, counters,
-	// histograms, progress events). Never nil: trainAt defaults it to
+	// histograms, progress events). Never nil: TrainOpt defaults it to
 	// obs.Global(), which is disabled unless something enables it, so the
 	// hot paths pay only an atomic-load guard.
 	obs *obs.Recorder
@@ -148,48 +143,32 @@ func Train(db *telemetry.DB, g *graph.Graph, cfg Config) (*Model, error) {
 	return TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1})
 }
 
-// TrainContext is Train with cooperative cancellation: training aborts with
-// the context's error as soon as the context is done.
-func TrainContext(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config) (*Model, error) {
-	return TrainOpt(ctx, db, g, cfg, TrainOpts{Now: -1})
-}
-
-// TrainSource is TrainContext with the training-window reads routed through
-// src — typically a resilience.Source (retries + circuit breaker) over a
-// chaos injector or a remote collector. A read that still fails after the
-// source's own resilience does not fail training: the series degrades to
-// missing data (the §4.2 placeholder rule) and the failure is recorded on
-// the model (ReadFailures). db remains the handle used for Rebind and
-// explanation lookups.
-func TrainSource(ctx context.Context, db *telemetry.DB, src telemetry.Source, g *graph.Graph, cfg Config) (*Model, error) {
-	return TrainOpt(ctx, db, g, cfg, TrainOpts{Now: -1, Src: src})
-}
-
-// TrainAt fits the MRF with the training window ending at slice `now`
-// (inclusive). A nil trainer uses ridge regression with cfg.Lambda — the
-// paper's production choice; the Fig 8a comparison passes other trainers.
-func TrainAt(db *telemetry.DB, g *graph.Graph, cfg Config, now int, trainer regress.Trainer) (*Model, error) {
-	return trainAt(context.Background(), db, g, cfg, TrainOpts{Now: now, Trainer: trainer})
-}
-
 // TrainOpts collects the optional knobs of a training pass; the zero value
-// (with Now set) reproduces TrainContext.
+// (with Now set) reads the database directly with the default trainer.
 type TrainOpts struct {
 	// Src interposes the resilient/faulty read path on the training-window
-	// reads; nil reads the database directly (infallible).
+	// reads — typically a resilience.Source (retries + circuit breaker) over
+	// a chaos injector or a remote collector; nil reads the database directly
+	// (infallible). A read that still fails after the source's own resilience
+	// does not fail training: the series degrades to missing data (the §4.2
+	// placeholder rule) and the failure is recorded on the model
+	// (ReadFailures). The database remains the handle used for Rebind and
+	// explanation lookups.
 	Src telemetry.Source
 	// Now is the diagnosis time slice (training window endpoint, inclusive);
 	// negative means the database's last slice.
 	Now int
 	// Trainer overrides the per-factor regression model; nil uses ridge with
-	// cfg.Lambda (the paper's production choice).
+	// cfg.Lambda (the paper's production choice). The Fig 8a comparison
+	// passes other trainers.
 	Trainer regress.Trainer
 	// Store, when non-nil, reuses training work across Train calls: a
 	// repeat at the same slice gets the stored factors back, and a slid
 	// window updates per-(entity, window, hyperparameters) sufficient
 	// statistics instead of recomputing every factor from scratch (see
 	// FactorStore). It is only consulted on the default-trainer, direct-read
-	// path; a custom Trainer or an interposed Src trains from scratch.
+	// path; a custom Trainer or an interposed Src trains through a fresh
+	// store instead.
 	Store *FactorStore
 	// Obs receives pipeline instrumentation for this model (training spans
 	// and counters now, inference spans on every later Diagnose call). Nil
@@ -202,22 +181,11 @@ type TrainOpts struct {
 	Workers int
 }
 
-// TrainOpt is the general training entry point: TrainContext plus the
-// optional knobs of TrainOpts (interposed source, window endpoint, custom
-// trainer, incremental factor store).
+// TrainOpt is the general training entry point: Train with cooperative
+// cancellation (training aborts with the context's error as soon as the
+// context is done) plus the optional knobs of TrainOpts (interposed source,
+// window endpoint, custom trainer, incremental factor store).
 func TrainOpt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, opts TrainOpts) (*Model, error) {
-	if opts.Now < 0 {
-		opts.Now = db.Len() - 1
-	}
-	return trainAt(ctx, db, g, cfg, opts)
-}
-
-// trainAt is the shared training pass. opts.Src == nil reads the database
-// directly (infallible); a non-nil source interposes the resilient/faulty
-// read path, with per-series degradation on unrecoverable errors.
-func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, opts TrainOpts) (*Model, error) {
-	src, trainer := opts.Src, opts.Trainer
-	now := opts.Now
 	rec := opts.Obs
 	if rec == nil {
 		rec = obs.Global()
@@ -228,11 +196,12 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("core: empty database")
 	}
-	if now < 0 || now >= db.Len() {
-		return nil, fmt.Errorf("core: training endpoint %d outside timeline [0,%d)", now, db.Len())
+	now := opts.Now
+	if now < 0 {
+		now = db.Len() - 1
 	}
-	if trainer == nil {
-		trainer = regress.RidgeTrainer(cfg.Lambda)
+	if now >= db.Len() {
+		return nil, fmt.Errorf("core: training endpoint %d outside timeline [0,%d)", now, db.Len())
 	}
 	m := &Model{
 		cfg:       cfg,
@@ -241,7 +210,6 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		factors:   make(map[metricRef]*factor),
 		current:   make(map[metricRef]float64),
 		metricsOf: make(map[telemetry.EntityID][]string),
-		trainer:   trainer,
 		now:       now,
 		paths:     graph.NewSubgraphCache(g),
 		arenas:    newArenaPool(),
@@ -270,241 +238,17 @@ func trainAt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config, 
 		return nil, fmt.Errorf("core: training window too short (%d slices)", n)
 	}
 
-	// The store keeps trained factors across calls, which is only sound
-	// when a factor is a pure function of the window: the default
-	// (deterministic, stateless) trainer and the direct (infallible) read
-	// path. When it is in play, the incremental pass replaces the whole
-	// from-scratch pipeline below.
-	if store := opts.Store; store != nil && opts.Trainer == nil && src == nil {
-		if err := store.train(ctx, m, opts, rec); err != nil {
-			return nil, err
-		}
-		return m, nil
+	// A store keeps trained factors across calls, which is only sound when a
+	// factor is a pure function of the window: the default (deterministic,
+	// stateless) trainer and the direct (infallible) read path. Any other
+	// pass trains through a fresh store, whose first pass fits every factor
+	// from scratch.
+	store := opts.Store
+	if store == nil || opts.Trainer != nil || opts.Src != nil {
+		store = NewFactorStore()
 	}
-
-	// readRaw fetches one raw training window, through src when present.
-	// A context abort fails training; any other read error (already past
-	// the source's own retries) degrades the series to all-missing, which
-	// the placeholder machinery below absorbs exactly like never-observed
-	// history.
-	readRaw := func(id telemetry.EntityID, name string) ([]float64, error) {
-		if src == nil {
-			return db.RawWindow(id, name, m.trainLo, m.trainHi), nil
-		}
-		w, err := src.ReadRawWindow(ctx, id, name, m.trainLo, m.trainHi)
-		if err == nil && len(w) == m.trainHi-m.trainLo {
-			return w, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("core: training cancelled: %w", cerr)
-		}
-		if err == nil {
-			err = fmt.Errorf("core: short read (%d of %d slices)", len(w), m.trainHi-m.trainLo)
-		}
-		m.readFailures = append(m.readFailures, ReadFailure{Entity: id, Metric: name, Err: err})
-		rec.Add(obs.CtrReadFailures, 1)
-		w = make([]float64, m.trainHi-m.trainLo)
-		for i := range w {
-			w[i] = math.NaN()
-		}
-		return w, nil
-	}
-	metricNames := func(id telemetry.EntityID) []string {
-		if src == nil {
-			return db.MetricNames(id)
-		}
-		return src.MetricNames(id)
-	}
-
-	// Cache training windows for every metric of every node once. Missing
-	// observations get a placeholder (§4.2 edge cases); the placeholder is
-	// the metric's observed median — zero-filling would fabricate a step
-	// aligned with whenever observation began, which pollutes correlations.
-	// raws keeps the pre-fill copies so anomaly scoring can distinguish
-	// observed history from placeholders without a second read.
-	//
-	// Enumeration and raw reads stay serial: sources may be stateful (fault
-	// injectors, rate-limited collectors) and the order of recorded read
-	// failures is part of the model's contract. The pure per-series work —
-	// placeholder fill, centering for the Pearson ranking — fans out below.
-	type seriesPrep struct {
-		ref metricRef
-		raw []float64      // pre-fill copy (NaN = missing)
-		col []float64      // placeholder-filled training column
-		ctr stats.Centered // centered view of col
-	}
-	var prep []*seriesPrep
-	for _, id := range g.IDs() {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: training cancelled: %w", err)
-		}
-		names := metricNames(id)
-		m.metricsOf[id] = names
-		for _, name := range names {
-			w, err := readRaw(id, name)
-			if err != nil {
-				return nil, err
-			}
-			prep = append(prep, &seriesPrep{ref: metricRef{id, name}, raw: w})
-		}
-	}
-	workers := opts.Workers
-	if err := forEachIndex(ctx, workers, len(prep), func(i int) error {
-		p := prep[i]
-		p.col = append([]float64(nil), p.raw...)
-		def := stats.Median(observedOnly(p.raw))
-		if def != def {
-			def = 0 // nothing observed at all: the type default
-		}
-		for t, v := range p.col {
-			if v != v {
-				p.col[t] = def
-			}
-		}
-		p.ctr = stats.Center(p.col)
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("core: training cancelled: %w", err)
-	}
-	windows := make(map[metricRef][]float64, len(prep))
-	raws := make(map[metricRef][]float64, len(prep))
-	centered := make(map[metricRef]*stats.Centered, len(prep))
-	for _, p := range prep {
-		windows[p.ref] = p.col
-		raws[p.ref] = p.raw
-		centered[p.ref] = &p.ctr
-		m.current[p.ref] = p.col[len(p.col)-1]
-	}
-
-	// Fit one factor per (entity, metric). Jobs are assembled in graph order
-	// and each writes only its own slot, so the trained model is
-	// bit-identical whatever the pool size; the candidate list and its
-	// ranking tie-break keys are built once per entity (the tie-break used to
-	// call ref.String() inside the sort comparator — two string allocations
-	// per comparison).
-	type fitJob struct {
-		ref      metricRef
-		cand     []metricRef // shared across the entity's jobs
-		candKeys []string    // cand[i].String(), precomputed
-		candCtr  []*stats.Centered
-		out      *factor
-	}
-	var jobs []*fitJob
-	for _, id := range g.IDs() {
-		// Collect all candidate neighbor metric refs.
-		var cand []metricRef
-		for _, nb := range g.InIDs(id) {
-			for _, name := range m.metricsOf[nb] {
-				cand = append(cand, metricRef{nb, name})
-			}
-		}
-		candKeys := make([]string, len(cand))
-		candCtr := make([]*stats.Centered, len(cand))
-		for i, c := range cand {
-			candKeys[i] = c.String()
-			candCtr[i] = centered[c]
-		}
-		for _, name := range m.metricsOf[id] {
-			jobs = append(jobs, &fitJob{
-				ref:  metricRef{id, name},
-				cand: cand, candKeys: candKeys, candCtr: candCtr,
-			})
-		}
-	}
-	pooled := workers > 1 && len(jobs) > 1
-	if err := forEachIndex(ctx, workers, len(jobs), func(jid int) error {
-		job := jobs[jid]
-		ref := job.ref
-		y := windows[ref]
-		yctr := centered[ref]
-		// The historical mean/std come from the centered view; the sum of
-		// squares was accumulated in MeanStd's order, so the bits match.
-		f := &factor{target: ref, hmean: yctr.Mean}
-		if len(y) >= 2 {
-			f.hstd = math.Sqrt(yctr.SumSq / float64(len(y)-1))
-		}
-		// Anomaly scoring uses only actually-observed history: an entity
-		// whose past was never recorded (newly spawned, or the Table 2
-		// missing-values corruption) must be judged against what was
-		// seen, not against the training-time placeholders.
-		obsY := observedOnly(raws[ref])
-		// The in-incident tail does not count as judgeable history: if
-		// everything observed is recent (post-erasure), normality cannot
-		// be certified.
-		if len(obsY) < n/4 {
-			f.novel = true
-			obsY = y
-		}
-		f.med = stats.Median(obsY)
-		f.madScale = 1.4826 * stats.MAD(obsY)
-		f.rscore = f.robustScoreAt(y[len(y)-1])
-		// Rank candidates by |corr| with the target — one dot product per
-		// pair over the precomputed centered columns; keep the top B
-		// (one-in-ten rule, §4.2).
-		rs := make([]float64, len(job.cand))
-		order := make([]int, len(job.cand))
-		for i := range job.cand {
-			rs[i] = stats.AbsPearsonCentered(job.candCtr[i], yctr)
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			ia, ib := order[a], order[b]
-			if rs[ia] != rs[ib] {
-				return rs[ia] > rs[ib]
-			}
-			return job.candKeys[ia] < job.candKeys[ib]
-		})
-		b := cfg.TopB
-		if b > len(order) {
-			b = len(order)
-		}
-		feats := make([]metricRef, 0, b)
-		for _, i := range order[:b] {
-			if rs[i] > 0 {
-				feats = append(feats, job.cand[i])
-			}
-		}
-		f.features = feats
-		featCols := make([][]float64, len(feats))
-		for j, fr := range feats {
-			featCols[j] = windows[fr]
-		}
-		model := trainer()
-		// The training windows already are the design matrix's columns: a
-		// trainer with the column fast path (the default ridge) consumes
-		// them directly; others get the row-major assembly.
-		var ferr error
-		if cf, ok := model.(regress.ColumnsFitter); ok {
-			ferr = cf.FitColumns(featCols, y)
-		} else {
-			x := make([][]float64, n)
-			for t := 0; t < n; t++ {
-				row := make([]float64, len(feats))
-				for j := range feats {
-					row[j] = featCols[j][t]
-				}
-				x[t] = row
-			}
-			ferr = model.Fit(x, y)
-		}
-		if ferr != nil {
-			return fmt.Errorf("core: fit factor %s: %w", ref, ferr)
-		}
-		f.model = model
-		job.out = f
-		rec.Add(obs.CtrFactorsTrained, 1)
-		if pooled {
-			rec.Add(obs.CtrTrainParallelFits, 1)
-		}
-		return nil
-	}); err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, fmt.Errorf("core: training cancelled: %w", err)
-		}
+	if err := store.train(ctx, m, opts, rec); err != nil {
 		return nil, err
-	}
-	for _, job := range jobs {
-		m.factors[job.ref] = job.out
 	}
 	return m, nil
 }
@@ -634,17 +378,6 @@ func (m *Model) PredictMetric(id telemetry.EntityID, metric string) (float64, bo
 		return 0, false
 	}
 	return f.model.Predict(m.featureVector(f, m.current)), true
-}
-
-// observedOnly filters NaN (missing) observations out of a raw window.
-func observedOnly(w []float64) []float64 {
-	out := make([]float64, 0, len(w))
-	for _, v := range w {
-		if v == v {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // featureVector assembles a factor's input from a state map.

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -64,6 +66,57 @@ func TestParallelTrainingCounter(t *testing.T) {
 		}
 		if workers > 1 && fits != trained {
 			t.Errorf("pooled training: %d pooled fits, %d factors trained", fits, trained)
+		}
+	}
+}
+
+// rowMajorRidge is a ridge model that offers only the row-major Fit: it
+// hides Ridge's FitColumns fast path, so training takes the route the
+// Fig 8a sweep's GMM, MLP and SVR trainers take.
+type rowMajorRidge struct{ r *regress.Ridge }
+
+func (p rowMajorRidge) Fit(x [][]float64, y []float64) error { return p.r.Fit(x, y) }
+func (p rowMajorRidge) Predict(x []float64) float64          { return p.r.Predict(x) }
+func (p rowMajorRidge) ResidualStd() float64                 { return p.r.ResidualStd() }
+
+// TestRowMajorTrainerMatchesColumnFit trains with a trainer lacking
+// FitColumns and requires every factor to select the default trainer's
+// features and predict the same bits (regress.TestFitColumnsBitIdentical is
+// the contract: a column fit equals the row-major fit). A storeless train
+// fits each factor exactly once.
+func TestRowMajorTrainerMatchesColumnFit(t *testing.T) {
+	db := chainDB(t, 220, 5, 42)
+	g := chainGraph(t, db)
+	cfg := testConfig()
+	want, err := Train(db, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainer := regress.Trainer(func() regress.Predictor { return rowMajorRidge{regress.NewRidge(cfg.Lambda)} })
+	if _, ok := trainer().(regress.ColumnsFitter); ok {
+		t.Fatal("rowMajorRidge must not offer FitColumns")
+	}
+	rec := obs.New()
+	rec.Enable()
+	got, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1, Trainer: trainer, Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.Counter(obs.CtrFactorsTrained); n != int64(got.NumFactors()) || n == 0 {
+		t.Fatalf("factors_trained = %d, want NumFactors() = %d", n, got.NumFactors())
+	}
+	for _, id := range g.IDs() {
+		for _, name := range db.MetricNames(id) {
+			wv, _ := want.FactorView(id, name)
+			gv, ok := got.FactorView(id, name)
+			if !ok || !slices.Equal(wv.Features, gv.Features) {
+				t.Fatalf("%s/%s: features %v vs %v (trained %v)", id, name, wv.Features, gv.Features, ok)
+			}
+			wp, _ := want.PredictMetric(id, name)
+			gp, _ := got.PredictMetric(id, name)
+			if math.Float64bits(wp) != math.Float64bits(gp) {
+				t.Fatalf("%s/%s: prediction %v vs %v", id, name, wp, gp)
+			}
 		}
 	}
 }

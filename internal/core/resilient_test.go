@@ -162,7 +162,7 @@ func TestTrainContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := TrainContext(ctx, db, g, testConfig()); !errors.Is(err, context.Canceled) {
+	if _, err := TrainOpt(ctx, db, g, testConfig(), TrainOpts{Now: -1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 }
@@ -190,7 +190,7 @@ func TestTrainSourceDegradesFailedReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &brokenSource{db: db, broken: "decoy"}
-	m, err := TrainSource(context.Background(), db, src, g, testConfig())
+	m, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1, Src: src})
 	if err != nil {
 		t.Fatalf("unreadable series must degrade, not fail training: %v", err)
 	}
@@ -230,7 +230,7 @@ func TestTrainSourceMatchesDirectTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSrc, err := TrainSource(context.Background(), db, db, g, testConfig())
+	viaSrc, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1, Src: db})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,7 +174,7 @@ func TestFactorCacheDegradedPaths(t *testing.T) {
 	}
 }
 
-// TestFactorCacheBypassed checks trainAt's one soundness guard: a custom
+// TestFactorCacheBypassed checks TrainOpt's one soundness guard: a custom
 // trainer or an interposed source must leave the store untouched (their
 // factors are not reusable, and a fallible read path must not poison shared
 // state).

@@ -39,6 +39,26 @@ func murphyConfig(samples, trainWindow int) core.Config {
 	return cfg
 }
 
+// hotelContention is the performance drivers' shared fixture: the v-th
+// hotel-reservation contention incident of a sweep (CPU, memory and disk
+// faults in turn at intensity 0.5, after 4 prior incidents) and its
+// relationship graph.
+func hotelContention(steps int, seed int64, v int) (*microsim.Scenario, *graph.Graph, error) {
+	kinds := []microsim.FaultKind{microsim.FaultCPU, microsim.FaultMem, microsim.FaultDisk}
+	sc, err := microsim.Contention(microsim.ContentionOptions{
+		Topo: "hotel", Steps: steps, PriorIncidents: 4,
+		Kind: kinds[v%len(kinds)], Intensity: 0.5, Seed: seed + int64(v),
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := graph.Build(sc.Result.DB, []telemetry.EntityID{sc.Symptom.Entity}, -1)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sc, g, nil
+}
+
 // schemeRankings runs all four schemes on one microsim scenario and returns
 // each scheme's ranked root-cause list. Every scheme receives the same
 // pruned candidate search space (§4.2). Sage receives the scenario's causal

@@ -16,10 +16,11 @@ import (
 
 // IncTrainOptions parameterizes the incremental-training replay: a sliding
 // window advances one slice at a time over the tail of a contention workload,
-// and every slide trains the model twice — a full retrain from scratch and an
-// incremental pass over the factor store's slid sufficient statistics. The
-// experiment reports the steady-state cost ratio and verifies that the two
-// paths produce equivalent factors and identical certified causes.
+// and every slide trains the model twice — a full retrain (a storeless train,
+// which anchors a fresh factor store) and an incremental pass over a
+// persistent store's slid sufficient statistics. The experiment reports the
+// steady-state cost ratio and verifies that the two paths produce equivalent
+// factors and identical certified causes.
 type IncTrainOptions struct {
 	// Steps is the emulation length; the replay slides over its tail.
 	Steps int

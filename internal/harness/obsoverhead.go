@@ -7,10 +7,7 @@ import (
 	"time"
 
 	"murphy/internal/core"
-	"murphy/internal/graph"
-	"murphy/internal/microsim"
 	"murphy/internal/obs"
-	"murphy/internal/telemetry"
 )
 
 // ObsOverheadOptions parameterizes the instrumentation-overhead A/B: the
@@ -63,20 +60,12 @@ func RunObsOverhead(opts ObsOverheadOptions) (*ObsOverheadResult, error) {
 	cfg := murphyConfig(opts.Samples, opts.TrainWindow)
 	res := &ObsOverheadResult{Opts: opts}
 	rec := obs.New()
-	kinds := []microsim.FaultKind{microsim.FaultCPU, microsim.FaultMem, microsim.FaultDisk}
 	for v := 0; v < opts.Scenarios; v++ {
-		sc, err := microsim.Contention(microsim.ContentionOptions{
-			Topo: "hotel", Steps: opts.Steps, PriorIncidents: 4,
-			Kind: kinds[v%len(kinds)], Intensity: 0.5, Seed: opts.Seed + int64(v),
-		})
+		sc, g, err := hotelContention(opts.Steps, opts.Seed, v)
 		if err != nil {
 			return nil, err
 		}
 		db := sc.Result.DB
-		g, err := graph.Build(db, []telemetry.EntityID{sc.Symptom.Entity}, -1)
-		if err != nil {
-			return nil, err
-		}
 		run := func() (time.Duration, error) {
 			t0 := time.Now()
 			for r := 0; r < opts.Rounds; r++ {

@@ -10,7 +10,6 @@ import (
 	"murphy/internal/enterprise"
 	"murphy/internal/evalx"
 	"murphy/internal/graph"
-	"murphy/internal/microsim"
 	"murphy/internal/obs"
 	"murphy/internal/telemetry"
 )
@@ -54,11 +53,6 @@ func RunScaling(opts ScalingOptions) (*ScalingResult, error) {
 	for _, apps := range opts.AppCounts {
 		gen := enterprise.DefaultGenOptions()
 		gen.Apps = apps
-		if gen.Apps < 7 {
-			// The incident library needs 7 apps; use the crawler-style hook
-			// directly instead for small sizes.
-			gen.Apps = apps
-		}
 		gen.Hosts = 2 + apps
 		gen.Steps = opts.Steps
 		env, err := enterprise.Generate(gen)
@@ -157,23 +151,14 @@ func RunSensitivity(opts SensitivityOptions) (*SensitivityResult, error) {
 		var rankings [][]telemetry.EntityID
 		var accepts []map[telemetry.EntityID]bool
 		var total time.Duration
-		kinds := []microsim.FaultKind{microsim.FaultCPU, microsim.FaultMem, microsim.FaultDisk}
 		for v := 0; v < opts.Scenarios; v++ {
-			sc, err := microsim.Contention(microsim.ContentionOptions{
-				Topo: "hotel", Steps: opts.Steps, PriorIncidents: 4,
-				Kind: kinds[v%len(kinds)], Intensity: 0.5, Seed: opts.Seed + int64(v),
-			})
-			if err != nil {
-				return AccTime{}, err
-			}
-			db := sc.Result.DB
-			g, err := graph.Build(db, []telemetry.EntityID{sc.Symptom.Entity}, -1)
+			sc, g, err := hotelContention(opts.Steps, opts.Seed, v)
 			if err != nil {
 				return AccTime{}, err
 			}
 			cfg := murphyConfig(opts.Samples, nTrain)
 			cfg.GibbsRounds = w
-			model, err := core.Train(db, g, cfg)
+			model, err := core.Train(sc.Result.DB, g, cfg)
 			if err != nil {
 				return AccTime{}, err
 			}
@@ -358,20 +343,12 @@ func RunFastPath(opts FastPathOptions) (*FastPathResult, error) {
 	res := &FastPathResult{Opts: opts, RankingsIdentical: true, Top1Identical: true, F32CausesIdentical: true}
 	var baseDraws, f32Draws int64
 	var baseDiagTime, f32DiagTime time.Duration
-	kinds := []microsim.FaultKind{microsim.FaultCPU, microsim.FaultMem, microsim.FaultDisk}
 	for v := 0; v < opts.Scenarios; v++ {
-		sc, err := microsim.Contention(microsim.ContentionOptions{
-			Topo: "hotel", Steps: opts.Steps, PriorIncidents: 4,
-			Kind: kinds[v%len(kinds)], Intensity: 0.5, Seed: opts.Seed + int64(v),
-		})
+		sc, g, err := hotelContention(opts.Steps, opts.Seed, v)
 		if err != nil {
 			return nil, err
 		}
 		db := sc.Result.DB
-		g, err := graph.Build(db, []telemetry.EntityID{sc.Symptom.Entity}, -1)
-		if err != nil {
-			return nil, err
-		}
 		// run returns the diagnoses, the total train+diagnose wall time, the
 		// diagnosis-only wall time, and the Monte-Carlo draws taken — the
 		// last two feed the raw kernel-throughput (samples/sec) comparison.
@@ -422,7 +399,7 @@ func RunFastPath(opts FastPathOptions) (*FastPathResult, error) {
 		f32DiagTime += diagDt
 		f32Draws += draws
 		for r := 0; r < opts.Rounds; r++ {
-			if !sameRanked(base[r], f32[r]) {
+			if !sameRankedEntities(base[r], f32[r]) {
 				res.F32CausesIdentical = false
 			}
 		}
@@ -458,21 +435,6 @@ func RunFastPath(opts FastPathOptions) (*FastPathResult, error) {
 		res.KernelSpeedup = res.F32SamplesPerSec / res.BaselineSamplesPerSec
 	}
 	return res, nil
-}
-
-// sameRanked reports whether two diagnoses certified the same ranked cause
-// entities (set and order; p-value bits are allowed to differ — this is the
-// cross-precision equivalence check, not the bit-identity one).
-func sameRanked(a, b *core.Diagnosis) bool {
-	if len(a.Causes) != len(b.Causes) {
-		return false
-	}
-	for i := range a.Causes {
-		if a.Causes[i].Entity != b.Causes[i].Entity {
-			return false
-		}
-	}
-	return true
 }
 
 // sameCauses reports whether two diagnoses certified the same causes, in the

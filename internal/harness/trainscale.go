@@ -9,7 +9,6 @@ import (
 
 	"murphy/internal/core"
 	"murphy/internal/graph"
-	"murphy/internal/microsim"
 	"murphy/internal/obs"
 	"murphy/internal/telemetry"
 )
@@ -101,16 +100,8 @@ func RunTrainScale(opts TrainScaleOptions) (*TrainScaleResult, error) {
 		sym telemetry.Symptom
 	}
 	var scs []scenario
-	kinds := []microsim.FaultKind{microsim.FaultCPU, microsim.FaultMem, microsim.FaultDisk}
 	for v := 0; v < opts.Scenarios; v++ {
-		sc, err := microsim.Contention(microsim.ContentionOptions{
-			Topo: "hotel", Steps: opts.Steps, PriorIncidents: 4,
-			Kind: kinds[v%len(kinds)], Intensity: 0.5, Seed: opts.Seed + int64(v),
-		})
-		if err != nil {
-			return nil, err
-		}
-		g, err := graph.Build(sc.Result.DB, []telemetry.EntityID{sc.Symptom.Entity}, -1)
+		sc, g, err := hotelContention(opts.Steps, opts.Seed, v)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +196,7 @@ func RunTrainScale(opts TrainScaleOptions) (*TrainScaleResult, error) {
 
 // sameRankedEntities reports whether two diagnoses certified the same ranked
 // entity list (ignoring p-values/effects, which legitimately differ across
-// chain counts).
+// chain counts and sampling precisions).
 func sameRankedEntities(a, b *core.Diagnosis) bool {
 	if len(a.Causes) != len(b.Causes) {
 		return false

@@ -59,7 +59,8 @@ type Counter uint8
 // The pipeline counters. Names (see Counter.Name) are the stable exported
 // identifiers used in snapshots and the Prometheus exporter.
 const (
-	// CtrFactorsTrained counts per-metric factors fitted from scratch.
+	// CtrFactorsTrained counts per-metric factors given a full fit over the
+	// training window (a fresh store's anchors, drift and guard refits).
 	CtrFactorsTrained Counter = iota
 	// CtrSubgraphCacheHits / CtrSubgraphCacheMisses count shortest-path
 	// subgraph memoization lookups during candidate evaluation.
@@ -120,15 +121,13 @@ const (
 	CtrSnapshotsWritten
 	CtrSnapshotsRecovered
 	// CtrIncTrainHits counts factors served from slid sufficient statistics
-	// by the incremental trainer; CtrIncTrainRefits counts factors that fell
-	// back to a full refit (initial anchors, selection changes, conditioning
-	// or drift guards); CtrIncTrainDriftTrips counts the subset of refits
+	// by the factor store (full fits, initial anchors included, count under
+	// CtrFactorsTrained); CtrIncTrainDriftTrips counts the full refits
 	// forced by the MASE drift score; CtrIncTrainReselects counts the subset
 	// of hits that re-ranked features exactly and adopted a changed
 	// selection in place (Gram rebuild, no full refit); CtrIncTrainSlides
 	// counts window slides applied to the factor store's statistics.
 	CtrIncTrainHits
-	CtrIncTrainRefits
 	CtrIncTrainDriftTrips
 	CtrIncTrainReselects
 	CtrIncTrainSlides
@@ -174,7 +173,6 @@ var counterNames = [numCounters]string{
 	"snapshots_written",
 	"snapshots_recovered",
 	"inctrain_hits",
-	"inctrain_refits",
 	"inctrain_drift_trips",
 	"inctrain_reselects",
 	"inctrain_slides",
