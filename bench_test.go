@@ -567,6 +567,10 @@ func BenchmarkCoreTrainParallel(b *testing.B) {
 // each slide, "incremental" slides the factor store's sufficient statistics
 // and refits only where feature selection changes. The ratio of the two is
 // the steady-state training-cost reduction of the incremental trainer.
+// "enterprise" slides the store over an 8-app enterprise fleet, whose
+// near-duplicate VM series tie inside the selection margin, so the timed
+// slides exercise the certified re-rank and in-place reselect path that the
+// contention replay rarely takes.
 func BenchmarkIncrementalTrain(b *testing.B) {
 	const slides = 8
 	sc, err := microsim.Contention(microsim.DefaultContentionOptions())
@@ -590,27 +594,49 @@ func BenchmarkIncrementalTrain(b *testing.B) {
 			}
 		}
 	})
-	b.Run("incremental", func(b *testing.B) {
-		store := core.NewFactorStore()
-		for i := 0; i < b.N; i++ {
-			// Re-anchor untimed so every iteration measures pure steady
-			// state: the store populated, then `slides` one-slice advances.
-			b.StopTimer()
-			store.Reset()
-			if _, err := core.TrainOpt(ctx, db, g, cfg, core.TrainOpts{Now: anchor, Store: store}); err != nil {
+	b.Run("incremental", func(b *testing.B) { benchSlides(b, db, g, cfg, slides) })
+	b.Run("enterprise", func(b *testing.B) {
+		gen := enterprise.DefaultGenOptions()
+		gen.Apps, gen.Hosts = 8, 10
+		env, err := enterprise.Generate(gen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := env.Run(); err != nil {
+			b.Fatal(err)
+		}
+		g, err := graph.Build(env.DB, []telemetry.EntityID{env.DBVM(0)}, -1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSlides(b, env.DB, g, cfg, slides)
+	})
+}
+
+// benchSlides times one-slice slides of a factor store over the last
+// slides slices of db. Every iteration re-anchors untimed, so it measures
+// pure steady state: the store populated, then the slides.
+func benchSlides(b *testing.B, db *telemetry.DB, g *graph.Graph, cfg core.Config, slides int) {
+	ctx := context.Background()
+	anchor := db.Len() - 1 - slides
+	store := core.NewFactorStore()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		store.Reset()
+		if _, err := core.TrainOpt(ctx, db, g, cfg, core.TrainOpts{Now: anchor, Store: store}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for t := anchor + 1; t < db.Len(); t++ {
+			if _, err := core.TrainOpt(ctx, db, g, cfg, core.TrainOpts{Now: t, Store: store}); err != nil {
 				b.Fatal(err)
 			}
-			b.StartTimer()
-			for t := anchor + 1; t < db.Len(); t++ {
-				if _, err := core.TrainOpt(ctx, db, g, cfg, core.TrainOpts{Now: t, Store: store}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		}
-		st := store.Stats()
-		b.ReportMetric(float64(st.Hits)/float64(b.N), "hits/op")
-		b.ReportMetric(float64(st.Refits)/float64(b.N), "refits/op")
-	})
+	}
+	st := store.Stats()
+	b.ReportMetric(float64(st.Hits)/float64(b.N), "hits/op")
+	b.ReportMetric(float64(st.Refits)/float64(b.N), "refits/op")
+	b.ReportMetric(float64(st.Reselects)/float64(b.N), "reselects/op")
 }
 
 // BenchmarkDiagnoseChains times multi-chain Gibbs sampling across chain

@@ -97,6 +97,8 @@ type incTrainJSON struct {
 	Refits          uint64  `json:"refits"`
 	Reselects       uint64  `json:"reselects"`
 	DriftTrips      uint64  `json:"drift_trips"`
+	ExactRanks      uint64  `json:"exact_ranks"`
+	GramDots        uint64  `json:"gram_dots"`
 }
 
 func newBenchReport() *benchReport {
@@ -169,6 +171,8 @@ func incTrainReport(r *harness.IncTrainResult) incTrainJSON {
 		Refits:          r.Refits,
 		Reselects:       r.Reselects,
 		DriftTrips:      r.DriftTrips,
+		ExactRanks:      r.ExactRanks,
+		GramDots:        r.GramDots,
 	}
 	if r.Opts.Slides > 0 {
 		out.NsPerSlideFull = r.FullTime.Nanoseconds() / int64(r.Opts.Slides)

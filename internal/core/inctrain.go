@@ -7,8 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -34,8 +33,9 @@ const (
 	// selectionMarginEps is the minimum |Pearson| gap between adjacent
 	// feature-selection ranks for the incremental ranking to be trusted: the
 	// slid correlations differ from the full recomputation by rounding only,
-	// so any gap wider than this guarantees the same top-B selection. A
-	// narrower gap falls back to the full (bit-identical) ranking.
+	// so any gap at least this wide keeps the exact order. Candidates tied
+	// closer than this where the selection depends on them take their exact
+	// (bit-identical) values instead (certifyRanking).
 	selectionMarginEps = 1e-9
 	// recenterFrac: a series' shifted moments are re-anchored once the mean
 	// has drifted this fraction of a standard deviation from the anchor,
@@ -71,6 +71,12 @@ type seriesState struct {
 	// clean series derive them from the sorted window on demand.
 	med, madScale float64
 	novel         bool
+	// enter/leave are the last slide's rows minus mom.Shift: the values that
+	// entered the window and the ones that expired. slideSeries computes them
+	// once per pass for every factor that reads the series (the shift stays
+	// fixed until phase 4 recenters); a rebuilt series has none, since every
+	// statistic reading it is recomputed instead of slid.
+	enter, leave []float64
 }
 
 // targetStats returns the robust center/scale and novelty flag for the
@@ -143,6 +149,7 @@ type storeEntry struct {
 	fittedHi int     // window endpoint the factor was fitted/derived at
 
 	feats       []metricRef // selected features, ranked order
+	featIdx     []int       // feats' positions in cand
 	cand        []metricRef // candidate list the cross stats align with
 	targetEpoch uint32
 	featEpochs  []uint32
@@ -167,13 +174,15 @@ type storeEntry struct {
 // factor from scratch.
 //
 // A factor is served from the slid statistics (a "hit": one O(B³) solve, no
-// O(n·C) passes). When the slid ranking cannot prove the feature selection
+// O(n·C) passes). Where the slid ranking cannot prove the feature selection
 // (adjacent ranks within selectionMarginEps — routine in homogeneous
-// topologies full of near-duplicate series), the store re-ranks with the
-// exact centered |Pearson| a full fit computes, and a changed selection is
-// adopted in place (a "reselect": cross terms picked from the slid
-// per-candidate accumulators, only the B×B Gram rebuilt). A full refit
-// happens only when a guard trips:
+// topologies full of near-duplicate series), the store computes the exact
+// centered |Pearson| a full fit computes for just the tied candidates that
+// reach into the top B, and a changed selection is adopted in place (a
+// "reselect": cross terms picked from the slid per-candidate accumulators,
+// Gram entries of retained feature pairs carried over, only the pairs with a
+// newly selected feature recomputed). A full refit happens only when a guard
+// trips:
 //
 //   - the MASE drift score of the factor's one-step-ahead predictions
 //     exceeds the drift threshold (the learned relationship shifted);
@@ -188,8 +197,8 @@ type storeEntry struct {
 // factor is bit-identical to a fresh store's; slid factors agree within a
 // rounding bound (property-tested by the metamorph incremental arm).
 //
-// The store serializes to a compact snapshot (Snapshot/SaveFile with the
-// same temp+fsync+rename discipline as the serve layer) and restores with
+// The store serializes to a compact snapshot (Snapshot, which murphyd writes
+// inside its own crash-safe state file) and restores (RestoreSnapshot) with
 // consistency validation against the restored database, so a murphyd warm
 // restart's first diagnosis performs zero full retrains.
 //
@@ -215,6 +224,7 @@ type FactorStore struct {
 	pending *factorStoreJSON // decoded snapshot awaiting adoption
 
 	hits, refits, reselects, driftTrips, slideCount, resets uint64
+	exactRanks, gramDots                                    uint64
 }
 
 // NewFactorStore returns an empty incremental factor store with the default
@@ -248,9 +258,14 @@ type FactorStoreStats struct {
 	// score; Slides counts window slides applied to the statistics; Resets
 	// counts whole-store invalidations (database/hyperparameter changes,
 	// out-of-order windows, failed passes); Reselects is the subset of hits
-	// that re-ranked features exactly and adopted a changed selection in
-	// place.
+	// that adopted a changed feature selection in place.
 	Hits, Refits, Reselects, DriftTrips, Slides, Resets uint64
+	// ExactRanks counts the candidate |Pearson| values hits computed over
+	// the full window to certify a ranking the slid values could not prove
+	// (only tied candidates reaching into the top B); GramDots counts the
+	// Gram entries reselects recomputed, one length-W dot product each (the
+	// pairs with a newly selected feature).
+	ExactRanks, GramDots uint64
 	// Factors and Series are the current state sizes.
 	Factors, Series int
 	// DriftThreshold and RefreshEvery echo the active retrain policy.
@@ -266,6 +281,7 @@ func (s *FactorStore) Stats() FactorStoreStats {
 		Hits: s.hits, Refits: s.refits, Reselects: s.reselects,
 		DriftTrips: s.driftTrips,
 		Slides:     s.slideCount, Resets: s.resets,
+		ExactRanks: s.exactRanks, GramDots: s.gramDots,
 		Factors: len(s.entries), Series: len(s.series),
 		DriftThreshold: s.driftThreshold, RefreshEvery: s.refreshEvery,
 	}
@@ -335,30 +351,17 @@ func (s *FactorStore) resetLocked(db *telemetry.DB, g *graph.Graph, window, topB
 	s.entries = make(map[metricRef]*storeEntry)
 }
 
-// refsEqual reports whether two metricRef slices are element-wise equal.
-func refsEqual(a, b []metricRef) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // trainPass is the state one training pass shares across its factor jobs:
-// the window move, the regression trainer, and the full-refit
-// precomputations — centered views (for the |Pearson| ranking) and
-// shift-subtracted columns (for anchoring the slid statistics), built lazily
-// under a mutex because the factor phase runs pooled.
+// the window move, the regression trainer, and the full-window
+// precomputations — centered views (for the exact |Pearson| ranking) and
+// shift-subtracted columns (for anchoring the slid statistics and the Gram
+// entries of newly selected features), built lazily under a mutex because
+// the factor phase runs pooled.
 type trainPass struct {
 	cfg       Config
 	trainer   regress.Trainer
-	hi        int                     // window end
-	drop, add int                     // slices leaving / entering the window
-	leaving   map[metricRef][]float64 // expired window prefix per series
+	hi        int // window end
+	drop, add int // slices leaving / entering the window
 
 	mu      sync.Mutex
 	store   *FactorStore
@@ -395,24 +398,19 @@ func (p *trainPass) shiftedCol(ref metricRef) []float64 {
 // incJob is one factor's unit of work in the training pass.
 type incJob struct {
 	ref       metricRef
-	cand      []metricRef // shared across the entity's jobs
-	candKeys  []string
+	st        *seriesState   // the target series' state
+	cand      []metricRef    // shared across the entity's jobs
+	candKeys  []string       // ranking tie-break keys, aligned with cand
+	candSt    []*seriesState // candidate series states, aligned with cand
 	entry     *storeEntry
 	out       *factor
 	hit       bool
 	refit     bool
 	reselect  bool
 	driftTrip bool
-}
-
-// candIndex finds a candidate's position in the job's candidate list.
-func (j *incJob) candIndex(ref metricRef) (int, bool) {
-	for i, c := range j.cand {
-		if c == ref {
-			return i, true
-		}
-	}
-	return 0, false
+	// exactRanks / gramDots count the full-window work of the slid path:
+	// exact |Pearson| values and recomputed Gram entries.
+	exactRanks, gramDots int
 }
 
 // candidateRefs lists an entity's candidate features: every metric of every
@@ -428,30 +426,39 @@ func candidateRefs(g *graph.Graph, id telemetry.EntityID, names func(telemetry.E
 }
 
 // rankTopB orders the candidates by descending |correlation| rs, breaking
-// ties by candidate key, and keeps the top b with a non-zero correlation (the
-// one-in-ten rule, §4.2). order is the full ranking.
-func rankTopB(cand []metricRef, keys []string, rs []float64, b int) (feats []metricRef, order []int) {
-	order = make([]int, len(cand))
+// ties by candidate key, and selects the top b with a non-zero correlation
+// (the one-in-ten rule, §4.2). order is the full ranking; sel holds the
+// selected candidates' indices in ranked order.
+func rankTopB(keys []string, rs []float64, b int) (sel, order []int) {
+	order = make([]int, len(rs))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, c int) bool {
-		ia, ic := order[a], order[c]
+	sortRanked(order, keys, rs)
+	return topB(rs, order, b), order
+}
+
+// sortRanked sorts candidate indices by descending rs, ties by key.
+func sortRanked(idx []int, keys []string, rs []float64) {
+	sort.Slice(idx, func(a, c int) bool {
+		ia, ic := idx[a], idx[c]
 		if rs[ia] != rs[ic] {
 			return rs[ia] > rs[ic]
 		}
 		return keys[ia] < keys[ic]
 	})
-	if b > len(order) {
-		b = len(order)
-	}
-	feats = make([]metricRef, 0, b)
+}
+
+// topB keeps the first b ranked candidates with a non-zero correlation.
+func topB(rs []float64, order []int, b int) []int {
+	b = min(b, len(order))
+	sel := make([]int, 0, b)
 	for _, i := range order[:b] {
 		if rs[i] > 0 {
-			feats = append(feats, cand[i])
+			sel = append(sel, i)
 		}
 	}
-	return feats, order
+	return sel
 }
 
 // readWindow reads one raw training window through src. A context abort
@@ -539,46 +546,48 @@ func (s *FactorStore) trainLocked(ctx context.Context, m *Model, opts TrainOpts,
 		src = opts.Src
 	}
 	drop, add := lo-s.lo, hi-s.hi
-	leaving := make(map[metricRef][]float64)
 	live := make(map[metricRef]bool)
-	var fresh []metricRef
+	ids := g.IDs()
+	// statesOf[i] holds node i's series states in metric-name order, so the
+	// job assembly below resolves states without hashing a ref.
+	statesOf := make([][]*seriesState, len(ids))
+	var fresh []*seriesState
 	var raws [][]float64
-	for _, id := range g.IDs() {
+	for i, id := range ids {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: training cancelled: %w", err)
 		}
 		names := src.MetricNames(id)
 		m.metricsOf[id] = names
-		for _, name := range names {
+		sts := make([]*seriesState, len(names))
+		for k, name := range names {
 			ref := metricRef{id, name}
 			live[ref] = true
 			st, ok := s.series[ref]
-			if !ok {
+			switch {
+			case !ok:
 				raw, err := readWindow(ctx, src, m, ref, rec)
 				if err != nil {
 					return err
 				}
-				fresh = append(fresh, ref)
+				st = &seriesState{} // built on the pool below
+				s.series[ref] = st
+				fresh = append(fresh, st)
 				raws = append(raws, raw)
-				continue
+			case add != 0 || drop != 0:
+				s.slideSeries(st, ref, lo, hi, drop, add)
 			}
-			if add == 0 && drop == 0 {
-				continue
-			}
-			leaving[ref] = s.slideSeries(st, ref, lo, hi, drop, add)
+			sts[k] = st
 		}
+		statesOf[i] = sts
 	}
 	// A new series' state (placeholder fill, moments, sorted copy) is pure
 	// in its window, so building it fans out across the pool.
-	states := make([]*seriesState, len(fresh))
 	if err := forEachIndex(ctx, opts.Workers, len(fresh), func(i int) error {
-		states[i] = newSeriesState(raws[i], lo)
+		*fresh[i] = *newSeriesState(raws[i], lo)
 		return nil
 	}); err != nil {
 		return fmt.Errorf("core: training cancelled: %w", err)
-	}
-	for i, ref := range fresh {
-		s.series[ref] = states[i]
 	}
 	for ref := range s.series {
 		if !live[ref] {
@@ -591,24 +600,30 @@ func (s *FactorStore) trainLocked(ctx context.Context, m *Model, opts TrainOpts,
 	}
 
 	// Phase 2: assemble the factor jobs in graph order, with each entity's
-	// candidate list and its ranking tie-break keys built once, and make
-	// sure every job has an entry before the pooled phase mutates them.
+	// candidate list, ranking tie-break keys and candidate series states
+	// resolved once for all of its jobs, and make sure every job has an
+	// entry before the pooled phase mutates them.
 	var jobs []*incJob
 	metricsOf := func(id telemetry.EntityID) []string { return m.metricsOf[id] }
-	for _, id := range g.IDs() {
+	for i, id := range ids {
 		cand := candidateRefs(g, id, metricsOf)
 		candKeys := make([]string, len(cand))
-		for i, c := range cand {
-			candKeys[i] = c.String()
+		for k, c := range cand {
+			candKeys[k] = c.String()
 		}
-		for _, name := range m.metricsOf[id] {
+		// candidateRefs walks the same in-neighbors and metric names.
+		candSt := make([]*seriesState, 0, len(cand))
+		for _, j := range g.In(i) {
+			candSt = append(candSt, statesOf[j]...)
+		}
+		for k, name := range m.metricsOf[id] {
 			ref := metricRef{id, name}
 			e, ok := s.entries[ref]
 			if !ok {
 				e = &storeEntry{drift: stats.NewDriftTracker(driftWindow)}
 				s.entries[ref] = e
 			}
-			jobs = append(jobs, &incJob{ref: ref, cand: cand, candKeys: candKeys, entry: e})
+			jobs = append(jobs, &incJob{ref: ref, st: statesOf[i][k], cand: cand, candKeys: candKeys, candSt: candSt, entry: e})
 		}
 	}
 	jobRefs := make(map[metricRef]bool, len(jobs))
@@ -630,7 +645,7 @@ func (s *FactorStore) trainLocked(ctx context.Context, m *Model, opts TrainOpts,
 		trainer = regress.RidgeTrainer(cfg.Lambda)
 	}
 	p := &trainPass{
-		cfg: cfg, trainer: trainer, hi: hi, drop: drop, add: add, leaving: leaving,
+		cfg: cfg, trainer: trainer, hi: hi, drop: drop, add: add,
 		store: s, ctr: make(map[metricRef]*stats.Centered), shifted: make(map[metricRef][]float64),
 	}
 	pooled := opts.Workers > 1 && len(jobs) > 1
@@ -657,6 +672,8 @@ func (s *FactorStore) trainLocked(ctx context.Context, m *Model, opts TrainOpts,
 	var hits, refits, reselects, trips int64
 	for _, job := range jobs {
 		m.factors[job.ref] = job.out
+		s.exactRanks += uint64(job.exactRanks)
+		s.gramDots += uint64(job.gramDots)
 		switch {
 		case job.hit:
 			hits++
@@ -689,12 +706,12 @@ func (s *FactorStore) trainLocked(ctx context.Context, m *Model, opts TrainOpts,
 }
 
 // slideSeries advances one series' state from [s.lo, s.hi) to [lo, hi) and
-// returns the leaving values (the window prefix that expired), which the
-// factor phase downdates against. A series with in-window missing values is
-// rebuilt instead (its placeholder fill depends on the window content), which
-// bumps its epoch and invalidates dependent factor statistics.
-func (s *FactorStore) slideSeries(st *seriesState, ref metricRef, lo, hi, drop, add int) []float64 {
-	left := append([]float64(nil), st.win[:drop]...)
+// records its shifted entering and expired rows, which every factor reading
+// the series updates and downdates against. A series with in-window missing
+// values is rebuilt instead (its placeholder fill depends on the window
+// content), which bumps its epoch and invalidates dependent factor
+// statistics.
+func (s *FactorStore) slideSeries(st *seriesState, ref metricRef, lo, hi, drop, add int) {
 	enter := s.db.RawWindow(ref.entity, ref.metric, s.hi, hi)
 	// Expire bookkeeping for missing values that left the window.
 	for len(st.nanAt) > 0 && st.nanAt[0] < lo {
@@ -711,40 +728,43 @@ func (s *FactorStore) slideSeries(st *seriesState, ref metricRef, lo, hi, drop, 
 		oldEpoch := st.epoch
 		*st = *newSeriesState(s.db.RawWindow(ref.entity, ref.metric, lo, hi), lo)
 		st.epoch = oldEpoch + 1
-		return left
+		return
 	}
+	sh := st.mom.Shift
+	st.leave = st.leave[:0]
 	for _, u := range st.win[:drop] {
+		st.leave = append(st.leave, u-sh)
 		st.mom.Pop(u)
 		st.sorted.Remove(u)
 	}
+	st.enter = st.enter[:0]
 	for _, v := range enter {
+		st.enter = append(st.enter, v-sh)
 		st.mom.Push(v)
 		st.sorted.Insert(v)
 	}
 	st.win = append(st.win[:0], st.win[drop:]...)
 	st.win = append(st.win, enter...)
-	return left
 }
 
 // runJob processes one factor: guards, statistic slides, and either the
 // statistics-derived solve or the full refit.
 func (s *FactorStore) runJob(job *incJob, p *trainPass) error {
-	e := job.entry
-	sty := s.series[job.ref]
+	e, sty := job.entry, job.st
 
 	needRefit := false
 	trip := false
 	switch {
 	case e.f == nil || e.fittedHi == 0:
 		needRefit = true // fresh (or never-anchored) entry
-	case !refsEqual(e.cand, job.cand):
+	case !slices.Equal(e.cand, job.cand):
 		needRefit = true // candidate set changed (metrics appeared/vanished)
 	case sty.epoch != e.targetEpoch:
 		needRefit = true // target rebuilt (missing values in window)
 	default:
-		for j, fr := range e.feats {
-			fst, ok := s.series[fr]
-			if !ok || fst.epoch != e.featEpochs[j] {
+		// Same candidate list, so featIdx indexes this pass's states.
+		for j, ci := range e.featIdx {
+			if job.candSt[ci].epoch != e.featEpochs[j] {
 				needRefit = true
 				break
 			}
@@ -787,35 +807,18 @@ func (s *FactorStore) runJob(job *incJob, p *trainPass) error {
 
 // slideEntry applies the entering/expired rows to the entry's sufficient
 // statistics as blocked rank-1 corrections, refreshes stale candidate cross
-// terms, and records the one-step-ahead drift evidence.
+// terms, and records the one-step-ahead drift evidence. The rows are the
+// shifted slide vectors slideSeries shares across every factor reading a
+// series.
 func (s *FactorStore) slideEntry(e *storeEntry, job *incJob, sty *seriesState, p *trainPass) {
-	n, drop, add := len(sty.win), p.drop, p.add
-	shY := sty.mom.Shift
-	enterY := make([]float64, add)
-	for i := 0; i < add; i++ {
-		enterY[i] = sty.win[n-add+i] - shY
-	}
-	leaveY := make([]float64, drop)
-	leftY := p.leaving[job.ref]
-	for i := 0; i < drop; i++ {
-		leaveY[i] = leftY[i] - shY
-	}
+	n, add := len(sty.win), p.add
+	enterY, leaveY := sty.enter, sty.leave
 
-	if len(e.feats) > 0 {
-		enterCols := make([][]float64, len(e.feats))
-		leaveCols := make([][]float64, len(e.feats))
-		for j, fr := range e.feats {
-			fst := s.series[fr]
-			ec := make([]float64, add)
-			for i := 0; i < add; i++ {
-				ec[i] = fst.win[n-add+i] - fst.mom.Shift
-			}
-			lc := make([]float64, drop)
-			lf := p.leaving[fr]
-			for i := 0; i < drop; i++ {
-				lc[i] = lf[i] - fst.mom.Shift
-			}
-			enterCols[j], leaveCols[j] = ec, lc
+	if nb := len(e.featIdx); nb > 0 {
+		enterCols := make([][]float64, nb)
+		leaveCols := make([][]float64, nb)
+		for j, ci := range e.featIdx {
+			enterCols[j], leaveCols[j] = job.candSt[ci].enter, job.candSt[ci].leave
 		}
 		mat.GramColsUpdate(e.gram, enterCols)
 		mat.GramColsDowndate(e.gram, leaveCols)
@@ -823,12 +826,11 @@ func (s *FactorStore) slideEntry(e *storeEntry, job *incJob, sty *seriesState, p
 		mat.CrossColsDowndate(e.xty, leaveCols, leaveY)
 	}
 
-	for ci, c := range job.cand {
-		cst := s.series[c]
+	for ci, cst := range job.candSt {
 		if cst.epoch != e.candEpochs[ci] {
 			// Candidate rebuilt since its cross term was accumulated:
 			// recompute it over the current window.
-			shC := cst.mom.Shift
+			shC, shY := cst.mom.Shift, sty.mom.Shift
 			sum := 0.0
 			for i := 0; i < n; i++ {
 				sum += (cst.win[i] - shC) * (sty.win[i] - shY)
@@ -837,14 +839,12 @@ func (s *FactorStore) slideEntry(e *storeEntry, job *incJob, sty *seriesState, p
 			e.candEpochs[ci] = cst.epoch
 			continue
 		}
-		shC := cst.mom.Shift
 		sum := e.cross[ci]
-		for i := 0; i < add; i++ {
-			sum += (cst.win[n-add+i] - shC) * enterY[i]
+		for i, v := range cst.enter {
+			sum += v * enterY[i]
 		}
-		lf := p.leaving[c]
-		for i := 0; i < drop; i++ {
-			sum -= (lf[i] - shC) * leaveY[i]
+		for i, u := range cst.leave {
+			sum -= u * leaveY[i]
 		}
 		e.cross[ci] = sum
 	}
@@ -852,21 +852,22 @@ func (s *FactorStore) slideEntry(e *storeEntry, job *incJob, sty *seriesState, p
 	// Drift evidence: how well does the stale model predict the points that
 	// just entered the window?
 	if e.f != nil && e.f.model != nil {
-		x := make([]float64, len(e.feats))
+		x := make([]float64, len(e.featIdx))
 		for i := 0; i < add; i++ {
 			t := n - add + i
-			for j, fr := range e.feats {
-				x[j] = s.series[fr].win[t]
+			for j, ci := range e.featIdx {
+				x[j] = job.candSt[ci].win[t]
 			}
 			e.drift.Push(e.f.model.Predict(x), sty.win[t])
 		}
 	}
 }
 
-// solveFromStats re-ranks the candidates from the slid moments and, when the
-// selection provably matches the exact ranking, derives the ridge fit from
-// the sufficient statistics: an O(C + B³) path replacing the O(n·C + n·B²)
-// full recomputation. ok is false when a guard trips.
+// solveFromStats ranks the candidates from the slid moments, certifies the
+// selection against the exact ranking (certifyRanking), adopts a changed
+// selection in place, and derives the ridge fit from the sufficient
+// statistics: an O(C + B³) path, plus O(n) per tied candidate, replacing the
+// O(n·C + n·B²) full recomputation. ok is false when a guard trips.
 func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesState, p *trainPass) (*factor, bool) {
 	cfg := p.cfg
 	n := len(sty.win)
@@ -876,8 +877,7 @@ func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesStat
 	nf := float64(n)
 
 	rs := make([]float64, len(job.cand))
-	for i, c := range job.cand {
-		cst := s.series[c]
+	for i, cst := range job.candSt {
 		num := e.cross[i] - cst.mom.S1*s1y/nf
 		den := math.Sqrt(cst.mom.CenteredSumSq() * cssY)
 		r := 0.0
@@ -889,39 +889,18 @@ func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesStat
 		}
 		rs[i] = r
 	}
-	feats, order := rankTopB(job.cand, job.candKeys, rs, cfg.TopB)
-	// Margin guard: the slid correlations agree with the exact recomputation
-	// to rounding; adjacent ranks closer than the margin (or selected ranks
-	// grazing zero) could order differently under the exact ranking, so the
-	// slid ranking alone cannot prove the selection.
-	trusted := true
-	for i := range feats {
-		ri := rs[order[i]]
-		if ri < selectionMarginEps ||
-			(i+1 < len(order) && ri-rs[order[i+1]] < selectionMarginEps) {
-			trusted = false
-			break
-		}
+	sel, order := rankTopB(job.candKeys, rs, cfg.TopB)
+	if job.exactRanks = s.certifyRanking(job, p, rs, order); job.exactRanks > 0 {
+		sel = topB(rs, order, cfg.TopB)
 	}
-	if !trusted || !refsEqual(feats, e.feats) {
-		// The slid ranking cannot prove the selection (sub-margin gaps are
-		// routine in homogeneous topologies, where near-duplicate series tie
-		// almost exactly). Re-rank with the exact centered |Pearson| a full
-		// fit computes — bit-identical selection by construction at O(n·C),
-		// still skipping the O(n·B²) fit and the O(n·(B+C)) re-anchor a
-		// full refit would pay.
-		feats = s.rankExact(job, p)
-		if !refsEqual(feats, e.feats) {
-			// The selection genuinely changed. The slid cross accumulators
-			// already hold X'y against the current shifts for every
-			// candidate, so adopt the new selection in place: pick the
-			// cross terms, rebuild only the B×B Gram over the shifted
-			// columns, and fall through to the closed-form solve.
-			if !s.reselectEntry(e, job, feats, p) {
-				return nil, false
-			}
-			job.reselect = true
+	if !slices.Equal(sel, e.featIdx) {
+		// The selection changed. The slid cross accumulators already hold
+		// X'y against the current shifts for every candidate, so adopt the
+		// new selection in place and fall through to the closed-form solve.
+		if !s.reselectEntry(e, job, sel, p) {
+			return nil, false
 		}
+		job.reselect = true
 	}
 
 	nb := len(e.feats)
@@ -933,8 +912,8 @@ func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesStat
 		featMean := make([]float64, nb)
 		featStd := make([]float64, nb)
 		s1 := make([]float64, nb)
-		for j, fr := range e.feats {
-			fm := &s.series[fr].mom
+		for j, ci := range e.featIdx {
+			fm := &job.candSt[ci].mom
 			featMean[j] = fm.Mean()
 			sd := fm.Std()
 			if sd == 0 || math.IsNaN(sd) {
@@ -1009,50 +988,103 @@ func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesStat
 	return f, true
 }
 
+// certifyRanking makes the slid ranking agree with the exact one wherever
+// the selection depends on it, and returns how many exact values it
+// computed. The slid correlations differ from the exact centered |Pearson|
+// by rounding only, far less than half of selectionMarginEps (the premise
+// the margin guard rests on), so two candidates whose slid values are at
+// least the margin apart keep their order under the exact ranking. The slid
+// order therefore splits into runs of adjacent candidates closer than the
+// margin, and only a run holding a selected candidate (top B, non-zero) can
+// change the selected features or their order: its members get the exact
+// value and are re-sorted among themselves, which is how rankExact orders
+// them. A run reaching below the margin takes in every near-zero candidate,
+// whose exact value decides whether it is selected at all. Every other
+// candidate is certified by its slid value.
+func (s *FactorStore) certifyRanking(job *incJob, p *trainPass, rs []float64, order []int) int {
+	b := min(p.cfg.TopB, len(order))
+	var yctr *stats.Centered
+	exact := 0
+	for i := 0; i < b && rs[order[i]] > 0; {
+		j := i + 1
+		for j < len(order) && rs[order[j-1]]-rs[order[j]] < selectionMarginEps {
+			j++
+		}
+		if run := order[i:j]; len(run) > 1 || rs[run[0]] < selectionMarginEps {
+			if yctr == nil {
+				yctr = p.centered(job.ref)
+			}
+			for _, c := range run {
+				rs[c] = stats.AbsPearsonCentered(p.centered(job.cand[c]), yctr)
+			}
+			sortRanked(run, job.candKeys, rs)
+			exact += len(run)
+		}
+		i = j
+	}
+	return exact
+}
+
 // reselectEntry adopts a changed feature selection without a full refit:
 // xty comes from the candidate cross accumulators (already slid against the
-// current shifts), and the selected-feature Gram is rebuilt from the
-// batch-shared shifted columns. Returns false — forcing the full refit —
-// when any new feature's cross term is stale (epoch moved since it was
-// accumulated; slideEntry refreshes those, so this is a safety net).
-func (s *FactorStore) reselectEntry(e *storeEntry, job *incJob, feats []metricRef, p *trainPass) bool {
-	xty := make([]float64, len(feats))
-	epochs := make([]uint32, len(feats))
-	for j, fr := range feats {
-		ci, ok := job.candIndex(fr)
-		if !ok || s.series[fr].epoch != e.candEpochs[ci] {
+// current shifts), every pair of retained features carries its slid Gram
+// entry over into the new order, and only the pairs involving a newly
+// selected feature are computed, one length-W dot product of shifted
+// columns each — an order-only reselect is an O(B²) permutation. Returns
+// false — forcing the full refit — when any new feature's cross term is
+// stale (epoch moved since it was accumulated; slideEntry refreshes those,
+// so this is a safety net).
+func (s *FactorStore) reselectEntry(e *storeEntry, job *incJob, sel []int, p *trainPass) bool {
+	nb := len(sel)
+	feats := make([]metricRef, nb)
+	xty := make([]float64, nb)
+	epochs := make([]uint32, nb)
+	prev := make([]int, nb) // position in the old selection; -1 if new
+	for j, ci := range sel {
+		if job.candSt[ci].epoch != e.candEpochs[ci] {
 			return false
 		}
+		feats[j] = job.cand[ci]
 		xty[j] = e.cross[ci]
-		epochs[j] = s.series[fr].epoch
+		epochs[j] = job.candSt[ci].epoch
+		prev[j] = slices.Index(e.featIdx, ci)
 	}
-	e.feats = append(e.feats[:0], feats...)
+	var gram *mat.Dense
+	if nb > 0 {
+		gram = mat.NewDense(nb, nb)
+		for j := 0; j < nb; j++ {
+			for k := j; k < nb; k++ {
+				var v float64
+				if prev[j] >= 0 && prev[k] >= 0 {
+					v = e.gram.At(prev[j], prev[k])
+				} else {
+					v = mat.Dot(p.shiftedCol(feats[j]), p.shiftedCol(feats[k]))
+					job.gramDots++
+				}
+				gram.Set(j, k, v)
+				gram.Set(k, j, v)
+			}
+		}
+	}
+	e.feats, e.featIdx = feats, sel
 	e.featEpochs = epochs
 	e.xty = xty
-	if len(feats) == 0 {
-		e.gram = nil
-		return true
-	}
-	cols := make([][]float64, len(feats))
-	for j, fr := range feats {
-		cols[j] = p.shiftedCol(fr)
-	}
-	e.gram = mat.GramCols(cols)
+	e.gram = gram
 	return true
 }
 
-// rankExact is the exact feature selection: rank the candidates by centered
-// |Pearson| with the target over the window and keep the top B. The centered
-// columns come from the pass-shared cache, so the per-entry cost is one
-// length-n dot product per candidate.
-func (s *FactorStore) rankExact(job *incJob, p *trainPass) []metricRef {
+// rankExact is the full fit's feature selection: rank the candidates by
+// centered |Pearson| with the target over the window and keep the top B.
+// The centered columns come from the pass-shared cache, so the per-entry
+// cost is one length-n dot product per candidate.
+func (s *FactorStore) rankExact(job *incJob, p *trainPass) []int {
 	yctr := p.centered(job.ref)
 	rs := make([]float64, len(job.cand))
 	for i, c := range job.cand {
 		rs[i] = stats.AbsPearsonCentered(p.centered(c), yctr)
 	}
-	feats, _ := rankTopB(job.cand, job.candKeys, rs, p.cfg.TopB)
-	return feats
+	sel, _ := rankTopB(job.candKeys, rs, p.cfg.TopB)
+	return sel
 }
 
 // refitEntry is the full fit of one factor — exact ranking, then the pass's
@@ -1070,12 +1102,13 @@ func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, p
 	f.med, f.madScale, f.novel = sty.targetStats()
 	f.rscore = f.robustScoreAt(sty.win[n-1])
 
-	feats := s.rankExact(job, p)
-	f.features = feats
-	featCols := make([][]float64, len(feats))
-	for j, fr := range feats {
-		featCols[j] = s.series[fr].win
+	sel := s.rankExact(job, p)
+	feats := make([]metricRef, len(sel))
+	featCols := make([][]float64, len(sel))
+	for j, ci := range sel {
+		feats[j], featCols[j] = job.cand[ci], job.candSt[ci].win
 	}
+	f.features = feats
 	// The training windows already are the design matrix's columns: a
 	// trainer with the column fast path (the default ridge) consumes them
 	// directly; others get the row-major assembly.
@@ -1102,14 +1135,15 @@ func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, p
 	// Anchor the slid statistics against the current shifts.
 	shiftedY := p.shiftedCol(job.ref)
 	e.feats = append(e.feats[:0], feats...)
+	e.featIdx = sel
 	e.cand = job.cand
 	e.targetEpoch = sty.epoch
 	e.featEpochs = make([]uint32, len(feats))
 	if len(feats) > 0 {
 		shiftedCols := make([][]float64, len(feats))
-		for j, fr := range feats {
-			shiftedCols[j] = p.shiftedCol(fr)
-			e.featEpochs[j] = s.series[fr].epoch
+		for j, ci := range sel {
+			shiftedCols[j] = p.shiftedCol(feats[j])
+			e.featEpochs[j] = job.candSt[ci].epoch
 		}
 		e.gram = mat.GramCols(shiftedCols)
 		e.xty = mat.MulVecCols(shiftedCols, shiftedY)
@@ -1120,7 +1154,7 @@ func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, p
 	e.candEpochs = make([]uint32, len(job.cand))
 	for i, c := range job.cand {
 		e.cross[i] = mat.Dot(p.shiftedCol(c), shiftedY)
-		e.candEpochs[i] = s.series[c].epoch
+		e.candEpochs[i] = job.candSt[i].epoch
 	}
 	e.slides = 0
 	e.drift.Reset()
@@ -1387,46 +1421,6 @@ func (s *FactorStore) RestoreSnapshot(data []byte) error {
 	return nil
 }
 
-// SaveFile writes the snapshot with the crash-safe discipline of the serve
-// layer's snapshots: temp file, fsync, atomic rename.
-func (s *FactorStore) SaveFile(path string) error {
-	data, err := s.Snapshot()
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".factorstore-*.tmp")
-	if err != nil {
-		return fmt.Errorf("core: factor store save: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("core: factor store save: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("core: factor store save: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("core: factor store save: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("core: factor store save: %w", err)
-	}
-	return nil
-}
-
-// LoadFile reads a snapshot written by SaveFile and stages it for adoption.
-func (s *FactorStore) LoadFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("core: factor store load: %w", err)
-	}
-	return s.RestoreSnapshot(data)
-}
-
 // adoptLocked validates the staged snapshot against the bound database and
 // graph and installs whatever checks out. Validation is conservative: a
 // hyperparameter or window-bound mismatch discards everything; a series whose
@@ -1494,10 +1488,12 @@ func (s *FactorStore) adoptLocked(db *telemetry.DB, cfg Config) {
 			continue
 		}
 		feats := make([]metricRef, nb)
+		featIdx := make([]int, nb)
 		ok := true
 		for j, fj := range ej.Feats {
 			fr := refFromJSON(fj)
-			if series[fr] == nil {
+			featIdx[j] = slices.Index(ci.cand, fr)
+			if series[fr] == nil || featIdx[j] < 0 {
 				ok = false
 				break
 			}
@@ -1509,6 +1505,7 @@ func (s *FactorStore) adoptLocked(db *telemetry.DB, cfg Config) {
 		e := &storeEntry{
 			fittedHi:    ej.FittedHi,
 			feats:       feats,
+			featIdx:     featIdx,
 			cand:        ci.cand,
 			targetEpoch: ej.TargetEpoch,
 			featEpochs:  append([]uint32(nil), ej.FeatEpochs...),

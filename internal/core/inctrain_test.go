@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -360,13 +362,13 @@ func TestFactorStoreSnapshotRoundTrip(t *testing.T) {
 	for now := 280; now <= 300; now++ {
 		m1 = incTrainAt(t, db, g, cfg, now, store)
 	}
-	path := filepath.Join(t.TempDir(), "factors.json")
-	if err := store.SaveFile(path); err != nil {
+	snap, err := store.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	warm := NewFactorStore()
-	if err := warm.LoadFile(path); err != nil {
+	if err := warm.RestoreSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
 	m2 := incTrainAt(t, db, g, cfg, 300, warm)
@@ -512,4 +514,153 @@ func TestIncrementalCancelledPassResets(t *testing.T) {
 		m := incTrainAt(t, db, g, cfg, 261, store)
 		compareFactorViews(t, "after cancel", fullTrainAt(t, db, g, cfg, 261), m, db, g, 0)
 	}
+}
+
+// tieWindow is the slide test's training window: every tieHubDB series is a
+// sum of sinusoids at integer frequencies of this period, so each
+// window-wide sum (means, variances, cross products) is the same at every
+// slide, and two series built from disjoint frequencies are exactly
+// uncorrelated. Correlations that tie in exact arithmetic then differ only
+// by rounding, which re-randomizes as the window slides.
+const tieWindow = 200
+
+// tieHubDB builds a hub whose in-neighbours rank at the selection margin's
+// edge cases. For hub/cpu: seven well-separated features (ranks 0–6); a tie
+// run of four exact copies of one signal — two bit-identical duplicates and
+// two offset near-duplicates whose |r| differ by rounding only — at ranks
+// 7–10, straddling rank B = 10; and near-zero candidates (two orthogonal
+// waves, two constants). hub/mem is orthogonal to every in-neighbour, so
+// its whole candidate list is one near-zero run, and each neighbour's
+// factor selects hub/mem with a correlation below the margin.
+func tieHubDB(t *testing.T, total int, seed int64) (*telemetry.DB, *graph.Graph) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	next := 5 // frequency 4 is reserved for hub/mem
+	// wave returns a fresh unit-variance signal on two unused frequencies.
+	wave := func() func(int) float64 {
+		k1, k2 := next, next+1
+		next += 2
+		p1, p2 := rng.Float64()*2*math.Pi, rng.Float64()*2*math.Pi
+		return func(tt int) float64 {
+			w := 2 * math.Pi * float64(tt) / tieWindow
+			return math.Sin(float64(k1)*w+p1) + math.Sin(float64(k2)*w+p2)
+		}
+	}
+	x, z, eps := wave(), wave(), wave()
+	series := map[telemetry.EntityID]func(int) float64{
+		"zA": func(tt int) float64 { return 30 + z(tt) },
+		"zB": func(tt int) float64 { return 30 + z(tt) },
+		"zC": func(tt int) float64 { return 30.3 + z(tt) },
+		"zD": func(tt int) float64 { return 31.7 + z(tt) },
+		"k1": func(int) float64 { return 42 },
+		"k2": func(int) float64 { return 7 },
+	}
+	for i := 1; i <= 7; i++ {
+		e, sigma := wave(), 0.15*float64(i)
+		series[telemetry.EntityID(fmt.Sprintf("s%d", i))] = func(tt int) float64 { return 20 + x(tt) + sigma*e(tt) }
+	}
+	for _, id := range []telemetry.EntityID{"n1", "n2"} {
+		n := wave()
+		series[id] = func(tt int) float64 { return 10 + n(tt) }
+	}
+
+	db := telemetry.NewDB(total + 8)
+	if err := db.AddEntity(&telemetry.Entity{ID: "hub", Type: telemetry.TypeVM, Name: "hub", App: "app"}); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]telemetry.EntityID, 0, len(series))
+	for id := range series {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := db.AddEntity(&telemetry.Entity{ID: id, Type: telemetry.TypeVM, Name: string(id), App: "app"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Associate(id, "hub", telemetry.Bidirectional); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obs := func(id telemetry.EntityID, metric string, tt int, v float64) {
+		t.Helper()
+		if err := db.Observe(id, metric, tt, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tt := 0; tt < total; tt++ {
+		obs("hub", telemetry.MetricCPU, tt, 100+x(tt)+0.5*z(tt)+0.3*eps(tt))
+		obs("hub", telemetry.MetricMem, tt, 50+10*math.Cos(2*math.Pi*4*float64(tt)/tieWindow))
+		for _, id := range ids {
+			obs(id, telemetry.MetricCPU, tt, series[id](tt))
+		}
+	}
+	g, err := graph.Build(db, []telemetry.EntityID{"hub"}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, g
+}
+
+// TestIncrementalPartialRerankMatchesExact slides a store over tieHubDB and
+// holds the certified partial re-rank to the full fit's exact ranking at
+// every slide: the same features in the same order, factors within
+// rounding. The tie runs make selections churn, so the slid path must
+// adopt both reorders of the same features and swaps of a feature in place.
+func TestIncrementalPartialRerankMatchesExact(t *testing.T) {
+	const slides = 30
+	total := tieWindow + slides + 1
+	db, g := tieHubDB(t, total, 5)
+	cfg := testConfig()
+	cfg.TrainWindow = tieWindow
+	store := NewFactorStore()
+	store.SetPolicy(1e9, 1<<30) // isolate selection: no drift or refresh refits
+
+	anchor := total - 1 - slides
+	prev := incTrainAt(t, db, g, cfg, anchor, store)
+	hub, _ := prev.FactorView("hub", telemetry.MetricCPU)
+	if len(hub.Features) != cfg.TopB {
+		t.Fatalf("hub/cpu selects %d features, want %d: %v", len(hub.Features), cfg.TopB, hub.Features)
+	}
+	for i, f := range hub.Features {
+		if isTie := strings.HasPrefix(f, "z"); isTie != (i >= 7) {
+			t.Fatalf("fixture: the tie run must fill ranks 7-9 of hub/cpu exactly: %v", hub.Features)
+		}
+	}
+
+	sorted := func(fs []string) []string {
+		c := slices.Clone(fs)
+		slices.Sort(c)
+		return c
+	}
+	var orderOnly, swaps int
+	for now := anchor + 1; now < total; now++ {
+		inc := incTrainAt(t, db, g, cfg, now, store)
+		compareFactorViews(t, fmt.Sprintf("slide to %d", now), fullTrainAt(t, db, g, cfg, now), inc, db, g, incViewTol)
+		for _, id := range g.IDs() {
+			for _, name := range db.MetricNames(id) {
+				was, _ := prev.FactorView(id, name)
+				is, _ := inc.FactorView(id, name)
+				switch {
+				case slices.Equal(was.Features, is.Features):
+				case slices.Equal(sorted(was.Features), sorted(is.Features)):
+					orderOnly++
+				default:
+					swaps++
+				}
+			}
+		}
+		prev = inc
+	}
+	st := store.Stats()
+	if st.Refits != uint64(len(prev.factors)) {
+		t.Fatalf("only the anchor should refit: %+v", st)
+	}
+	if st.Reselects == 0 || orderOnly == 0 || swaps == 0 {
+		t.Fatalf("selections should churn both ways: %d reselects, %d order-only, %d swaps", st.Reselects, orderOnly, swaps)
+	}
+	if st.ExactRanks == 0 || st.GramDots == 0 {
+		t.Fatalf("tie runs should take exact ranks and swaps Gram dots: %+v", st)
+	}
+	t.Logf("%d slides: %d hits, %d reselects (%d order-only, %d swaps), %d exact ranks, %d Gram dots",
+		slides, st.Hits, st.Reselects, orderOnly, swaps, st.ExactRanks, st.GramDots)
 }

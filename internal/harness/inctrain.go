@@ -77,6 +77,10 @@ type IncTrainResult struct {
 	// Hits / Refits / Reselects / DriftTrips are the store's counters after
 	// the replay.
 	Hits, Refits, Reselects, DriftTrips uint64
+	// ExactRanks / GramDots are the store's full-window work counters after
+	// the replay: exact |Pearson| values that certified a slid ranking
+	// (rank), and Gram entries recomputed by reselects (reselect).
+	ExactRanks, GramDots uint64
 }
 
 // RunIncTrain replays a sliding window over the Table-2 contention workload,
@@ -180,6 +184,7 @@ func RunIncTrain(opts IncTrainOptions) (*IncTrainResult, error) {
 
 	st := store.Stats()
 	res.Hits, res.Refits, res.Reselects, res.DriftTrips = st.Hits, st.Refits, st.Reselects, st.DriftTrips
+	res.ExactRanks, res.GramDots = st.ExactRanks, st.GramDots
 	return res, nil
 }
 
@@ -262,6 +267,10 @@ func (r *IncTrainResult) String() string {
 		r.IncTime.Round(time.Millisecond), perInc.Round(time.Microsecond), r.Speedup)
 	fmt.Fprintf(&b, "  anchor pass:  %10s (one-time store population)\n", r.AnchorTime.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  store: %d hits (%d reselects), %d refits, %d drift trips\n", r.Hits, r.Reselects, r.Refits, r.DriftTrips)
+	if r.Opts.Slides > 0 {
+		fmt.Fprintf(&b, "  per slide: %.1f exact |Pearson| ranks, %.1f reselect Gram dots\n",
+			float64(r.ExactRanks)/float64(r.Opts.Slides), float64(r.GramDots)/float64(r.Opts.Slides))
+	}
 	fmt.Fprintf(&b, "  equivalence: max factor delta %.2e (tolerance %.0e, ok=%v), causes identical %v\n",
 		r.MaxDelta, r.Opts.Tolerance, r.ToleranceOK, r.CausesIdentical)
 	return b.String()

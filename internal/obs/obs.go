@@ -124,9 +124,9 @@ const (
 	// by the factor store (full fits, initial anchors included, count under
 	// CtrFactorsTrained); CtrIncTrainDriftTrips counts the full refits
 	// forced by the MASE drift score; CtrIncTrainReselects counts the subset
-	// of hits that re-ranked features exactly and adopted a changed
-	// selection in place (Gram rebuild, no full refit); CtrIncTrainSlides
-	// counts window slides applied to the factor store's statistics.
+	// of hits that adopted a changed feature selection in place (no full
+	// refit); CtrIncTrainSlides counts window slides applied to the factor
+	// store's statistics.
 	CtrIncTrainHits
 	CtrIncTrainDriftTrips
 	CtrIncTrainReselects
