@@ -596,21 +596,62 @@ func BenchmarkIncrementalTrain(b *testing.B) {
 	})
 	b.Run("incremental", func(b *testing.B) { benchSlides(b, db, g, cfg, slides) })
 	b.Run("enterprise", func(b *testing.B) {
-		gen := enterprise.DefaultGenOptions()
-		gen.Apps, gen.Hosts = 8, 10
-		env, err := enterprise.Generate(gen)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := env.Run(); err != nil {
-			b.Fatal(err)
-		}
-		g, err := graph.Build(env.DB, []telemetry.EntityID{env.DBVM(0)}, -1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSlides(b, env.DB, g, cfg, slides)
+		db, g := enterpriseFleet(b)
+		benchSlides(b, db, g, cfg, slides)
 	})
+}
+
+// enterpriseFleet builds the 8-app enterprise fleet (153 entities, 661
+// factors) and its relationship graph.
+func enterpriseFleet(tb testing.TB) (*telemetry.DB, *graph.Graph) {
+	tb.Helper()
+	gen := enterprise.DefaultGenOptions()
+	gen.Apps, gen.Hosts = 8, 10
+	env, err := enterprise.Generate(gen)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := env.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	g, err := graph.Build(env.DB, []telemetry.EntityID{env.DBVM(0)}, -1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return env.DB, g
+}
+
+// TestPureHitPassAllocs gates the cost of a training pass that changes
+// nothing, which every same-window what-if pays: a store already bound to
+// the graph, trained again at its window, hands back every stored factor,
+// so the pass may allocate less than once per factor. A pass that rebuilds
+// per-series bookkeeping (maps keyed by series, candidate lists, key
+// strings) allocates several times per factor. Counting allocations keeps
+// the gate independent of host speed.
+func TestPureHitPassAllocs(t *testing.T) {
+	db, g := enterpriseFleet(t)
+	cfg := benchConfig()
+	ctx := context.Background()
+	store := core.NewFactorStore()
+	train := func() *core.Model {
+		m, err := core.TrainOpt(ctx, db, g, cfg, core.TrainOpts{Now: -1, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	factors := train().NumFactors()
+	before := store.Stats()
+	allocs := testing.AllocsPerRun(5, func() { train() })
+	after := store.Stats()
+	if after.Refits != before.Refits || after.Hits-before.Hits != 6*uint64(factors) {
+		t.Fatalf("same-window passes should be pure hits: %+v -> %+v", before, after)
+	}
+	if allocs >= float64(factors) {
+		t.Fatalf("pure-hit pass allocates %.0f times for %d factors (%.2f per factor), want fewer than one per factor",
+			allocs, factors, allocs/float64(factors))
+	}
+	t.Logf("pure-hit pass: %.0f allocations for %d factors (%.2f per factor)", allocs, factors, allocs/float64(factors))
 }
 
 // benchSlides times one-slice slides of a factor store over the last

@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "comma-separated experiments: fig5c, fig5d, table1, fig6b, fig6c, table2, fig7, fig8a, fig8b, scaling, sensitivity, cycles, fastpath, obsoverhead, trainscale, inctrain, accuracy, baselines, sweep, soak, all")
+		exp     = flag.String("exp", "all", "comma-separated experiments: fig5c, fig5d, table1, fig6b, fig6c, table2, fig7, fig8a, fig8b, scaling, sensitivity, cycles, fastpath, obsoverhead, inctrain, accuracy, baselines, sweep, soak, all")
 		full    = flag.Bool("full", false, "use paper-scale parameters (slow)")
 		stats   = flag.Bool("stats", false, "print the accumulated per-stage timing and counter breakdown at exit")
 		trace   = flag.Bool("trace", false, "stream pipeline stage events to stderr as experiments run")
@@ -211,19 +211,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Print(res)
-	}
-	if run("trainscale") {
-		opts := harness.DefaultTrainScaleOptions()
-		if *full {
-			opts.Scenarios = 4
-			opts.Samples = 5000
-		}
-		res, err := harness.RunTrainScale(opts)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(res)
-		report.TrainScale = trainScaleReport(res)
 	}
 	if run("inctrain") {
 		arms := []harness.IncTrainOptions{harness.DefaultIncTrainOptions()}

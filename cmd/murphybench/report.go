@@ -15,13 +15,12 @@ import (
 // benchReport is the top-level -json document. Experiments that did not run
 // are omitted, so a partial run still yields a valid report.
 type benchReport struct {
-	Schema      int              `json:"schema"`
-	GeneratedAt string           `json:"generated_at"`
-	GoVersion   string           `json:"go_version"`
-	NumCPU      int              `json:"num_cpu"`
-	GoMaxProcs  int              `json:"gomaxprocs"`
-	FastPath    *fastPathJSON    `json:"fastpath,omitempty"`
-	TrainScale  []trainScaleJSON `json:"trainscale,omitempty"`
+	Schema      int           `json:"schema"`
+	GeneratedAt string        `json:"generated_at"`
+	GoVersion   string        `json:"go_version"`
+	NumCPU      int           `json:"num_cpu"`
+	GoMaxProcs  int           `json:"gomaxprocs"`
+	FastPath    *fastPathJSON `json:"fastpath,omitempty"`
 	// IncTrain is the sliding-window incremental-training replay: steady-state
 	// train cost of full retrains vs slid sufficient statistics, with the
 	// factor-equivalence and identical-causes evidence. The base replay
@@ -63,19 +62,6 @@ type fastPathJSON struct {
 	F32SamplesPerSec      float64 `json:"f32_samples_per_sec"`
 	KernelSpeedup         float64 `json:"kernel_speedup"`
 	F32CausesIdentical    bool    `json:"f32_causes_identical"`
-}
-
-// trainScaleJSON is one (workers, chains) point of the trainscale sweep.
-type trainScaleJSON struct {
-	Workers           int     `json:"workers"`
-	Chains            int     `json:"chains"`
-	TrainMs           float64 `json:"train_ms"`
-	DiagnoseMs        float64 `json:"diagnose_ms"`
-	NsPerDiagnose     int64   `json:"ns_per_diagnose"`
-	SamplesPerSec     float64 `json:"samples_per_sec"`
-	SpeedupVsSerial   float64 `json:"speedup_vs_serial"`
-	RankingsIdentical bool    `json:"rankings_identical"`
-	BitIdentical      bool    `json:"bit_identical"`
 }
 
 // incTrainJSON summarizes one incremental-training replay arm.
@@ -131,27 +117,6 @@ func fastPathReport(r *harness.FastPathResult) *fastPathJSON {
 		KernelSpeedup:         r.KernelSpeedup,
 		F32CausesIdentical:    r.F32CausesIdentical,
 	}
-}
-
-func trainScaleReport(r *harness.TrainScaleResult) []trainScaleJSON {
-	out := make([]trainScaleJSON, 0, len(r.Points))
-	for _, p := range r.Points {
-		pt := trainScaleJSON{
-			Workers:           p.Workers,
-			Chains:            p.Chains,
-			TrainMs:           float64(p.TrainTime) / float64(time.Millisecond),
-			DiagnoseMs:        float64(p.DiagTime) / float64(time.Millisecond),
-			SamplesPerSec:     p.SamplesPerSec,
-			SpeedupVsSerial:   p.Speedup,
-			RankingsIdentical: p.RankingsIdentical,
-			BitIdentical:      p.BitIdentical,
-		}
-		if r.Opts.Scenarios > 0 {
-			pt.NsPerDiagnose = (p.TrainTime + p.DiagTime).Nanoseconds() / int64(r.Opts.Scenarios)
-		}
-		out = append(out, pt)
-	}
-	return out
 }
 
 func incTrainReport(r *harness.IncTrainResult) incTrainJSON {

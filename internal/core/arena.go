@@ -4,8 +4,8 @@ import "sync"
 
 // arena is the per-chain scratch space of the batched Gibbs kernel. The
 // sampler's state — one vector of n parallel chain values per touched
-// (entity, metric) — lives in slot-indexed flat slices (see kernelTables'
-// slot table), plus the merged draw buffers of the fixed-budget test and the
+// (entity, metric) — lives in flat slices indexed by the model's series
+// slots, plus the merged draw buffers of the fixed-budget test and the
 // float32 path's widening scratch. Every pass eagerly re-fills the slots its
 // plan touches from the start state, so buffers never need clearing between
 // passes, batches, or candidates; they just get reused at whatever capacity

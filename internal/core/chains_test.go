@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -108,6 +110,46 @@ func TestChainsBitIdenticalAcrossProcs(t *testing.T) {
 		runtime.GOMAXPROCS(4)
 		pooled := diagnoseChains(t, 4, es)
 		sameDiagnosis(t, "chains across GOMAXPROCS", inline, pooled)
+	}
+}
+
+// TestChainsBitIdenticalAcrossWorkers crosses the two fan-outs: a model
+// trained on a worker pool, whose DiagnoseParallel workers each split every
+// test's draws across chains, must certify bit-identical causes to the
+// one-worker train and diagnosis at the same chain count, with GOMAXPROCS
+// at the larger of the two widths.
+func TestChainsBitIdenticalAcrossWorkers(t *testing.T) {
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	db := chainDB(t, 220, 5, 42)
+	g := chainGraph(t, db)
+	sym := telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}
+	diagnose := func(cfg Config, workers int) *Diagnosis {
+		t.Helper()
+		runtime.GOMAXPROCS(max(workers, cfg.Sampler.Chains))
+		m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := m.DiagnoseParallel(sym, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for _, es := range []bool{false, true} {
+		for _, chains := range []int{2, 4} {
+			cfg := testConfig()
+			cfg.Sampler.Chains = chains
+			cfg.Sampler.EarlyStop = es
+			serial := diagnose(cfg, 1)
+			if len(serial.Causes) == 0 {
+				t.Fatalf("earlyStop=%v chains=%d: no causes certified", es, chains)
+			}
+			for _, workers := range []int{2, 4} {
+				sameDiagnosis(t, fmt.Sprintf("earlyStop=%v chains=%d workers=%d", es, chains, workers), serial, diagnose(cfg, workers))
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"murphy/internal/graph"
 	"murphy/internal/regress"
@@ -59,8 +60,9 @@ func TrainCombined(db *telemetry.DB, g *graph.Graph, cfg Config, offlineEnd int,
 	if err != nil {
 		return nil, fmt.Errorf("core: online half: %w", err)
 	}
-	for ref, of := range online.factors {
-		if off, ok := offline.factors[ref]; ok && sameFeatures(of, off) {
+	for s, of := range online.factors {
+		ref := online.idx.refs[s]
+		if off, _ := offline.factorOf(ref.entity, ref.metric); off != nil && sameFeatures(online.idx, of, offline.idx, off) {
 			of.model = &combinedPredictor{offline: off.model, online: of.model, wOnline: wOnline}
 		}
 		// When the two halves selected different features (the topology or
@@ -70,14 +72,10 @@ func TrainCombined(db *telemetry.DB, g *graph.Graph, cfg Config, offlineEnd int,
 	return online, nil
 }
 
-func sameFeatures(a, b *factor) bool {
-	if len(a.features) != len(b.features) {
-		return false
-	}
-	for i := range a.features {
-		if a.features[i] != b.features[i] {
-			return false
-		}
-	}
-	return true
+// sameFeatures reports whether factor a (under index ax) and factor b
+// (under bx) selected the same features in the same order.
+func sameFeatures(ax *seriesIndex, a *factor, bx *seriesIndex, b *factor) bool {
+	return slices.EqualFunc(a.features, b.features, func(fa, fb int32) bool {
+		return ax.refs[fa] == bx.refs[fb]
+	})
 }

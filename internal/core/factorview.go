@@ -28,7 +28,7 @@ type FactorView struct {
 // FactorView returns the learned parameters of the (id, metric) factor, or
 // ok=false when no such factor was trained.
 func (m *Model) FactorView(id telemetry.EntityID, metric string) (FactorView, bool) {
-	f := m.factors[metricRef{id, metric}]
+	f, _ := m.factorOf(id, metric)
 	if f == nil {
 		return FactorView{}, false
 	}
@@ -37,8 +37,8 @@ func (m *Model) FactorView(id telemetry.EntityID, metric string) (FactorView, bo
 		Med: f.med, MADScale: f.madScale,
 		RScore: f.rscore, Novel: f.novel,
 	}
-	for _, fr := range f.features {
-		v.Features = append(v.Features, fr.String())
+	for _, fs := range f.features {
+		v.Features = append(v.Features, m.idx.keys[fs])
 	}
 	if r, ok := f.model.(*regress.Ridge); ok {
 		if coef, mean, std, intercept, fitted := r.LinearTerms(); fitted {

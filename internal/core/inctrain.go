@@ -148,9 +148,10 @@ type storeEntry struct {
 	f        *factor // immutable, shared with the models that got it
 	fittedHi int     // window endpoint the factor was fitted/derived at
 
-	feats       []metricRef // selected features, ranked order
-	featIdx     []int       // feats' positions in cand
-	cand        []metricRef // candidate list the cross stats align with
+	// feats are the selected feature slots in ranked order, shared with f:
+	// a new selection replaces the slice, never writes into it.
+	feats       []int32
+	cand        []int32 // candidate slots the cross stats align with (the index's list)
 	targetEpoch uint32
 	featEpochs  []uint32
 	candEpochs  []uint32
@@ -213,14 +214,19 @@ type FactorStore struct {
 	driftThreshold float64
 	refreshEvery   int
 
-	db      *telemetry.DB
-	g       *graph.Graph
-	window  int
-	topB    int
-	lambda  float64
-	lo, hi  int
-	series  map[metricRef]*seriesState
-	entries map[metricRef]*storeEntry
+	db     *telemetry.DB
+	g      *graph.Graph
+	window int
+	topB   int
+	lambda float64
+	lo, hi int
+	// idx lays out g's series; series and entries are indexed by its
+	// slots. Both are empty while the store holds no state; otherwise both
+	// span every slot, and a nil element (only after adopting a snapshot
+	// that lacks it) is read or fitted by the next pass.
+	idx     *seriesIndex
+	series  []*seriesState
+	entries []*storeEntry
 	pending *factorStoreJSON // decoded snapshot awaiting adoption
 
 	hits, refits, reselects, driftTrips, slideCount, resets uint64
@@ -282,9 +288,20 @@ func (s *FactorStore) Stats() FactorStoreStats {
 		DriftTrips: s.driftTrips,
 		Slides:     s.slideCount, Resets: s.resets,
 		ExactRanks: s.exactRanks, GramDots: s.gramDots,
-		Factors: len(s.entries), Series: len(s.series),
+		Factors: countLive(s.entries), Series: countLive(s.series),
 		DriftThreshold: s.driftThreshold, RefreshEvery: s.refreshEvery,
 	}
+}
+
+// countLive counts the non-nil elements of a slot-indexed slice.
+func countLive[T any](xs []*T) int {
+	n := 0
+	for _, x := range xs {
+		if x != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // FactorHealth is the residual health of one trained factor, keyed by the
@@ -314,19 +331,24 @@ type FactorHealth struct {
 func (s *FactorStore) EntityHealth(id telemetry.EntityID) []FactorHealth {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.entries) == 0 {
+		return nil
+	}
 	var out []FactorHealth
-	for ref, e := range s.entries {
-		if ref.entity != id {
+	lo, hi := s.idx.nodeSlots(id)
+	for slot := lo; slot < hi; slot++ {
+		e := s.entries[slot]
+		if e == nil {
 			continue
 		}
 		h := FactorHealth{
-			Metric:         ref.metric,
+			Metric:         s.idx.refs[slot].metric,
 			Trained:        e.f != nil,
 			Features:       len(e.feats),
 			Slides:         e.slides,
 			DriftThreshold: s.driftThreshold,
 		}
-		if sty := s.series[ref]; sty != nil && e.drift != nil {
+		if sty := s.series[slot]; sty != nil && e.drift != nil {
 			h.DriftScore = e.drift.Score(sty.win, driftMinPairs)
 		}
 		out = append(out, h)
@@ -344,64 +366,71 @@ func (s *FactorStore) Reset() {
 }
 
 func (s *FactorStore) resetLocked(db *telemetry.DB, g *graph.Graph, window, topB int, lambda float64) {
+	if g != s.g {
+		s.idx = nil
+	}
 	s.db, s.g = db, g
 	s.window, s.topB, s.lambda = window, topB, lambda
 	s.lo, s.hi = 0, 0
-	s.series = make(map[metricRef]*seriesState)
-	s.entries = make(map[metricRef]*storeEntry)
+	s.series, s.entries = nil, nil
 }
 
 // trainPass is the state one training pass shares across its factor jobs:
-// the window move, the regression trainer, and the full-window
-// precomputations — centered views (for the exact |Pearson| ranking) and
-// shift-subtracted columns (for anchoring the slid statistics and the Gram
-// entries of newly selected features), built lazily under a mutex because
-// the factor phase runs pooled.
+// the series index, the window move, the regression trainer, and the
+// full-window precomputations — centered views (for the exact |Pearson|
+// ranking) and shift-subtracted columns (for anchoring the slid statistics
+// and the Gram entries of newly selected features), built lazily under a
+// mutex because the factor phase runs pooled. Both caches are slot-indexed
+// and allocated on first use, so a pass that needs neither pays nothing.
 type trainPass struct {
 	cfg       Config
 	trainer   regress.Trainer
+	idx       *seriesIndex
 	hi        int // window end
 	drop, add int // slices leaving / entering the window
 
 	mu      sync.Mutex
 	store   *FactorStore
-	ctr     map[metricRef]*stats.Centered
-	shifted map[metricRef][]float64
+	ctr     []*stats.Centered
+	shifted [][]float64
 }
 
-func (p *trainPass) centered(ref metricRef) *stats.Centered {
+func (p *trainPass) centered(slot int32) *stats.Centered {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if c, ok := p.ctr[ref]; ok {
+	if p.ctr == nil {
+		p.ctr = make([]*stats.Centered, len(p.idx.refs))
+	}
+	if c := p.ctr[slot]; c != nil {
 		return c
 	}
-	c := stats.Center(p.store.series[ref].win)
-	p.ctr[ref] = &c
+	c := stats.Center(p.store.series[slot].win)
+	p.ctr[slot] = &c
 	return &c
 }
 
-func (p *trainPass) shiftedCol(ref metricRef) []float64 {
+func (p *trainPass) shiftedCol(slot int32) []float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if c, ok := p.shifted[ref]; ok {
+	if p.shifted == nil {
+		p.shifted = make([][]float64, len(p.idx.refs))
+	}
+	if c := p.shifted[slot]; c != nil {
 		return c
 	}
-	st := p.store.series[ref]
+	st := p.store.series[slot]
 	c := make([]float64, len(st.win))
 	for i, v := range st.win {
 		c[i] = v - st.mom.Shift
 	}
-	p.shifted[ref] = c
+	p.shifted[slot] = c
 	return c
 }
 
 // incJob is one factor's unit of work in the training pass.
 type incJob struct {
-	ref       metricRef
-	st        *seriesState   // the target series' state
-	cand      []metricRef    // shared across the entity's jobs
-	candKeys  []string       // ranking tie-break keys, aligned with cand
-	candSt    []*seriesState // candidate series states, aligned with cand
+	slot      int32
+	cand      []int32 // the entity's candidate slots (the index's list)
 	entry     *storeEntry
 	out       *factor
 	hit       bool
@@ -413,39 +442,28 @@ type incJob struct {
 	exactRanks, gramDots int
 }
 
-// candidateRefs lists an entity's candidate features: every metric of every
-// in-neighbor, in graph order. names enumerates an entity's metrics.
-func candidateRefs(g *graph.Graph, id telemetry.EntityID, names func(telemetry.EntityID) []string) []metricRef {
-	var cand []metricRef
-	for _, nb := range g.InIDs(id) {
-		for _, name := range names(nb) {
-			cand = append(cand, metricRef{nb, name})
-		}
-	}
-	return cand
-}
-
 // rankTopB orders the candidates by descending |correlation| rs, breaking
 // ties by candidate key, and selects the top b with a non-zero correlation
 // (the one-in-ten rule, §4.2). order is the full ranking; sel holds the
-// selected candidates' indices in ranked order.
-func rankTopB(keys []string, rs []float64, b int) (sel, order []int) {
+// selected candidates' indices in ranked order. keys is the index's
+// slot-indexed key table.
+func rankTopB(cand []int32, keys []string, rs []float64, b int) (sel, order []int) {
 	order = make([]int, len(rs))
 	for i := range order {
 		order[i] = i
 	}
-	sortRanked(order, keys, rs)
+	sortRanked(order, cand, keys, rs)
 	return topB(rs, order, b), order
 }
 
 // sortRanked sorts candidate indices by descending rs, ties by key.
-func sortRanked(idx []int, keys []string, rs []float64) {
+func sortRanked(idx []int, cand []int32, keys []string, rs []float64) {
 	sort.Slice(idx, func(a, c int) bool {
 		ia, ic := idx[a], idx[c]
 		if rs[ia] != rs[ic] {
 			return rs[ia] > rs[ic]
 		}
-		return keys[ia] < keys[ic]
+		return keys[cand[ia]] < keys[cand[ic]]
 	})
 }
 
@@ -514,11 +532,34 @@ func (s *FactorStore) trainLocked(ctx context.Context, m *Model, opts TrainOpts,
 	// statistics are *defined* over [lo, hi)), so a slid window can never
 	// alias a stale entry — it either slides the statistics or resets.
 	if s.db != db || s.g != g || s.window != cfg.TrainWindow || s.topB != cfg.TopB || s.lambda != cfg.Lambda {
-		if s.db != nil && (len(s.entries) > 0 || len(s.series) > 0) {
+		if s.db != nil && len(s.series) > 0 {
 			s.resets++
 		}
 		s.resetLocked(db, g, cfg.TrainWindow, cfg.TopB, cfg.Lambda)
 	}
+
+	// Phase 1: list every node's metrics and read (or slide) every series'
+	// state. Reads are serial and in graph order: sources may be stateful
+	// (fault injectors, rate-limited collectors) and the order of recorded
+	// read failures is part of the model's contract. Only a fresh store sees
+	// an interposed source, so slides read the database directly.
+	var src telemetry.Source = db
+	if opts.Src != nil {
+		src = opts.Src
+	}
+	ids := g.IDs()
+	names := make([][]string, len(ids))
+	for i, id := range ids {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: training cancelled: %w", err)
+		}
+		names[i] = src.MetricNames(id)
+	}
+	if s.idx == nil || !s.idx.sameNames(names) {
+		s.reindexLocked(newSeriesIndex(g, names))
+	}
+	idx := s.idx
+	m.idx = idx
 	if s.pending != nil {
 		s.adoptLocked(db, cfg)
 	}
@@ -531,108 +572,53 @@ func (s *FactorStore) trainLocked(ctx context.Context, m *Model, opts TrainOpts,
 			s.resetLocked(db, g, cfg.TrainWindow, cfg.TopB, cfg.Lambda)
 		}
 	}
-	anchor := len(s.series) == 0
-	if anchor {
+	if len(s.series) == 0 {
 		s.lo, s.hi = lo, hi
-	}
-
-	// Phase 1: read (or slide) every series' state. Reads are serial and in
-	// graph order: sources may be stateful (fault injectors, rate-limited
-	// collectors) and the order of recorded read failures is part of the
-	// model's contract. Only a fresh store sees an interposed source, so
-	// slides read the database directly.
-	var src telemetry.Source = db
-	if opts.Src != nil {
-		src = opts.Src
+		s.series = make([]*seriesState, len(idx.refs))
+		s.entries = make([]*storeEntry, len(idx.refs))
 	}
 	drop, add := lo-s.lo, hi-s.hi
-	live := make(map[metricRef]bool)
-	ids := g.IDs()
-	// statesOf[i] holds node i's series states in metric-name order, so the
-	// job assembly below resolves states without hashing a ref.
-	statesOf := make([][]*seriesState, len(ids))
-	var fresh []*seriesState
+	var fresh []int32
 	var raws [][]float64
-	for i, id := range ids {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: training cancelled: %w", err)
-		}
-		names := src.MetricNames(id)
-		m.metricsOf[id] = names
-		sts := make([]*seriesState, len(names))
-		for k, name := range names {
-			ref := metricRef{id, name}
-			live[ref] = true
-			st, ok := s.series[ref]
-			switch {
-			case !ok:
-				raw, err := readWindow(ctx, src, m, ref, rec)
-				if err != nil {
-					return err
-				}
-				st = &seriesState{} // built on the pool below
-				s.series[ref] = st
-				fresh = append(fresh, st)
-				raws = append(raws, raw)
-			case add != 0 || drop != 0:
-				s.slideSeries(st, ref, lo, hi, drop, add)
+	for slot, st := range s.series {
+		ref := idx.refs[slot]
+		switch {
+		case st == nil:
+			raw, err := readWindow(ctx, src, m, ref, rec)
+			if err != nil {
+				return err
 			}
-			sts[k] = st
+			fresh = append(fresh, int32(slot))
+			raws = append(raws, raw)
+		case add != 0 || drop != 0:
+			s.slideSeries(st, ref, lo, hi, drop, add)
 		}
-		statesOf[i] = sts
 	}
 	// A new series' state (placeholder fill, moments, sorted copy) is pure
 	// in its window, so building it fans out across the pool.
 	if err := forEachIndex(ctx, opts.Workers, len(fresh), func(i int) error {
-		*fresh[i] = *newSeriesState(raws[i], lo)
+		s.series[fresh[i]] = newSeriesState(raws[i], lo)
 		return nil
 	}); err != nil {
 		return fmt.Errorf("core: training cancelled: %w", err)
-	}
-	for ref := range s.series {
-		if !live[ref] {
-			delete(s.series, ref)
-		}
 	}
 	if add > 0 {
 		s.slideCount += uint64(add)
 		rec.Add(obs.CtrIncTrainSlides, int64(add))
 	}
 
-	// Phase 2: assemble the factor jobs in graph order, with each entity's
-	// candidate list, ranking tie-break keys and candidate series states
-	// resolved once for all of its jobs, and make sure every job has an
-	// entry before the pooled phase mutates them.
-	var jobs []*incJob
-	metricsOf := func(id telemetry.EntityID) []string { return m.metricsOf[id] }
-	for i, id := range ids {
-		cand := candidateRefs(g, id, metricsOf)
-		candKeys := make([]string, len(cand))
-		for k, c := range cand {
-			candKeys[k] = c.String()
-		}
-		// candidateRefs walks the same in-neighbors and metric names.
-		candSt := make([]*seriesState, 0, len(cand))
-		for _, j := range g.In(i) {
-			candSt = append(candSt, statesOf[j]...)
-		}
-		for k, name := range m.metricsOf[id] {
-			ref := metricRef{id, name}
-			e, ok := s.entries[ref]
-			if !ok {
+	// Phase 2: one factor job per slot, each with its entity's candidate
+	// list from the index; every job gets an entry before the pooled phase
+	// mutates them.
+	jobs := make([]incJob, len(idx.refs))
+	for i := range ids {
+		for slot := idx.first[i]; slot < idx.first[i+1]; slot++ {
+			e := s.entries[slot]
+			if e == nil {
 				e = &storeEntry{drift: stats.NewDriftTracker(driftWindow)}
-				s.entries[ref] = e
+				s.entries[slot] = e
 			}
-			jobs = append(jobs, &incJob{ref: ref, st: statesOf[i][k], cand: cand, candKeys: candKeys, candSt: candSt, entry: e})
-		}
-	}
-	jobRefs := make(map[metricRef]bool, len(jobs))
-	for _, job := range jobs {
-		jobRefs[job.ref] = true
-	}
-	for ref := range s.entries {
-		if !jobRefs[ref] {
-			delete(s.entries, ref)
+			jobs[slot] = incJob{slot: slot, cand: idx.cand[i], entry: e}
 		}
 	}
 
@@ -644,13 +630,10 @@ func (s *FactorStore) trainLocked(ctx context.Context, m *Model, opts TrainOpts,
 	if trainer == nil {
 		trainer = regress.RidgeTrainer(cfg.Lambda)
 	}
-	p := &trainPass{
-		cfg: cfg, trainer: trainer, hi: hi, drop: drop, add: add,
-		store: s, ctr: make(map[metricRef]*stats.Centered), shifted: make(map[metricRef][]float64),
-	}
+	p := &trainPass{cfg: cfg, trainer: trainer, idx: idx, hi: hi, drop: drop, add: add, store: s}
 	pooled := opts.Workers > 1 && len(jobs) > 1
 	err := forEachIndex(ctx, opts.Workers, len(jobs), func(i int) error {
-		return s.runJob(jobs[i], p)
+		return s.runJob(&jobs[i], p)
 	})
 	if err == nil {
 		// The pool checks the context before each job only: a cancellation
@@ -670,8 +653,10 @@ func (s *FactorStore) trainLocked(ctx context.Context, m *Model, opts TrainOpts,
 	s.recenterLocked(hi - lo)
 
 	var hits, refits, reselects, trips int64
-	for _, job := range jobs {
-		m.factors[job.ref] = job.out
+	m.factors = make([]*factor, len(jobs))
+	for i := range jobs {
+		job := &jobs[i]
+		m.factors[i] = job.out
 		s.exactRanks += uint64(job.exactRanks)
 		s.gramDots += uint64(job.gramDots)
 		switch {
@@ -687,8 +672,9 @@ func (s *FactorStore) trainLocked(ctx context.Context, m *Model, opts TrainOpts,
 			trips++
 		}
 	}
-	for ref, st := range s.series {
-		m.current[ref] = st.win[len(st.win)-1]
+	m.current = make([]float64, len(s.series))
+	for slot, st := range s.series {
+		m.current[slot] = st.win[len(st.win)-1]
 	}
 	s.lo, s.hi = lo, hi
 	s.hits += uint64(hits)
@@ -703,6 +689,54 @@ func (s *FactorStore) trainLocked(ctx context.Context, m *Model, opts TrainOpts,
 		rec.Add(obs.CtrTrainParallelFits, refits)
 	}
 	return nil
+}
+
+// reindexLocked moves the store onto a new series index of the same graph,
+// built because the graph's metric names changed. Every surviving series
+// keeps its state at its new slot, and so does every entry whose candidate
+// list is unchanged, its feature slots and factor remapped (models trained
+// earlier keep the old index and the old factor). An entry whose candidate
+// list changed is dropped, so the pass refits it; a vanished series or
+// entry is dropped with its slot.
+func (s *FactorStore) reindexLocked(nx *seriesIndex) {
+	old := s.idx
+	s.idx = nx
+	if len(s.series) == 0 {
+		return
+	}
+	series := make([]*seriesState, len(nx.refs))
+	entries := make([]*storeEntry, len(nx.refs))
+	for i := range nx.cand {
+		sameCand := slices.EqualFunc(old.cand[i], nx.cand[i], func(a, b int32) bool {
+			return old.refs[a] == nx.refs[b]
+		})
+		for slot := nx.first[i]; slot < nx.first[i+1]; slot++ {
+			os, ok := old.slotOf[nx.refs[slot]]
+			if !ok {
+				continue
+			}
+			series[slot] = s.series[os]
+			e := s.entries[os]
+			if e == nil || !sameCand {
+				continue
+			}
+			e.cand = nx.cand[i]
+			if len(e.feats) > 0 {
+				feats := make([]int32, len(e.feats))
+				for j, fs := range e.feats {
+					feats[j] = nx.slotOf[old.refs[fs]]
+				}
+				e.feats = feats
+			}
+			if e.f != nil {
+				f := *e.f
+				f.features = e.feats
+				e.f = &f
+			}
+			entries[slot] = e
+		}
+	}
+	s.series, s.entries = series, entries
 }
 
 // slideSeries advances one series' state from [s.lo, s.hi) to [lo, hi) and
@@ -750,7 +784,7 @@ func (s *FactorStore) slideSeries(st *seriesState, ref metricRef, lo, hi, drop, 
 // runJob processes one factor: guards, statistic slides, and either the
 // statistics-derived solve or the full refit.
 func (s *FactorStore) runJob(job *incJob, p *trainPass) error {
-	e, sty := job.entry, job.st
+	e, sty := job.entry, s.series[job.slot]
 
 	needRefit := false
 	trip := false
@@ -762,9 +796,8 @@ func (s *FactorStore) runJob(job *incJob, p *trainPass) error {
 	case sty.epoch != e.targetEpoch:
 		needRefit = true // target rebuilt (missing values in window)
 	default:
-		// Same candidate list, so featIdx indexes this pass's states.
-		for j, ci := range e.featIdx {
-			if job.candSt[ci].epoch != e.featEpochs[j] {
+		for j, fs := range e.feats {
+			if s.series[fs].epoch != e.featEpochs[j] {
 				needRefit = true
 				break
 			}
@@ -814,11 +847,11 @@ func (s *FactorStore) slideEntry(e *storeEntry, job *incJob, sty *seriesState, p
 	n, add := len(sty.win), p.add
 	enterY, leaveY := sty.enter, sty.leave
 
-	if nb := len(e.featIdx); nb > 0 {
+	if nb := len(e.feats); nb > 0 {
 		enterCols := make([][]float64, nb)
 		leaveCols := make([][]float64, nb)
-		for j, ci := range e.featIdx {
-			enterCols[j], leaveCols[j] = job.candSt[ci].enter, job.candSt[ci].leave
+		for j, fs := range e.feats {
+			enterCols[j], leaveCols[j] = s.series[fs].enter, s.series[fs].leave
 		}
 		mat.GramColsUpdate(e.gram, enterCols)
 		mat.GramColsDowndate(e.gram, leaveCols)
@@ -826,7 +859,8 @@ func (s *FactorStore) slideEntry(e *storeEntry, job *incJob, sty *seriesState, p
 		mat.CrossColsDowndate(e.xty, leaveCols, leaveY)
 	}
 
-	for ci, cst := range job.candSt {
+	for ci, c := range job.cand {
+		cst := s.series[c]
 		if cst.epoch != e.candEpochs[ci] {
 			// Candidate rebuilt since its cross term was accumulated:
 			// recompute it over the current window.
@@ -852,11 +886,11 @@ func (s *FactorStore) slideEntry(e *storeEntry, job *incJob, sty *seriesState, p
 	// Drift evidence: how well does the stale model predict the points that
 	// just entered the window?
 	if e.f != nil && e.f.model != nil {
-		x := make([]float64, len(e.featIdx))
+		x := make([]float64, len(e.feats))
 		for i := 0; i < add; i++ {
 			t := n - add + i
-			for j, ci := range e.featIdx {
-				x[j] = job.candSt[ci].win[t]
+			for j, fs := range e.feats {
+				x[j] = s.series[fs].win[t]
 			}
 			e.drift.Push(e.f.model.Predict(x), sty.win[t])
 		}
@@ -877,7 +911,8 @@ func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesStat
 	nf := float64(n)
 
 	rs := make([]float64, len(job.cand))
-	for i, cst := range job.candSt {
+	for i, c := range job.cand {
+		cst := s.series[c]
 		num := e.cross[i] - cst.mom.S1*s1y/nf
 		den := math.Sqrt(cst.mom.CenteredSumSq() * cssY)
 		r := 0.0
@@ -889,11 +924,11 @@ func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesStat
 		}
 		rs[i] = r
 	}
-	sel, order := rankTopB(job.candKeys, rs, cfg.TopB)
+	sel, order := rankTopB(job.cand, p.idx.keys, rs, cfg.TopB)
 	if job.exactRanks = s.certifyRanking(job, p, rs, order); job.exactRanks > 0 {
 		sel = topB(rs, order, cfg.TopB)
 	}
-	if !slices.Equal(sel, e.featIdx) {
+	if !sameSelection(sel, job.cand, e.feats) {
 		// The selection changed. The slid cross accumulators already hold
 		// X'y against the current shifts for every candidate, so adopt the
 		// new selection in place and fall through to the closed-form solve.
@@ -912,8 +947,8 @@ func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesStat
 		featMean := make([]float64, nb)
 		featStd := make([]float64, nb)
 		s1 := make([]float64, nb)
-		for j, ci := range e.featIdx {
-			fm := &job.candSt[ci].mom
+		for j, fs := range e.feats {
+			fm := &s.series[fs].mom
 			featMean[j] = fm.Mean()
 			sd := fm.Std()
 			if sd == 0 || math.IsNaN(sd) {
@@ -973,8 +1008,7 @@ func (s *FactorStore) solveFromStats(e *storeEntry, job *incJob, sty *seriesStat
 
 	med, madScale, novel := sty.targetStats()
 	f := &factor{
-		target:   job.ref,
-		features: append([]metricRef(nil), e.feats...),
+		features: e.feats,
 		model:    regress.NewRidgeFromState(st),
 		hmean:    momY.Mean(),
 		med:      med,
@@ -1012,12 +1046,12 @@ func (s *FactorStore) certifyRanking(job *incJob, p *trainPass, rs []float64, or
 		}
 		if run := order[i:j]; len(run) > 1 || rs[run[0]] < selectionMarginEps {
 			if yctr == nil {
-				yctr = p.centered(job.ref)
+				yctr = p.centered(job.slot)
 			}
 			for _, c := range run {
 				rs[c] = stats.AbsPearsonCentered(p.centered(job.cand[c]), yctr)
 			}
-			sortRanked(run, job.candKeys, rs)
+			sortRanked(run, job.cand, p.idx.keys, rs)
 			exact += len(run)
 		}
 		i = j
@@ -1036,18 +1070,19 @@ func (s *FactorStore) certifyRanking(job *incJob, p *trainPass, rs []float64, or
 // so this is a safety net).
 func (s *FactorStore) reselectEntry(e *storeEntry, job *incJob, sel []int, p *trainPass) bool {
 	nb := len(sel)
-	feats := make([]metricRef, nb)
+	feats := make([]int32, nb)
 	xty := make([]float64, nb)
 	epochs := make([]uint32, nb)
 	prev := make([]int, nb) // position in the old selection; -1 if new
 	for j, ci := range sel {
-		if job.candSt[ci].epoch != e.candEpochs[ci] {
+		fs := job.cand[ci]
+		if s.series[fs].epoch != e.candEpochs[ci] {
 			return false
 		}
-		feats[j] = job.cand[ci]
+		feats[j] = fs
 		xty[j] = e.cross[ci]
-		epochs[j] = job.candSt[ci].epoch
-		prev[j] = slices.Index(e.featIdx, ci)
+		epochs[j] = s.series[fs].epoch
+		prev[j] = slices.Index(e.feats, fs)
 	}
 	var gram *mat.Dense
 	if nb > 0 {
@@ -1066,7 +1101,7 @@ func (s *FactorStore) reselectEntry(e *storeEntry, job *incJob, sel []int, p *tr
 			}
 		}
 	}
-	e.feats, e.featIdx = feats, sel
+	e.feats = feats
 	e.featEpochs = epochs
 	e.xty = xty
 	e.gram = gram
@@ -1078,13 +1113,19 @@ func (s *FactorStore) reselectEntry(e *storeEntry, job *incJob, sel []int, p *tr
 // The centered columns come from the pass-shared cache, so the per-entry
 // cost is one length-n dot product per candidate.
 func (s *FactorStore) rankExact(job *incJob, p *trainPass) []int {
-	yctr := p.centered(job.ref)
+	yctr := p.centered(job.slot)
 	rs := make([]float64, len(job.cand))
 	for i, c := range job.cand {
 		rs[i] = stats.AbsPearsonCentered(p.centered(c), yctr)
 	}
-	sel, _ := rankTopB(job.candKeys, rs, p.cfg.TopB)
+	sel, _ := rankTopB(job.cand, p.idx.keys, rs, p.cfg.TopB)
 	return sel
+}
+
+// sameSelection reports whether the selected candidate positions sel name
+// the feature slots feats, in order.
+func sameSelection(sel []int, cand, feats []int32) bool {
+	return slices.EqualFunc(sel, feats, func(ci int, fs int32) bool { return cand[ci] == fs })
 }
 
 // refitEntry is the full fit of one factor — exact ranking, then the pass's
@@ -1092,10 +1133,10 @@ func (s *FactorStore) rankExact(job *incJob, p *trainPass) []int {
 // entry's sufficient statistics against the current shifts.
 func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, p *trainPass) (*factor, error) {
 	n := len(sty.win)
-	yctr := p.centered(job.ref)
+	yctr := p.centered(job.slot)
 	// The historical mean/std come from the centered view; the sum of
 	// squares was accumulated in MeanStd's order, so the bits match.
-	f := &factor{target: job.ref, hmean: yctr.Mean}
+	f := &factor{hmean: yctr.Mean}
 	if n >= 2 {
 		f.hstd = math.Sqrt(yctr.SumSq / float64(n-1))
 	}
@@ -1103,10 +1144,11 @@ func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, p
 	f.rscore = f.robustScoreAt(sty.win[n-1])
 
 	sel := s.rankExact(job, p)
-	feats := make([]metricRef, len(sel))
+	feats := make([]int32, len(sel))
 	featCols := make([][]float64, len(sel))
 	for j, ci := range sel {
-		feats[j], featCols[j] = job.cand[ci], job.candSt[ci].win
+		feats[j] = job.cand[ci]
+		featCols[j] = s.series[feats[j]].win
 	}
 	f.features = feats
 	// The training windows already are the design matrix's columns: a
@@ -1128,22 +1170,21 @@ func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, p
 		err = model.Fit(x, sty.win)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: fit factor %s: %w", job.ref, err)
+		return nil, fmt.Errorf("core: fit factor %s: %w", p.idx.keys[job.slot], err)
 	}
 	f.model = model
 
 	// Anchor the slid statistics against the current shifts.
-	shiftedY := p.shiftedCol(job.ref)
-	e.feats = append(e.feats[:0], feats...)
-	e.featIdx = sel
+	shiftedY := p.shiftedCol(job.slot)
+	e.feats = feats
 	e.cand = job.cand
 	e.targetEpoch = sty.epoch
 	e.featEpochs = make([]uint32, len(feats))
 	if len(feats) > 0 {
 		shiftedCols := make([][]float64, len(feats))
-		for j, ci := range sel {
-			shiftedCols[j] = p.shiftedCol(feats[j])
-			e.featEpochs[j] = job.candSt[ci].epoch
+		for j, fs := range feats {
+			shiftedCols[j] = p.shiftedCol(fs)
+			e.featEpochs[j] = s.series[fs].epoch
 		}
 		e.gram = mat.GramCols(shiftedCols)
 		e.xty = mat.MulVecCols(shiftedCols, shiftedY)
@@ -1154,7 +1195,7 @@ func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, p
 	e.candEpochs = make([]uint32, len(job.cand))
 	for i, c := range job.cand {
 		e.cross[i] = mat.Dot(p.shiftedCol(c), shiftedY)
-		e.candEpochs[i] = job.candSt[i].epoch
+		e.candEpochs[i] = s.series[c].epoch
 	}
 	e.slides = 0
 	e.drift.Reset()
@@ -1172,32 +1213,34 @@ func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, p
 // that keep their anchor), so the algebra is exact regardless of how many
 // series recenter at once.
 func (s *FactorStore) recenterLocked(n int) {
-	deltas := make(map[metricRef]float64)
-	for ref, st := range s.series {
+	var deltas []float64 // by slot; nil while no series recenters
+	for slot, st := range s.series {
 		d := st.mom.S1 / float64(st.mom.N)
 		sd := st.mom.Std()
 		if st.mom.N == 0 || d == 0 {
 			continue
 		}
 		if (sd > 0 && math.Abs(d) > recenterFrac*sd) || sd == 0 {
-			deltas[ref] = d
+			if deltas == nil {
+				deltas = make([]float64, len(s.series))
+			}
+			deltas[slot] = d
 		}
 	}
-	if len(deltas) == 0 {
+	if deltas == nil {
 		return
 	}
 	nf := float64(n)
-	s1of := func(ref metricRef) float64 { return s.series[ref].mom.S1 }
-	for ref, e := range s.entries {
+	for slot, e := range s.entries {
 		if e.f == nil || e.fittedHi == 0 {
 			continue
 		}
-		dy := deltas[ref]
-		s1y := s1of(ref)
+		dy := deltas[slot]
+		s1y := s.series[slot].mom.S1
 		touched := dy != 0
 		if !touched {
-			for _, fr := range e.feats {
-				if deltas[fr] != 0 {
+			for _, fs := range e.feats {
+				if deltas[fs] != 0 {
 					touched = true
 					break
 				}
@@ -1206,9 +1249,9 @@ func (s *FactorStore) recenterLocked(n int) {
 		if touched && len(e.feats) > 0 {
 			dj := make([]float64, len(e.feats))
 			s1j := make([]float64, len(e.feats))
-			for j, fr := range e.feats {
-				dj[j] = deltas[fr]
-				s1j[j] = s1of(fr)
+			for j, fs := range e.feats {
+				dj[j] = deltas[fs]
+				s1j[j] = s.series[fs].mom.S1
 			}
 			for j := 0; j < len(e.feats); j++ {
 				for k := j; k < len(e.feats); k++ {
@@ -1232,11 +1275,13 @@ func (s *FactorStore) recenterLocked(n int) {
 			if dc == 0 && dy == 0 {
 				continue
 			}
-			e.cross[ci] += -dc*s1y - dy*s1of(c) + nf*dc*dy
+			e.cross[ci] += -dc*s1y - dy*s.series[c].mom.S1 + nf*dc*dy
 		}
 	}
-	for ref := range deltas {
-		s.series[ref].mom.Recenter()
+	for slot, d := range deltas {
+		if d != 0 {
+			s.series[slot].mom.Recenter()
+		}
 	}
 }
 
@@ -1315,11 +1360,12 @@ type factorStoreJSON struct {
 	Entries []factorStoreEntryJSON  `json:"entries,omitempty"`
 }
 
-// candListHash fingerprints a candidate list (order-sensitive).
-func candListHash(cand []metricRef) uint64 {
+// candListHash fingerprints a candidate list (order-sensitive) by the
+// series' keys.
+func candListHash(cand []int32, keys []string) uint64 {
 	h := fnv.New64a()
 	for _, c := range cand {
-		h.Write([]byte(c.String()))
+		h.Write([]byte(keys[c]))
 		h.Write([]byte{0xff})
 	}
 	return h.Sum64()
@@ -1337,32 +1383,29 @@ func (s *FactorStore) Snapshot() ([]byte, error) {
 		Window:  s.window, TopB: s.topB, Lambda: s.lambda,
 		Lo: s.lo, Hi: s.hi,
 	}
-	refs := make([]metricRef, 0, len(s.series))
-	for ref := range s.series {
-		refs = append(refs, ref)
+	// Series and entries are written in key order, which keeps the bytes
+	// independent of the slot layout.
+	order := make([]int, len(s.series))
+	for i := range order {
+		order[i] = i
 	}
-	sort.Slice(refs, func(a, b int) bool { return refs[a].String() < refs[b].String() })
-	for _, ref := range refs {
-		st := s.series[ref]
-		if len(st.win) == 0 {
+	sort.Slice(order, func(a, b int) bool { return s.idx.keys[order[a]] < s.idx.keys[order[b]] })
+	for _, slot := range order {
+		st := s.series[slot]
+		if st == nil || len(st.win) == 0 {
 			continue
 		}
 		p.Series = append(p.Series, factorStoreSeriesJSON{
-			factorStoreRefJSON: refToJSON(ref),
+			factorStoreRefJSON: refToJSON(s.idx.refs[slot]),
 			Shift:              st.mom.Shift, S1: st.mom.S1, S2: st.mom.S2,
 			NanAt: append([]int(nil), st.nanAt...),
 			Epoch: st.epoch,
 			First: st.win[0], Last: st.win[len(st.win)-1],
 		})
 	}
-	erefs := make([]metricRef, 0, len(s.entries))
-	for ref := range s.entries {
-		erefs = append(erefs, ref)
-	}
-	sort.Slice(erefs, func(a, b int) bool { return erefs[a].String() < erefs[b].String() })
-	for _, ref := range erefs {
-		e := s.entries[ref]
-		if e.f == nil || e.fittedHi == 0 {
+	for _, slot := range order {
+		e := s.entries[slot]
+		if e == nil || e.f == nil || e.fittedHi == 0 {
 			continue // never anchored: nothing worth persisting
 		}
 		ridge, ok := e.f.model.(*regress.Ridge)
@@ -1370,13 +1413,13 @@ func (s *FactorStore) Snapshot() ([]byte, error) {
 			continue
 		}
 		ej := factorStoreEntryJSON{
-			factorStoreRefJSON: refToJSON(ref),
+			factorStoreRefJSON: refToJSON(s.idx.refs[slot]),
 			TargetEpoch:        e.targetEpoch,
 			FeatEpochs:         append([]uint32(nil), e.featEpochs...),
 			Xty:                append([]float64(nil), e.xty...),
 			Cross:              append([]float64(nil), e.cross...),
 			CandEpochs:         append([]uint32(nil), e.candEpochs...),
-			CandHash:           candListHash(e.cand),
+			CandHash:           candListHash(e.cand, s.idx.keys),
 			Slides:             e.slides,
 			FittedHi:           e.fittedHi,
 			Model:              ridge.State(),
@@ -1384,8 +1427,8 @@ func (s *FactorStore) Snapshot() ([]byte, error) {
 			Med: e.f.med, MadScale: e.f.madScale,
 			Rscore: e.f.rscore, Novel: e.f.novel,
 		}
-		for _, fr := range e.feats {
-			ej.Feats = append(ej.Feats, refToJSON(fr))
+		for _, fs := range e.feats {
+			ej.Feats = append(ej.Feats, refToJSON(s.idx.refs[fs]))
 		}
 		if e.gram != nil {
 			nb := len(e.feats)
@@ -1441,7 +1484,10 @@ func (s *FactorStore) adoptLocked(db *telemetry.DB, cfg Config) {
 	if p.Lo < 0 || n < 8 || n > cfg.TrainWindow || p.Hi > db.Len() {
 		return
 	}
-	series := make(map[metricRef]*seriesState, len(p.Series))
+	// Every persisted series must reproduce, including any the graph no
+	// longer holds; only the index's series are installed.
+	x := s.idx
+	series := make([]*seriesState, len(x.refs))
 	for _, sj := range p.Series {
 		ref := refFromJSON(sj.factorStoreRefJSON)
 		st := newSeriesState(db.RawWindow(ref.entity, ref.metric, p.Lo, p.Hi), p.Lo)
@@ -1460,44 +1506,45 @@ func (s *FactorStore) adoptLocked(db *telemetry.DB, cfg Config) {
 		// against these shifts) and the persisted epoch counter.
 		st.mom = stats.WindowMoments{Shift: sj.Shift, N: n, S1: sj.S1, S2: sj.S2}
 		st.epoch = sj.Epoch
-		series[ref] = st
+		if slot, ok := x.slotOf[ref]; ok {
+			series[slot] = st
+		}
 	}
-	type candInfo struct {
-		cand []metricRef
-		hash uint64
+	if len(p.Series) == 0 {
+		return
 	}
-	candOf := make(map[telemetry.EntityID]*candInfo)
-	entries := make(map[metricRef]*storeEntry, len(p.Entries))
+	candHash := make(map[int]uint64)
+	entries := make([]*storeEntry, len(x.refs))
 	for i := range p.Entries {
 		ej := &p.Entries[i]
 		ref := refFromJSON(ej.factorStoreRefJSON)
-		if series[ref] == nil {
+		slot, ok := x.slotOf[ref]
+		if !ok || series[slot] == nil {
 			continue
 		}
-		ci := candOf[ref.entity]
-		if ci == nil {
-			cand := candidateRefs(s.g, ref.entity, db.MetricNames)
-			ci = &candInfo{cand: cand, hash: candListHash(cand)}
-			candOf[ref.entity] = ci
+		node, _ := x.g.Index(ref.entity)
+		cand := x.cand[node]
+		h, ok := candHash[node]
+		if !ok {
+			h = candListHash(cand, x.keys)
+			candHash[node] = h
 		}
-		if ci.hash != ej.CandHash || len(ej.Cross) != len(ci.cand) || len(ej.CandEpochs) != len(ci.cand) {
+		if h != ej.CandHash || len(ej.Cross) != len(cand) || len(ej.CandEpochs) != len(cand) {
 			continue
 		}
 		nb := len(ej.Feats)
 		if len(ej.FeatEpochs) != nb || len(ej.Xty) != nb || len(ej.Gram) != nb*nb {
 			continue
 		}
-		feats := make([]metricRef, nb)
-		featIdx := make([]int, nb)
-		ok := true
+		feats := make([]int32, nb)
+		ok = true
 		for j, fj := range ej.Feats {
-			fr := refFromJSON(fj)
-			featIdx[j] = slices.Index(ci.cand, fr)
-			if series[fr] == nil || featIdx[j] < 0 {
+			fs, found := x.slotOf[refFromJSON(fj)]
+			if !found || series[fs] == nil || !slices.Contains(cand, fs) {
 				ok = false
 				break
 			}
-			feats[j] = fr
+			feats[j] = fs
 		}
 		if !ok || len(ej.DriftPreds) != len(ej.DriftActuals) {
 			continue
@@ -1505,8 +1552,7 @@ func (s *FactorStore) adoptLocked(db *telemetry.DB, cfg Config) {
 		e := &storeEntry{
 			fittedHi:    ej.FittedHi,
 			feats:       feats,
-			featIdx:     featIdx,
-			cand:        ci.cand,
+			cand:        cand,
 			targetEpoch: ej.TargetEpoch,
 			featEpochs:  append([]uint32(nil), ej.FeatEpochs...),
 			candEpochs:  append([]uint32(nil), ej.CandEpochs...),
@@ -1527,14 +1573,13 @@ func (s *FactorStore) adoptLocked(db *telemetry.DB, cfg Config) {
 			e.drift.Push(ej.DriftPreds[j], ej.DriftActuals[j])
 		}
 		e.f = &factor{
-			target:   ref,
-			features: append([]metricRef(nil), feats...),
+			features: feats,
 			model:    regress.NewRidgeFromState(ej.Model),
 			hmean:    ej.Hmean, hstd: ej.Hstd,
 			med: ej.Med, madScale: ej.MadScale,
 			rscore: ej.Rscore, novel: ej.Novel,
 		}
-		entries[ref] = e
+		entries[slot] = e
 	}
 	s.series = series
 	s.entries = entries

@@ -349,6 +349,48 @@ func TestIncrementalDirtySeries(t *testing.T) {
 	}
 }
 
+// TestIncrementalMetricAppears: a metric that starts being reported
+// mid-replay changes the graph's series set, so the store moves onto a new
+// series layout. The new series is read over the current window and its
+// factor fitted; the two entities whose candidate lists gained it refit;
+// every other factor keeps its slid statistics. Factors match a storeless
+// train before, at and after the change.
+func TestIncrementalMetricAppears(t *testing.T) {
+	db := chainDB(t, 320, 5, 42)
+	g := chainGraph(t, db)
+	cfg := testConfig()
+	store := NewFactorStore()
+	slide := func(from, to int) {
+		t.Helper()
+		for now := from; now <= to; now++ {
+			inc := incTrainAt(t, db, g, cfg, now, store)
+			compareFactorViews(t, fmt.Sprintf("slide %d", now), fullTrainAt(t, db, g, cfg, now), inc, db, g, incViewTol)
+		}
+	}
+	slide(250, 279)
+
+	rng := rand.New(rand.NewSource(7))
+	for tt := 0; tt < db.Len(); tt++ {
+		v := 0.3 + 0.01*db.At("front", telemetry.MetricCPU, tt) + 0.02*rng.NormFloat64()
+		if err := db.Observe("front", telemetry.MetricMem, tt, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := store.Stats()
+	slide(280, 280)
+	after := store.Stats()
+	// front/mem_util is new; flow and back have front as an in-neighbour,
+	// so their candidate lists gained it. client, front/cpu_util and decoy
+	// slide as before.
+	if refits, hits := after.Refits-before.Refits, after.Hits-before.Hits; refits != 3 || hits != 3 {
+		t.Fatalf("pass after the new metric: %d refits, %d hits; want 3 and 3", refits, hits)
+	}
+	if after.Resets != before.Resets || after.Factors != 6 || after.Series != 6 {
+		t.Fatalf("a new metric must not reset the store: %+v -> %+v", before, after)
+	}
+	slide(281, 299)
+}
+
 // TestFactorStoreSnapshotRoundTrip: snapshot -> restore into a fresh store
 // -> the first train at the same window performs zero full retrains and
 // returns bit-identical factors; subsequent slides keep matching the full

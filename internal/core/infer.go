@@ -221,7 +221,7 @@ func (m *Model) checkSymptom(symptom telemetry.Symptom) error {
 	if !m.g.Contains(symptom.Entity) {
 		return fmt.Errorf("core: symptom entity %q not in relationship graph", symptom.Entity)
 	}
-	if _, ok := m.factors[metricRef{symptom.Entity, symptom.Metric}]; !ok {
+	if f, _ := m.factorOf(symptom.Entity, symptom.Metric); f == nil {
 		return fmt.Errorf("core: no telemetry for symptom metric %s/%s", symptom.Entity, symptom.Metric)
 	}
 	return nil
@@ -262,8 +262,7 @@ func (m *Model) evaluateCandidate(ctx context.Context, a telemetry.EntityID, sym
 	if path == nil {
 		return RootCause{}, false, nil // A cannot influence D in the graph
 	}
-	symRef := metricRef{d, symptom.Metric}
-	symFactor := m.factors[symRef]
+	symFactor, symSlot := m.factorOf(d, symptom.Metric)
 	if symFactor == nil {
 		return RootCause{}, false, nil
 	}
@@ -286,7 +285,7 @@ func (m *Model) evaluateCandidate(ctx context.Context, a telemetry.EntityID, sym
 	if !symptom.High {
 		sign = -1
 	}
-	plan := m.planFor(a, symRef, path)
+	plan := m.planFor(a, symSlot, path)
 	res, shift, used, statErr := m.sampleCandidate(ctx, a, d, plan, ov, alt, ar, sign/scale)
 	if statErr != nil {
 		if errors.Is(statErr, stats.ErrInsufficientData) {
@@ -514,25 +513,24 @@ func (m *Model) earlyStopVerdict(st *stats.StreamingWelch, alt stats.Alternative
 // current-state map per candidate just to move these few entries; the
 // override list is the same perturbation without the copy.)
 func (m *Model) counterfactualOverrides(a telemetry.EntityID) *overrides {
-	slotOf := m.slots()
 	ov := &overrides{}
 	moved := false
-	bestRef := metricRef{}
+	best := int32(0)
 	bestZ := 0.0
-	for _, name := range m.metricsOf[a] {
-		ref := metricRef{a, name}
-		f := m.factors[ref]
+	lo, hi := m.idx.nodeSlots(a)
+	for s := lo; s < hi; s++ {
+		f := m.factors[s]
 		if f == nil || f.hstd == 0 {
 			continue
 		}
-		z := (m.current[ref] - f.hmean) / f.hstd
+		z := (m.current[s] - f.hmean) / f.hstd
 		az := math.Abs(z)
 		if az > bestZ {
-			bestZ, bestRef = az, ref
+			bestZ, best = az, s
 		}
 		if az >= m.cfg.AnomalyZ {
-			ov.slots = append(ov.slots, slotOf[ref])
-			ov.vals = append(ov.vals, m.moveTowardNormal(ref, z))
+			ov.slots = append(ov.slots, s)
+			ov.vals = append(ov.vals, m.moveTowardNormal(s, z))
 			moved = true
 		}
 	}
@@ -540,27 +538,27 @@ func (m *Model) counterfactualOverrides(a telemetry.EntityID) *overrides {
 		if bestZ == 0 {
 			return nil
 		}
-		f := m.factors[bestRef]
-		z := (m.current[bestRef] - f.hmean) / f.hstd
-		ov.slots = append(ov.slots, slotOf[bestRef])
-		ov.vals = append(ov.vals, m.moveTowardNormal(bestRef, z))
+		f := m.factors[best]
+		z := (m.current[best] - f.hmean) / f.hstd
+		ov.slots = append(ov.slots, best)
+		ov.vals = append(ov.vals, m.moveTowardNormal(best, z))
 	}
 	return ov
 }
 
-// moveTowardNormal returns the counterfactual value for a metric whose
-// current z-score is z: cfg.CounterfactualSigma standard deviations toward
-// the historical mean, without overshooting it.
-func (m *Model) moveTowardNormal(ref metricRef, z float64) float64 {
-	f := m.factors[ref]
+// moveTowardNormal returns the counterfactual value for the metric at slot
+// s, whose current z-score is z: cfg.CounterfactualSigma standard
+// deviations toward the historical mean, without overshooting it.
+func (m *Model) moveTowardNormal(s int32, z float64) float64 {
+	f := m.factors[s]
 	step := m.cfg.CounterfactualSigma
 	if step > math.Abs(z) {
 		step = math.Abs(z)
 	}
 	if z > 0 {
-		return m.current[ref] - step*f.hstd
+		return m.current[s] - step*f.hstd
 	}
-	return m.current[ref] + step*f.hstd
+	return m.current[s] + step*f.hstd
 }
 
 // pairSeed derives the RNG base seed for one (candidate, symptom) test:

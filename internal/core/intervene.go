@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"murphy/internal/telemetry"
 )
@@ -12,12 +15,18 @@ import (
 // Gibbs passes (deterministically: mean predictions, no noise) and return
 // the resulting value of the target metric. Source entities are pinned to
 // their overridden values; every other entity starts from its current value.
-// ok is false when no source can reach the target.
+// ok is false when the model has no target series or no source can reach
+// the target. An override naming a series the model does not have moves
+// nothing; CheckIntervention reports such overrides.
 //
 // This is the subroutine behind Fig 8b: more rounds propagate effects across
 // cycles further, so prediction accuracy through a cyclic region improves
 // with rounds exactly when cyclic influence is real.
 func (m *Model) PredictUnderIntervention(overrides map[telemetry.EntityID]map[string]float64, target telemetry.EntityID, targetMetric string, rounds int) (float64, bool) {
+	ts, ok := m.idx.slot(target, targetMetric)
+	if !ok {
+		return 0, false
+	}
 	if rounds <= 0 {
 		rounds = m.cfg.GibbsRounds
 	}
@@ -55,27 +64,56 @@ func (m *Model) PredictUnderIntervention(overrides map[telemetry.EntityID]map[st
 		return order[i] < order[j]
 	})
 	// Build the start state.
-	state := make(map[metricRef]float64, len(m.current))
-	for k, v := range m.current {
-		state[k] = v
-	}
+	state := slices.Clone(m.current)
 	for src, metrics := range overrides {
 		for metric, v := range metrics {
-			state[metricRef{src, metric}] = v
-		}
-	}
-	// Deterministic resampling passes.
-	for r := 0; r < rounds; r++ {
-		for _, id := range order {
-			for _, name := range m.metricsOf[id] {
-				ref := metricRef{id, name}
-				f := m.factors[ref]
-				if f == nil {
-					continue
-				}
-				state[ref] = f.model.Predict(m.featureVector(f, state))
+			if s, ok := m.idx.slot(src, metric); ok {
+				state[s] = v
 			}
 		}
 	}
-	return state[metricRef{target, targetMetric}], true
+	// Deterministic resampling passes.
+	var x []float64
+	for r := 0; r < rounds; r++ {
+		for _, id := range order {
+			lo, hi := m.idx.nodeSlots(id)
+			for s := lo; s < hi; s++ {
+				f := m.factors[s]
+				if f == nil {
+					continue
+				}
+				x = featureVector(x, f, state)
+				state[s] = f.model.Predict(x)
+			}
+		}
+	}
+	return state[ts], true
+}
+
+// CheckIntervention validates a what-if question against the model: the
+// target and every overridden (entity, metric) must be series the model was
+// trained on. The error names the first unknown series, the target before
+// the overrides and the overrides in entity, then metric order.
+func (m *Model) CheckIntervention(overrides map[telemetry.EntityID]map[string]float64, target telemetry.EntityID, targetMetric string) error {
+	if _, ok := m.idx.slot(target, targetMetric); !ok {
+		return fmt.Errorf("core: no telemetry for what-if target %s/%s", target, targetMetric)
+	}
+	var unknown []metricRef
+	for src, metrics := range overrides {
+		for metric := range metrics {
+			if _, ok := m.idx.slot(src, metric); !ok {
+				unknown = append(unknown, metricRef{src, metric})
+			}
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	first := slices.MinFunc(unknown, func(a, b metricRef) int {
+		if c := strings.Compare(string(a.entity), string(b.entity)); c != 0 {
+			return c
+		}
+		return strings.Compare(a.metric, b.metric)
+	})
+	return fmt.Errorf("core: no telemetry for what-if override %s/%s", first.entity, first.metric)
 }

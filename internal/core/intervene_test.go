@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"murphy/internal/graph"
@@ -86,5 +87,26 @@ func TestPredictUnderInterventionDefaultRounds(t *testing.T) {
 	b, _ := m.PredictUnderIntervention(ov, "back", telemetry.MetricCPU, m.Config().GibbsRounds)
 	if a != b {
 		t.Fatal("rounds=0 should default to configured Gibbs rounds")
+	}
+}
+
+// TestPredictUnderInterventionUnknownTarget: a target the model has no
+// series for is not an answer, and CheckIntervention names it; so does an
+// override of an unknown metric, which the propagation cannot apply.
+func TestPredictUnderInterventionUnknownTarget(t *testing.T) {
+	_, m := trainChain(t)
+	ov := map[telemetry.EntityID]map[string]float64{"client": {telemetry.MetricRPS: 60}}
+	if pred, ok := m.PredictUnderIntervention(ov, "back", telemetry.MetricMem, 4); ok {
+		t.Fatalf("unknown target metric answered %v", pred)
+	}
+	if err := m.CheckIntervention(ov, "back", telemetry.MetricMem); err == nil || !strings.Contains(err.Error(), "back/"+telemetry.MetricMem) {
+		t.Fatalf("unknown target: err = %v", err)
+	}
+	typo := map[telemetry.EntityID]map[string]float64{"client": {telemetry.MetricRPS: 60, "rsp": 60}}
+	if err := m.CheckIntervention(typo, "back", telemetry.MetricCPU); err == nil || !strings.Contains(err.Error(), "client/rsp") {
+		t.Fatalf("unknown override: err = %v", err)
+	}
+	if err := m.CheckIntervention(ov, "back", telemetry.MetricCPU); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -29,16 +29,13 @@ import (
 	"murphy/internal/telemetry"
 )
 
-// kernelTables holds the sampling kernel's compiled artifacts: the global
-// metricRef → slot table and the per-(candidate, symptom) plan cache. One
+// kernelTables holds the sampling kernel's per-(candidate, symptom) plan
+// cache. Plans address state by the slots of the model's series index. One
 // instance is shared (by pointer) across a model and its Rebind copies —
-// both tables depend only on factor topology and trained weights, which
-// Rebind preserves (factor value-copies share the trained model pointers).
+// plans depend only on the index, factor topology and trained weights,
+// which Rebind preserves (factor value-copies share the trained model
+// pointers).
 type kernelTables struct {
-	once   sync.Once
-	slotOf map[metricRef]int32
-	nslots int
-
 	mu    sync.RWMutex
 	plans map[planKey]*pathPlan
 }
@@ -47,12 +44,12 @@ func newKernelTables() *kernelTables {
 	return &kernelTables{plans: make(map[planKey]*pathPlan)}
 }
 
-// planKey identifies one compiled plan: the candidate, the symptom entity,
-// and the symptom metric (the path is a pure function of the first two via
-// the subgraph cache).
+// planKey identifies one compiled plan: the candidate and the symptom
+// metric's slot (the path is a pure function of the candidate and the
+// symptom entity via the subgraph cache).
 type planKey struct {
-	a, d   telemetry.EntityID
-	metric string
+	a   telemetry.EntityID
+	sym int32
 }
 
 // planStep is one factor application of a resampling round: read the feature
@@ -93,58 +90,20 @@ type linearTermer interface {
 	LinearTerms() (coef, mean, std []float64, intercept float64, ok bool)
 }
 
-// slots builds (once) the metricRef → slot table covering every factor
-// target and feature, and returns it.
-func (m *Model) slots() map[metricRef]int32 {
-	kt := m.kern
-	kt.once.Do(func() {
-		slotOf := make(map[metricRef]int32)
-		add := func(r metricRef) {
-			if _, ok := slotOf[r]; !ok {
-				slotOf[r] = int32(len(slotOf))
-			}
-		}
-		for ref, f := range m.factors {
-			add(ref)
-			for _, fr := range f.features {
-				add(fr)
-			}
-		}
-		kt.slotOf = slotOf
-		kt.nslots = len(slotOf)
-	})
-	return kt.slotOf
-}
-
-// slotBase caches a model's start state (`current`) as slot-indexed flat
-// vectors, built lazily on first use. Per-model, never shared: Rebind
-// changes `current`, so each copy gets a fresh one.
+// slotBase caches a model's start state (`current`) as a float32 vector,
+// built lazily on first use by the float32 kernel; the float64 kernel
+// starts from `current` itself. Per-model, never shared: Rebind changes
+// `current`, so each copy gets a fresh one.
 type slotBase struct {
-	once64 sync.Once
-	v64    []float64
 	once32 sync.Once
 	v32    []float32
-}
-
-func (m *Model) base64() []float64 {
-	b := m.base
-	b.once64.Do(func() {
-		slotOf := m.slots()
-		v := make([]float64, m.kern.nslots)
-		for ref, s := range slotOf {
-			v[s] = m.current[ref]
-		}
-		b.v64 = v
-	})
-	return b.v64
 }
 
 func (m *Model) base32() []float32 {
 	b := m.base
 	b.once32.Do(func() {
-		v64 := m.base64()
-		v := make([]float32, len(v64))
-		for i, x := range v64 {
+		v := make([]float32, len(m.current))
+		for i, x := range m.current {
 			v[i] = float32(x)
 		}
 		b.v32 = v
@@ -164,17 +123,17 @@ type overrides struct {
 
 // planFor returns the compiled plan for one (candidate, symptom) pair,
 // compiling and caching it on first use. Candidates re-tested across
-// diagnoses (and Rebind copies) skip the per-ref map walks entirely.
-func (m *Model) planFor(a telemetry.EntityID, symRef metricRef, path []telemetry.EntityID) *pathPlan {
+// diagnoses (and Rebind copies) skip the compilation entirely.
+func (m *Model) planFor(a telemetry.EntityID, symSlot int32, path []telemetry.EntityID) *pathPlan {
 	kt := m.kern
-	key := planKey{a, symRef.entity, symRef.metric}
+	key := planKey{a, symSlot}
 	kt.mu.RLock()
 	p := kt.plans[key]
 	kt.mu.RUnlock()
 	if p != nil {
 		return p
 	}
-	p = m.compilePlan(path, symRef)
+	p = m.compilePlan(path, symSlot)
 	kt.mu.Lock()
 	if prev, ok := kt.plans[key]; ok {
 		p = prev // lost the compile race; keep the canonical plan
@@ -186,12 +145,11 @@ func (m *Model) planFor(a telemetry.EntityID, symRef metricRef, path []telemetry
 }
 
 // compilePlan flattens one resampling walk: for every factor of every
-// non-candidate node on the path (in the original iteration order), resolve
+// non-candidate node on the path (in the original iteration order), take
 // the output and feature slots and extract the regression terms when the
 // trained model exposes them.
-func (m *Model) compilePlan(path []telemetry.EntityID, symRef metricRef) *pathPlan {
-	slotOf := m.slots()
-	p := &pathPlan{symSlot: slotOf[symRef]}
+func (m *Model) compilePlan(path []telemetry.EntityID, symSlot int32) *pathPlan {
+	p := &pathPlan{symSlot: symSlot}
 	seen := make(map[int32]bool)
 	touch := func(s int32) {
 		if !seen[s] {
@@ -204,20 +162,17 @@ func (m *Model) compilePlan(path []telemetry.EntityID, symRef metricRef) *pathPl
 		if pi == 0 {
 			continue // the candidate's perturbed state is held fixed
 		}
-		for _, name := range m.metricsOf[id] {
-			ref := metricRef{id, name}
-			f := m.factors[ref]
+		lo, hi := m.idx.nodeSlots(id)
+		for out := lo; out < hi; out++ {
+			f := m.factors[out]
 			if f == nil {
 				continue
 			}
-			st := planStep{out: slotOf[ref], noise: f.model.ResidualStd()}
+			st := planStep{out: out, feats: f.features, noise: f.model.ResidualStd()}
 			st.noise32 = float32(st.noise)
 			touch(st.out)
 			aliased := false
-			st.feats = make([]int32, len(f.features))
-			for j, fr := range f.features {
-				fs := slotOf[fr]
-				st.feats[j] = fs
+			for _, fs := range st.feats {
 				touch(fs)
 				if fs == st.out {
 					aliased = true
@@ -298,8 +253,8 @@ func (m *Model) runPass(ctx context.Context, plan *pathPlan, ov *overrides, ns n
 }
 
 func (m *Model) runPass64(ctx context.Context, plan *pathPlan, ov *overrides, rng *rand.Rand, ar *arena, n, hint int) ([]float64, error) {
-	base := m.base64()
-	vals := ar.slots64(m.kern.nslots)
+	base := m.current
+	vals := ar.slots64(len(base))
 	ensure := func(s int32) []float64 {
 		buf := vals[s]
 		if cap(buf) < n {
@@ -361,7 +316,7 @@ func (m *Model) runPass64(ctx context.Context, plan *pathPlan, ov *overrides, rn
 
 func (m *Model) runPass32(ctx context.Context, plan *pathPlan, ov *overrides, zs *stats.NormSource, ar *arena, n, hint int) ([]float32, error) {
 	base := m.base32()
-	vals := ar.slots32(m.kern.nslots)
+	vals := ar.slots32(len(base))
 	ensure := func(s int32) []float32 {
 		buf := vals[s]
 		if cap(buf) < n {

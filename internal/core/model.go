@@ -23,8 +23,9 @@ func (r metricRef) String() string { return string(r.entity) + "/" + r.metric }
 // an entity from selected neighbor metrics in the same time slice. The MRF's
 // P_v is the product of its per-metric factors.
 type factor struct {
-	target   metricRef
-	features []metricRef
+	// features are the selected neighbor metrics, as slots of the index
+	// the factor was trained under.
+	features []int32
 	model    regress.Predictor
 	// hmean/hstd are the historical mean and std of the target metric over
 	// the training window; used for counterfactual placement.
@@ -69,14 +70,16 @@ func (f *factor) robustScoreAt(v float64) float64 {
 // "Model training"). It also caches the current (latest-slice) value of
 // every metric, which is the state the inference algorithm perturbs.
 type Model struct {
-	cfg     Config
-	db      *telemetry.DB
-	g       *graph.Graph
-	factors map[metricRef]*factor
+	cfg Config
+	db  *telemetry.DB
+	g   *graph.Graph
+	// idx is the series layout the model was trained under: factors and
+	// current are indexed by its slots.
+	idx     *seriesIndex
+	factors []*factor
 	// current holds the value of every metric at the diagnosis time slice.
-	current map[metricRef]float64
-	// metricsOf caches the metric names per entity.
-	metricsOf map[telemetry.EntityID][]string
+	// It is also the float64 kernel's start state.
+	current []float64
 	// trainLo/trainHi is the half-open training window on the slice grid.
 	trainLo, trainHi int
 	// now is the diagnosis time slice (the last slice of the window).
@@ -96,13 +99,12 @@ type Model struct {
 	// arenas pools the Gibbs resampler's scratch buffers across candidate
 	// evaluations and DiagnoseParallel workers.
 	arenas *arenaPool
-	// kern holds the sampling kernel's compiled artifacts — the metricRef →
-	// slot table and the per-(candidate, symptom) execution plan cache.
-	// Shared (by pointer) with Rebind copies: plans depend only on factor
-	// topology and trained weights, which Rebind preserves.
+	// kern holds the sampling kernel's per-(candidate, symptom) execution
+	// plan cache. Shared (by pointer) with Rebind copies: plans depend only
+	// on factor topology and trained weights, which Rebind preserves.
 	kern *kernelTables
-	// base caches the slot-indexed flat copies of `current` the kernel
-	// starts each pass from. Per-model (Rebind changes `current`).
+	// base caches the float32 copy of `current` the float32 kernel starts
+	// each pass from. Per-model (Rebind changes `current`).
 	base *slotBase
 	// obs receives pipeline instrumentation (stage spans, counters,
 	// histograms, progress events). Never nil: TrainOpt defaults it to
@@ -204,18 +206,15 @@ func TrainOpt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config,
 		return nil, fmt.Errorf("core: training endpoint %d outside timeline [0,%d)", now, db.Len())
 	}
 	m := &Model{
-		cfg:       cfg,
-		db:        db,
-		g:         g,
-		factors:   make(map[metricRef]*factor),
-		current:   make(map[metricRef]float64),
-		metricsOf: make(map[telemetry.EntityID][]string),
-		now:       now,
-		paths:     graph.NewSubgraphCache(g),
-		arenas:    newArenaPool(),
-		kern:      newKernelTables(),
-		base:      &slotBase{},
-		obs:       rec,
+		cfg:    cfg,
+		db:     db,
+		g:      g,
+		now:    now,
+		paths:  graph.NewSubgraphCache(g),
+		arenas: newArenaPool(),
+		kern:   newKernelTables(),
+		base:   &slotBase{},
+		obs:    rec,
 	}
 	if rec.Enabled() {
 		// The hook costs a closure call per subgraph lookup, so it is only
@@ -264,19 +263,16 @@ func (m *Model) Rebind(now int) (*Model, error) {
 	}
 	nm := *m
 	nm.now = now
-	nm.base = &slotBase{} // the flat start-state vectors track `current`
-	nm.current = make(map[metricRef]float64, len(m.current))
-	nm.factors = make(map[metricRef]*factor, len(m.factors))
-	for _, id := range m.g.IDs() {
-		for _, name := range m.metricsOf[id] {
-			ref := metricRef{id, name}
-			w := m.db.Window(id, name, now, now+1)
-			nm.current[ref] = w[0]
-			if old := m.factors[ref]; old != nil {
-				f := *old
-				f.rscore = f.robustScoreAt(w[0])
-				nm.factors[ref] = &f
-			}
+	nm.base = &slotBase{} // the float32 start state tracks `current`
+	nm.current = make([]float64, len(m.current))
+	nm.factors = make([]*factor, len(m.factors))
+	for s, ref := range m.idx.refs {
+		w := m.db.Window(ref.entity, ref.metric, now, now+1)
+		nm.current[s] = w[0]
+		if old := m.factors[s]; old != nil {
+			f := *old
+			f.rscore = f.robustScoreAt(w[0])
+			nm.factors[s] = &f
 		}
 	}
 	return &nm, nil
@@ -294,9 +290,22 @@ func (m *Model) Now() int { return m.now }
 // NumFactors returns the number of trained (entity, metric) factors.
 func (m *Model) NumFactors() int { return len(m.factors) }
 
-// CurrentValue returns the value of (id, metric) at the diagnosis slice.
+// CurrentValue returns the value of (id, metric) at the diagnosis slice, or
+// 0 when the model has no such series.
 func (m *Model) CurrentValue(id telemetry.EntityID, metric string) float64 {
-	return m.current[metricRef{id, metric}]
+	if s, ok := m.idx.slot(id, metric); ok {
+		return m.current[s]
+	}
+	return 0
+}
+
+// factorOf returns the (id, metric) factor, nil when the model has none.
+func (m *Model) factorOf(id telemetry.EntityID, metric string) (*factor, int32) {
+	s, ok := m.idx.slot(id, metric)
+	if !ok {
+		return nil, -1
+	}
+	return m.factors[s], s
 }
 
 // AnomalyScore returns the entity's anomaly score: the maximum robust |z|
@@ -305,12 +314,9 @@ func (m *Model) CurrentValue(id telemetry.EntityID, metric string) float64 {
 // causes are ranked by this score (§4.2 "Ranking the root causes").
 func (m *Model) AnomalyScore(id telemetry.EntityID) float64 {
 	best := 0.0
-	for _, name := range m.metricsOf[id] {
-		f := m.factors[metricRef{id, name}]
-		if f == nil {
-			continue
-		}
-		if f.rscore > best {
+	lo, hi := m.idx.nodeSlots(id)
+	for _, f := range m.factors[lo:hi] {
+		if f != nil && f.rscore > best {
 			best = f.rscore
 		}
 	}
@@ -342,16 +348,16 @@ func (m *Model) IsAnomalous(id telemetry.EntityID) bool {
 	if m.AnomalyScore(id) >= m.cfg.AnomalyZ {
 		return true
 	}
-	for _, name := range m.metricsOf[id] {
-		ref := metricRef{id, name}
-		if f := m.factors[ref]; f != nil && f.novel {
+	lo, hi := m.idx.nodeSlots(id)
+	for s := lo; s < hi; s++ {
+		if f := m.factors[s]; f != nil && f.novel {
 			return true
 		}
-		th, ok := conservativeThresholds[name]
+		th, ok := conservativeThresholds[m.idx.refs[s].metric]
 		if !ok {
 			continue
 		}
-		if m.current[ref] > th {
+		if m.current[s] > th {
 			return true
 		}
 	}
@@ -360,12 +366,11 @@ func (m *Model) IsAnomalous(id telemetry.EntityID) bool {
 
 // MetricZ returns the z-score of one current metric against its history.
 func (m *Model) MetricZ(id telemetry.EntityID, metric string) float64 {
-	ref := metricRef{id, metric}
-	f := m.factors[ref]
+	f, s := m.factorOf(id, metric)
 	if f == nil || f.hstd == 0 {
 		return 0
 	}
-	return (m.current[ref] - f.hmean) / f.hstd
+	return (m.current[s] - f.hmean) / f.hstd
 }
 
 // PredictMetric returns the factor's mean prediction for (id, metric) given
@@ -373,18 +378,19 @@ func (m *Model) MetricZ(id telemetry.EntityID, metric string) float64 {
 // prediction micro-benchmarks (Fig 8a) and the cyclic-effects experiment
 // (Fig 8b / Appendix A.2).
 func (m *Model) PredictMetric(id telemetry.EntityID, metric string) (float64, bool) {
-	f := m.factors[metricRef{id, metric}]
+	f, _ := m.factorOf(id, metric)
 	if f == nil {
 		return 0, false
 	}
-	return f.model.Predict(m.featureVector(f, m.current)), true
+	return f.model.Predict(featureVector(nil, f, m.current)), true
 }
 
-// featureVector assembles a factor's input from a state map.
-func (m *Model) featureVector(f *factor, state map[metricRef]float64) []float64 {
-	x := make([]float64, len(f.features))
-	for j, fr := range f.features {
-		x[j] = state[fr]
+// featureVector assembles a factor's input from a slot-indexed state into
+// x's storage.
+func featureVector(x []float64, f *factor, state []float64) []float64 {
+	x = x[:0]
+	for _, fs := range f.features {
+		x = append(x, state[fs])
 	}
 	return x
 }

@@ -452,6 +452,21 @@ func sameCauses(a, b *core.Diagnosis) bool {
 	return true
 }
 
+// sameRankedEntities reports whether two diagnoses certified the same ranked
+// entity list (ignoring p-values/effects, which legitimately differ across
+// chain counts and sampling precisions).
+func sameRankedEntities(a, b *core.Diagnosis) bool {
+	if len(a.Causes) != len(b.Causes) {
+		return false
+	}
+	for i := range a.Causes {
+		if a.Causes[i].Entity != b.Causes[i].Entity {
+			return false
+		}
+	}
+	return true
+}
+
 // top1 returns the top-ranked certified cause ("" when none passed).
 func top1(d *core.Diagnosis) telemetry.EntityID {
 	if len(d.Causes) == 0 {

@@ -287,10 +287,15 @@ func (s *System) WhatIf(overrides map[telemetry.EntityID]map[string]float64, tar
 // prediction propagates the intervention through the relationship graph with
 // the configured number of Gibbs rounds; predicted is meaningful only when
 // ok is true (some override can reach the target). The returned current
-// value is the target's value at the diagnosis slice.
+// value is the target's value at the diagnosis slice. A target or override
+// naming an (entity, metric) series the trained model does not have is an
+// error.
 func (s *System) WhatIfContext(ctx context.Context, overrides map[telemetry.EntityID]map[string]float64, target telemetry.EntityID, targetMetric string) (predicted, current float64, ok bool, err error) {
 	model, err := s.train(ctx)
 	if err != nil {
+		return 0, 0, false, err
+	}
+	if err := model.CheckIntervention(overrides, target, targetMetric); err != nil {
 		return 0, 0, false, err
 	}
 	pred, reached := model.PredictUnderIntervention(overrides, target, targetMetric, 0)

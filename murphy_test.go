@@ -193,6 +193,33 @@ func TestWhatIf(t *testing.T) {
 	}
 }
 
+// TestWhatIfUnknownMetric: a what-if naming a series the model does not
+// have is an error naming it, whether the typo is in the target or in an
+// override (which would otherwise pin its entity and move nothing).
+func TestWhatIfUnknownMetric(t *testing.T) {
+	sys := testSystem(t)
+	overrides := map[telemetry.EntityID]map[string]float64{
+		"flow": {telemetry.MetricThroughput: 30000},
+	}
+	for _, tc := range []struct {
+		name      string
+		overrides map[telemetry.EntityID]map[string]float64
+		metric    string
+		want      string
+	}{
+		{"target", overrides, "cpu_utl", "backend/cpu_utl"},
+		{"override", map[telemetry.EntityID]map[string]float64{"flow": {"througput": 30000}}, telemetry.MetricCPU, "flow/througput"},
+	} {
+		pred, cur, ok, err := sys.WhatIf(tc.overrides, "backend", tc.metric)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s typo: pred %v current %v ok %v err %v; want an error naming %s", tc.name, pred, cur, ok, err, tc.want)
+		}
+		if ok {
+			t.Fatalf("%s typo: ok must be false", tc.name)
+		}
+	}
+}
+
 func demoSymptom() telemetry.Symptom {
 	return telemetry.Symptom{Entity: "backend", Metric: telemetry.MetricCPU, High: true}
 }
