@@ -156,20 +156,21 @@ func TestDiagnoseBatchCancelled(t *testing.T) {
 }
 
 // TestWithParallelTrainingMatchesSerial is the facade-level determinism check:
-// WithParallelTraining and multi-chain sampling must leave single-chain
-// verdicts bit-identical and multi-chain rankings intact.
+// a WithWorkers pool (training fits and candidate evaluations) and
+// multi-chain sampling must leave single-chain verdicts bit-identical and
+// multi-chain rankings intact.
 func TestWithParallelTrainingMatchesSerial(t *testing.T) {
 	want, err := testSystem(t).Diagnose(demoSymptom())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := testSystem(t, WithParallelTraining(4)).Diagnose(demoSymptom())
+	got, err := testSystem(t, WithWorkers(4)).Diagnose(demoSymptom())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameReport(t, "parallel training", want, got)
 
-	chained, err := testSystem(t, WithParallelTraining(4), WithSampler(SamplerConfig{Chains: 4})).Diagnose(demoSymptom())
+	chained, err := testSystem(t, WithWorkers(4), WithSampler(SamplerConfig{Chains: 4})).Diagnose(demoSymptom())
 	if err != nil {
 		t.Fatal(err)
 	}

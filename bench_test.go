@@ -221,8 +221,10 @@ func BenchmarkSensitivity_Parameters(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Component micro-benchmarks and ablations
 
-// contentionModel trains one Murphy model for per-operation benches.
-func contentionModel(b *testing.B, cfg core.Config) (*core.Model, *microsim.Scenario) {
+// contentionModel trains one Murphy model for per-operation benches, on a
+// pool of the given worker count (0 = serial) that its diagnoses evaluate
+// candidates on.
+func contentionModel(b *testing.B, cfg core.Config, workers int) (*core.Model, *microsim.Scenario) {
 	b.Helper()
 	sc, err := microsim.Contention(microsim.DefaultContentionOptions())
 	if err != nil {
@@ -232,7 +234,7 @@ func contentionModel(b *testing.B, cfg core.Config) (*core.Model, *microsim.Scen
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := core.Train(sc.Result.DB, g, cfg)
+	m, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg, core.TrainOpts{Now: -1, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -265,7 +267,7 @@ func BenchmarkCoreTrainOnline(b *testing.B) {
 }
 
 func BenchmarkCoreDiagnose(b *testing.B) {
-	m, sc := contentionModel(b, benchConfig())
+	m, sc := contentionModel(b, benchConfig(), 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Diagnose(sc.Symptom); err != nil {
@@ -280,7 +282,7 @@ func BenchmarkAblationGibbsRounds(b *testing.B) {
 		b.Run(string(rune('0'+w))+"rounds", func(b *testing.B) {
 			cfg := benchConfig()
 			cfg.GibbsRounds = w
-			m, sc := contentionModel(b, cfg)
+			m, sc := contentionModel(b, cfg, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := m.Diagnose(sc.Symptom); err != nil {
@@ -383,13 +385,15 @@ func BenchmarkCycleStats(b *testing.B) {
 }
 
 // Parallel candidate evaluation (§6.7's suggested optimization): identical
-// results, wall time scales with workers.
+// results, wall time scales with workers. Each worker count trains its own
+// model outside the timer.
 func BenchmarkDiagnoseParallel(b *testing.B) {
-	m, sc := contentionModel(b, benchConfig())
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			m, sc := contentionModel(b, benchConfig(), workers)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.DiagnoseParallel(sc.Symptom, workers); err != nil {
+				if _, err := m.Diagnose(sc.Symptom); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -460,9 +464,9 @@ func BenchmarkAblationCombinedTraining(b *testing.B) {
 // Inference fast path: factor-store reuse + early-stopped counterfactual tests
 
 // BenchmarkFastPathDiagnoseParallel times the operator triage loop (online
-// retrain + DiagnoseParallel at the same slice) with the shared-computation
-// fast path off and on. The sample budget is the paper's scale so the
-// sequential tests have room to cut it.
+// retrain + diagnosis at the same slice, both on a 4-worker pool) with the
+// shared-computation fast path off and on. The sample budget is the paper's
+// scale so the sequential tests have room to cut it.
 func BenchmarkFastPathDiagnoseParallel(b *testing.B) {
 	sc, err := microsim.Contention(microsim.DefaultContentionOptions())
 	if err != nil {
@@ -496,11 +500,11 @@ func BenchmarkFastPathDiagnoseParallel(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1, Store: store})
+				m, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1, Store: store, Workers: 4})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := m.DiagnoseParallel(sc.Symptom, 4); err != nil {
+				if _, err := m.Diagnose(sc.Symptom); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -687,7 +691,7 @@ func BenchmarkDiagnoseChains(b *testing.B) {
 		b.Run(fmt.Sprintf("chains%d", chains), func(b *testing.B) {
 			cfg := benchConfig()
 			cfg.Sampler.Chains = chains
-			m, sc := contentionModel(b, cfg)
+			m, sc := contentionModel(b, cfg, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := m.Diagnose(sc.Symptom); err != nil {
@@ -706,7 +710,7 @@ func BenchmarkDiagnoseChains(b *testing.B) {
 // pre-instrumentation baseline, i.e. BenchmarkCoreDiagnose's historical
 // numbers) and enabled (spans, counters, histograms all live).
 func BenchmarkObsOverhead(b *testing.B) {
-	m, sc := contentionModel(b, benchConfig())
+	m, sc := contentionModel(b, benchConfig(), 0)
 	rec := obs.New()
 	m.SetRecorder(rec)
 	b.Run("disabled", func(b *testing.B) {

@@ -165,7 +165,7 @@ func TestGoldenMicrosimRanking(t *testing.T) {
 	}
 
 	// Store reuse must be invisible in the output, bit for bit —
-	// sequentially and under DiagnoseParallel.
+	// sequentially and on a 4-worker pool.
 	assertStoreReuseIdentical(t, "store", db, sc.Symptom, baseline)
 	assertStoreReuseIdentical(t, "store+parallel", db, sc.Symptom, baseline, WithWorkers(4))
 

@@ -75,9 +75,9 @@ func TestDiagnosisSurvivesTransientFaults(t *testing.T) {
 }
 
 // TestParallelDiagnosisUnderChaosAndPanic is the acceptance drill: 10%
-// transient read faults plus one panicking candidate evaluator, and
-// DiagnoseParallel must still complete with the ground-truth root cause in
-// the top 3.
+// transient read faults plus one panicking candidate evaluator, and a
+// diagnosis on a 4-worker pool must still complete with the ground-truth
+// root cause in the top 3.
 func TestParallelDiagnosisUnderChaosAndPanic(t *testing.T) {
 	sc, accept := contentionScenario(t)
 	db := sc.Result.DB
@@ -90,7 +90,7 @@ func TestParallelDiagnosisUnderChaosAndPanic(t *testing.T) {
 		MaxAttempts: 5,
 		Seed:        2,
 	}.WithSleep(func(context.Context, time.Duration) error { return nil }), nil)
-	m, err := core.TrainOpt(context.Background(), db, g, murphyConfig(), core.TrainOpts{Now: -1, Src: src})
+	m, err := core.TrainOpt(context.Background(), db, g, murphyConfig(), core.TrainOpts{Now: -1, Src: src, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestParallelDiagnosisUnderChaosAndPanic(t *testing.T) {
 			panic("chaos: poisoned candidate")
 		}
 	})
-	diag, err := m.DiagnoseParallelContext(context.Background(), sc.Symptom, 4)
+	diag, err := m.DiagnoseContext(context.Background(), sc.Symptom)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import "sync"
 // passes, batches, or candidates; they just get reused at whatever capacity
 // they last grew to.
 //
-// An arena is single-goroutine scratch; multi-chain and DiagnoseParallel
-// workers each take their own from the model's pool.
+// An arena is single-goroutine scratch: every candidate evaluation takes its
+// own from the model's pool, and so does every pooled chain after the first.
 type arena struct {
 	vals64 [][]float64
 	vals32 [][]float32
@@ -62,11 +62,10 @@ func (a *arena) draws2(n int) []float64 {
 	return a.d2[:n]
 }
 
-// scratch64 returns the float32 path's widening buffer, sized n with at
-// least hint capacity.
-func (a *arena) scratch64(n, hint int) []float64 {
+// scratch64 returns the float32 path's widening buffer, sized n.
+func (a *arena) scratch64(n int) []float64 {
 	if cap(a.conv) < n {
-		a.conv = make([]float64, maxInt(n, hint))
+		a.conv = make([]float64, n)
 	}
 	return a.conv[:n]
 }

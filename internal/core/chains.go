@@ -1,17 +1,17 @@
 // Multi-chain Gibbs sampling: one candidate's factual and counterfactual
 // Monte-Carlo budgets are split across Config.Sampler.Chains independent
-// chains, each with its own splitmix-derived RNG stream and its own arena,
-// executed on up to min(K, GOMAXPROCS) goroutines. Chain c always owns the
-// same contiguous slice of the budget and the same seed, and merges happen in
-// chain order, so for a fixed K the merged draws — and every verdict derived
-// from them — are bit-identical no matter how many goroutines actually ran.
+// chains, each with its own splitmix-derived RNG stream, executed on the
+// forEachIndex pool with up to min(K, GOMAXPROCS) goroutines. Chain c always
+// owns the same contiguous slice of the budget and the same seed, and merges
+// happen in chain order, so for a fixed K the merged draws — and every
+// verdict derived from them — are bit-identical no matter how many
+// goroutines actually ran.
 
 package core
 
 import (
 	"context"
 	"runtime"
-	"sync"
 )
 
 // splitmix64 is the SplitMix64 finalizer: a bijective avalanche of the seed
@@ -63,64 +63,21 @@ func chainBounds(n, k, c int) (int, int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// runChains executes fn(c, arena) for chains 0..k-1 on up to
-// min(k, GOMAXPROCS) goroutines. With one usable processor (or one chain) it
-// degrades to the plain inline loop reusing the caller's arena — no
-// goroutines, no extra arenas. In pooled mode every worker checks out its own
-// arena, and fn must confine its writes to chain c's own output slots; the
+// runChains executes fn(c, arena) for chains 0..k-1 on the forEachIndex pool
+// with up to min(k, GOMAXPROCS) goroutines. Chain 0 runs on the caller's
+// arena, and so does every chain when the pool degrades to the inline loop
+// (one usable processor or one chain); a pooled chain c > 0 checks out its
+// own. fn must confine its writes to chain c's own output slots; the
 // lowest-index error is returned, mirroring what a sequential run would hit
 // first.
 func (m *Model) runChains(ctx context.Context, k int, ar *arena, fn func(c int, ar *arena) error) error {
 	p := min(k, runtime.GOMAXPROCS(0))
-	if p <= 1 {
-		for c := 0; c < k; c++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(c, ar); err != nil {
-				return err
-			}
+	return forEachIndex(ctx, p, k, func(c int) error {
+		if p <= 1 || c == 0 {
+			return fn(c, ar)
 		}
-		return nil
-	}
-	errs := make([]error, k)
-	var nextMu sync.Mutex
-	next := 0
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func() {
-			defer wg.Done()
-			war := m.arenas.get()
-			defer m.arenas.put(war)
-			for {
-				nextMu.Lock()
-				c := next
-				next++
-				nextMu.Unlock()
-				if c >= k {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[c] = err
-					continue
-				}
-				errs[c] = fn(c, war)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+		car := m.arenas.get()
+		defer m.arenas.put(car)
+		return fn(c, car)
+	})
 }

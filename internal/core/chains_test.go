@@ -114,10 +114,10 @@ func TestChainsBitIdenticalAcrossProcs(t *testing.T) {
 }
 
 // TestChainsBitIdenticalAcrossWorkers crosses the two fan-outs: a model
-// trained on a worker pool, whose DiagnoseParallel workers each split every
-// test's draws across chains, must certify bit-identical causes to the
-// one-worker train and diagnosis at the same chain count, with GOMAXPROCS
-// at the larger of the two widths.
+// trained on a worker pool, whose candidate evaluations on that pool each
+// split every test's draws across chains, must certify bit-identical causes
+// to the one-worker train and diagnosis at the same chain count, with
+// GOMAXPROCS at the larger of the two widths.
 func TestChainsBitIdenticalAcrossWorkers(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
@@ -131,7 +131,7 @@ func TestChainsBitIdenticalAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := m.DiagnoseParallel(sym, workers)
+		d, err := m.Diagnose(sym)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,11 +222,15 @@ func TestEarlyStopDeterministicAndSound(t *testing.T) {
 	fastCfg := cfg
 	fastCfg.Sampler.EarlyStop = true
 	fastCfg.Sampler.EarlyStopConfidence = 0.999
-	m, err := Train(db, g, fastCfg)
+	pm, err := TrainOpt(context.Background(), db, g, fastCfg, TrainOpts{Now: -1, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := m.DiagnoseParallel(sym, 4)
+	first, err := pm.Diagnose(sym)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Train(db, g, fastCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ type Config struct {
 	// Production diagnoses should leave it nil.
 	SeedFor func(candidate, symptom telemetry.EntityID) int64
 	// Sampler bundles every sampling-kernel knob: precision, chain
-	// parallelism, sequential early stopping, and scratch sizing.
+	// parallelism, and sequential early stopping.
 	Sampler SamplerConfig
 }
 
@@ -86,9 +86,8 @@ func (p Precision) String() string {
 }
 
 // SamplerConfig is the bundled configuration of the batched Gibbs sampling
-// kernel: arithmetic precision, chain parallelism, sequential early
-// stopping, and scratch sizing. The zero value is the bit-stable default
-// sampler.
+// kernel: arithmetic precision, chain parallelism, and sequential early
+// stopping. The zero value is the bit-stable default sampler.
 type SamplerConfig struct {
 	// Precision selects float64 (default, bit-compatible with the original
 	// sampler) or the float32 fast path.
@@ -118,10 +117,6 @@ type SamplerConfig struct {
 	// sit Φ⁻¹(c) standard deviations past their thresholds. Zero (or out of
 	// range) defaults to 0.999 (≈3.1σ).
 	EarlyStopConfidence float64
-	// ArenaSamples pre-sizes the per-chain scratch vectors (in samples) so
-	// arenas reused across diagnoses with growing budgets never regrow
-	// mid-pass. 0 sizes buffers on demand from each pass's batch size.
-	ArenaSamples int
 }
 
 // DefaultConfig returns the paper's parameter choices.
@@ -174,9 +169,6 @@ func (c Config) sanitized() Config {
 	}
 	if c.Sampler.EarlyStopConfidence <= 0.5 || c.Sampler.EarlyStopConfidence >= 1 {
 		c.Sampler.EarlyStopConfidence = 0.999
-	}
-	if c.Sampler.ArenaSamples < 0 {
-		c.Sampler.ArenaSamples = 0
 	}
 	return c
 }

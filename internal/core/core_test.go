@@ -106,12 +106,19 @@ func testConfig() Config {
 
 func trainChain(t *testing.T) (*telemetry.DB, *Model) {
 	t.Helper()
+	return trainChainWorkers(t, 0)
+}
+
+// trainChainWorkers is trainChain on a pool of the given worker count, which
+// the model's diagnoses then evaluate their candidates on.
+func trainChainWorkers(t *testing.T, workers int) (*telemetry.DB, *Model) {
+	t.Helper()
 	db := chainDB(t, 220, 5, 42)
 	g, err := graph.Build(db, []telemetry.EntityID{"back"}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Train(db, g, testConfig())
+	m, err := TrainOpt(context.Background(), db, g, testConfig(), TrainOpts{Now: -1, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,12 +355,12 @@ func TestConfigSanitized(t *testing.T) {
 	if got := c.sanitized().Alpha; got != d.Alpha {
 		t.Fatalf("invalid alpha should reset, got %v", got)
 	}
-	c.Sampler = SamplerConfig{EarlyStop: true, EarlyStopConfidence: 1.5, ArenaSamples: -1}
+	c.Sampler = SamplerConfig{EarlyStop: true, EarlyStopConfidence: 1.5}
 	want := SamplerConfig{EarlyStop: true, EarlyStopConfidence: 0.999}
 	if got := c.sanitized().Sampler; got != want {
 		t.Fatalf("out-of-range sampler fields should clamp: got %+v, want %+v", got, want)
 	}
-	c.Sampler = SamplerConfig{Chains: 4, EarlyStopConfidence: 0.99, ArenaSamples: 64}
+	c.Sampler = SamplerConfig{Chains: 4, EarlyStopConfidence: 0.99}
 	if got := c.sanitized().Sampler; got != c.Sampler {
 		t.Fatalf("in-range sampler fields should pass through: got %+v, want %+v", got, c.Sampler)
 	}

@@ -16,7 +16,8 @@ func TestDiagnoseParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 4} {
-		par, err := m.DiagnoseParallel(sym, workers)
+		_, pm := trainChainWorkers(t, workers)
+		par, err := pm.Diagnose(sym)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,8 +37,8 @@ func TestDiagnoseParallelMatchesSequential(t *testing.T) {
 }
 
 func TestDiagnoseParallelErrors(t *testing.T) {
-	_, m := trainChain(t)
-	if _, err := m.DiagnoseParallel(telemetry.Symptom{Entity: "ghost", Metric: "x"}, 2); err == nil {
+	_, m := trainChainWorkers(t, 2)
+	if _, err := m.Diagnose(telemetry.Symptom{Entity: "ghost", Metric: "x"}); err == nil {
 		t.Fatal("unknown symptom should error")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"murphy/internal/obs"
@@ -106,6 +107,13 @@ func (m *Model) Diagnose(symptom telemetry.Symptom) (*Diagnosis, error) {
 // A candidate evaluation that panics (a poisoned factor, a bug in a custom
 // trainer) is recovered, recorded in Skipped, and degraded like a timeout,
 // so one bad candidate cannot take down a diagnosis.
+//
+// Candidates are evaluated on the model's worker pool (TrainOpts.Workers,
+// the parallelism §6.7 suggests); one worker runs them inline. Each sampler
+// is independently seeded and every outcome lands in its candidate's own
+// slot, assembled in candidate order, so the diagnosis is identical at any
+// worker count. One StageTest progress event fires per candidate whose
+// evaluation ran, whether it passed, failed or panicked.
 func (m *Model) DiagnoseContext(ctx context.Context, symptom telemetry.Symptom) (*Diagnosis, error) {
 	if err := m.checkSymptom(symptom); err != nil {
 		return nil, err
@@ -124,27 +132,43 @@ func (m *Model) DiagnoseContext(ctx context.Context, symptom telemetry.Symptom) 
 	candidates := append(m.Candidates(symptom.Entity), symptom.Entity)
 	sp.End()
 	m.obs.Add(obs.CtrCandidatesPruned, int64(m.g.Len()-len(candidates)))
-	d := &Diagnosis{Symptom: symptom, Candidates: candidates}
-	sp = m.obs.StartStage(obs.StageTest)
-	for i, cand := range candidates {
-		if err := ctx.Err(); err != nil {
-			m.recordSkip(d, cand, skipReason(err))
-			continue
-		}
-		verdict, ok, err := m.evaluateCandidateSafe(ctx, cand, symptom)
-		if err != nil {
-			m.recordSkip(d, cand, evalFailReason(err))
-			continue
-		}
-		m.obs.Add(obs.CtrCandidatesTested, 1)
-		if ok {
-			m.obs.Add(obs.CtrCausesCertified, 1)
-			d.Causes = append(d.Causes, verdict)
-		}
-		m.obs.Progress(obs.StageTest, i+1, len(candidates), string(cand))
+	// A slot the context cut off before its evaluation started keeps
+	// ran == false and is recorded as skipped below.
+	type outcome struct {
+		ran       bool
+		cause     RootCause
+		certified bool
+		err       error
 	}
+	results := make([]outcome, len(candidates))
+	var done atomic.Int64
+	sp = m.obs.StartStage(obs.StageTest)
+	// fn never fails, so the only error is the context's, which the
+	// unreached slots record.
+	_ = forEachIndex(ctx, m.workers, len(candidates), func(i int) error {
+		r := &results[i]
+		r.cause, r.certified, r.err = m.evaluateCandidateSafe(ctx, candidates[i], symptom)
+		r.ran = true
+		if r.err == nil {
+			m.obs.Add(obs.CtrCandidatesTested, 1)
+		}
+		m.obs.Progress(obs.StageTest, int(done.Add(1)), len(candidates), string(candidates[i]))
+		return nil
+	})
 	sp.End()
+	d := &Diagnosis{Symptom: symptom, Candidates: candidates}
 	sp = m.obs.StartStage(obs.StageRank)
+	for i, r := range results {
+		switch {
+		case !r.ran:
+			m.recordSkip(d, candidates[i], skipReason(ctx.Err()))
+		case r.err != nil:
+			m.recordSkip(d, candidates[i], evalFailReason(r.err))
+		case r.certified:
+			m.obs.Add(obs.CtrCausesCertified, 1)
+			d.Causes = append(d.Causes, r.cause)
+		}
+	}
 	finishDiagnosis(d, start)
 	sp.End()
 	if errors.Is(ctx.Err(), context.Canceled) {

@@ -96,8 +96,11 @@ type Model struct {
 	// repeated diagnoses reuse whole subgraphs. Shared (by pointer) with
 	// Rebind copies — the graph is immutable after Build.
 	paths *graph.SubgraphCache
+	// workers bounds the pool that evaluates a diagnosis's candidates
+	// (TrainOpts.Workers); zero or one evaluates them inline.
+	workers int
 	// arenas pools the Gibbs resampler's scratch buffers across candidate
-	// evaluations and DiagnoseParallel workers.
+	// evaluations and their chains.
 	arenas *arenaPool
 	// kern holds the sampling kernel's per-(candidate, symptom) execution
 	// plan cache. Shared (by pointer) with Rebind copies: plans depend only
@@ -176,10 +179,11 @@ type TrainOpts struct {
 	// and counters now, inference spans on every later Diagnose call). Nil
 	// falls back to obs.Global(), which is disabled by default.
 	Obs *obs.Recorder
-	// Workers bounds the training worker pool that fans the per-series
-	// preprocessing and per-factor fits across cores. Zero or one runs the
-	// historical serial loop (no goroutines, no channels); any larger count
-	// produces bit-identical factors, so it is purely a latency knob.
+	// Workers bounds the model's one worker pool: the training pass fans
+	// its per-series preprocessing and per-factor fits across it, and every
+	// later Diagnose call its candidate evaluations. Zero or one runs both
+	// as the plain serial loop (no goroutines); any larger count produces
+	// bit-identical factors and diagnoses, so it is purely a latency knob.
 	Workers int
 }
 
@@ -206,15 +210,16 @@ func TrainOpt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config,
 		return nil, fmt.Errorf("core: training endpoint %d outside timeline [0,%d)", now, db.Len())
 	}
 	m := &Model{
-		cfg:    cfg,
-		db:     db,
-		g:      g,
-		now:    now,
-		paths:  graph.NewSubgraphCache(g),
-		arenas: newArenaPool(),
-		kern:   newKernelTables(),
-		base:   &slotBase{},
-		obs:    rec,
+		cfg:     cfg,
+		db:      db,
+		g:       g,
+		now:     now,
+		workers: opts.Workers,
+		paths:   graph.NewSubgraphCache(g),
+		arenas:  newArenaPool(),
+		kern:    newKernelTables(),
+		base:    &slotBase{},
+		obs:     rec,
 	}
 	if rec.Enabled() {
 		// The hook costs a closure call per subgraph lookup, so it is only

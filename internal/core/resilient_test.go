@@ -4,23 +4,27 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"murphy/internal/graph"
+	"murphy/internal/obs"
 	"murphy/internal/telemetry"
 )
 
 // TestDiagnosePanickingCandidate is the regression test for the worker-pool
 // deadlock: a panicking candidate evaluation used to kill the worker
-// goroutine before wg.Done, hanging every DiagnoseParallel caller. The
-// panic must instead become a recorded skip while the rest of the diagnosis
-// completes.
+// goroutine before wg.Done, hanging every pooled diagnosis. The panic must
+// instead become a recorded skip while the rest of the diagnosis completes.
 func TestDiagnosePanickingCandidate(t *testing.T) {
-	for _, mode := range []string{"sequential", "parallel"} {
-		t.Run(mode, func(t *testing.T) {
-			_, m := trainChain(t)
+	for _, mode := range []struct {
+		name    string
+		workers int
+	}{{"sequential", 1}, {"parallel", 4}} {
+		t.Run(mode.name, func(t *testing.T) {
+			_, m := trainChainWorkers(t, mode.workers)
 			m.SetEvalHook(func(a telemetry.EntityID) {
 				if a == "decoy" {
 					panic("poisoned evaluator")
@@ -33,11 +37,7 @@ func TestDiagnosePanickingCandidate(t *testing.T) {
 			var err error
 			go func() {
 				defer close(done)
-				if mode == "parallel" {
-					diag, err = m.DiagnoseParallel(sym, 4)
-				} else {
-					diag, err = m.Diagnose(sym)
-				}
+				diag, err = m.Diagnose(sym)
 			}()
 			select {
 			case <-done:
@@ -99,11 +99,15 @@ func TestDiagnoseContextCancelled(t *testing.T) {
 		t.Fatal("cancellation should still hand back the partial diagnosis")
 	}
 	// Parallel path: same contract.
-	if _, err := m.DiagnoseParallelContext(ctx, telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}, 3); !errors.Is(err, context.Canceled) {
+	_, pm := trainChainWorkers(t, 3)
+	if _, err := pm.DiagnoseContext(ctx, telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel err = %v, want wrapped context.Canceled", err)
 	}
 }
 
+// TestDiagnoseContextDeadlinePartial runs an expiring deadline through the
+// inline loop and the pool: both must degrade to a partial diagnosis whose
+// every skipped candidate, reached or not, says "deadline exceeded".
 func TestDiagnoseContextDeadlinePartial(t *testing.T) {
 	db := chainDB(t, 220, 5, 33)
 	g, err := graph.Build(db, []telemetry.EntityID{"back"}, -1)
@@ -115,41 +119,93 @@ func TestDiagnoseContextDeadlinePartial(t *testing.T) {
 	cfg := testConfig()
 	cfg.Samples = 60000
 	cfg.GibbsRounds = 8
-	m, err := Train(db, g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sym := telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}
-	deadline := 30 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
-	defer cancel()
-	start := time.Now()
-	diag, err := m.DiagnoseContext(ctx, sym)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("an expired deadline must degrade, not error: %v", err)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadline := 30 * time.Millisecond
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			defer cancel()
+			start := time.Now()
+			diag, err := m.DiagnoseContext(ctx, sym)
+			elapsed := time.Since(start)
+			if err != nil {
+				t.Fatalf("an expired deadline must degrade, not error: %v", err)
+			}
+			if diag == nil {
+				t.Fatal("nil diagnosis")
+			}
+			if !diag.Partial || len(diag.Skipped) == 0 {
+				t.Fatalf("deadline should leave a partial diagnosis: partial=%v skipped=%d evaluated causes=%d",
+					diag.Partial, len(diag.Skipped), len(diag.Causes))
+			}
+			for _, s := range diag.Skipped {
+				if s.Reason != "deadline exceeded" {
+					t.Fatalf("skip reason = %q", s.Reason)
+				}
+			}
+			// Generous CI margin, but far below the multi-second full
+			// inference: the acceptance target is ~1.5x the deadline.
+			if elapsed > time.Second {
+				t.Fatalf("deadline %v overshot to %v", deadline, elapsed)
+			}
+			// Degraded fallback is ranked by anomaly score (descending).
+			for i := 1; i < len(diag.Degraded); i++ {
+				if diag.Degraded[i-1].Score < diag.Degraded[i].Score {
+					t.Fatal("degraded list must be ranked by anomaly score")
+				}
+			}
+		})
 	}
-	if diag == nil {
-		t.Fatal("nil diagnosis")
+}
+
+// progressLog records the StageTest progress events of one diagnosis.
+type progressLog struct{ done []int }
+
+func (*progressLog) StageStart(obs.Stage)                             {}
+func (*progressLog) StageEnd(obs.Stage, time.Duration, time.Duration) {}
+func (p *progressLog) Progress(st obs.Stage, done, _ int, _ string) {
+	if st == obs.StageTest {
+		p.done = append(p.done, done)
 	}
-	if !diag.Partial || len(diag.Skipped) == 0 {
-		t.Fatalf("deadline should leave a partial diagnosis: partial=%v skipped=%d evaluated causes=%d",
-			diag.Partial, len(diag.Skipped), len(diag.Causes))
-	}
-	for _, s := range diag.Skipped {
-		if s.Reason != "deadline exceeded" {
-			t.Fatalf("skip reason = %q", s.Reason)
+}
+
+// TestDiagnoseProgressCountsFailedCandidates: a candidate whose evaluation
+// panics still finishes, so it emits its progress event like any other and
+// a progress bar reaches its total, inline and pooled.
+func TestDiagnoseProgressCountsFailedCandidates(t *testing.T) {
+	sym := telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}
+	for _, workers := range []int{1, 4} {
+		_, m := trainChainWorkers(t, workers)
+		m.SetEvalHook(func(a telemetry.EntityID) {
+			if a == "decoy" {
+				panic("poisoned evaluator")
+			}
+		})
+		log := &progressLog{}
+		rec := obs.New()
+		rec.Enable()
+		rec.Attach(log)
+		m.SetRecorder(rec)
+		diag, err := m.Diagnose(sym)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Generous CI margin, but far below the multi-second full inference:
-	// the acceptance target is ~1.5x the deadline.
-	if elapsed > time.Second {
-		t.Fatalf("deadline %v overshot to %v", deadline, elapsed)
-	}
-	// Degraded fallback is ranked by anomaly score (descending).
-	for i := 1; i < len(diag.Degraded); i++ {
-		if diag.Degraded[i-1].Score < diag.Degraded[i].Score {
-			t.Fatal("degraded list must be ranked by anomaly score")
+		if len(diag.Skipped) != 1 {
+			t.Fatalf("workers=%d: skipped = %+v, want the decoy alone", workers, diag.Skipped)
+		}
+		got := append([]int(nil), log.done...)
+		sort.Ints(got)
+		if len(got) != len(diag.Candidates) {
+			t.Fatalf("workers=%d: %d progress events %v for %d candidates", workers, len(got), log.done, len(diag.Candidates))
+		}
+		for i, d := range got {
+			if d != i+1 {
+				t.Fatalf("workers=%d: progress done values %v, want 1..%d once each", workers, log.done, len(diag.Candidates))
+			}
 		}
 	}
 }
@@ -258,19 +314,17 @@ func TestParallelPartialMatchesSequentialCertified(t *testing.T) {
 	// sequential paths must still agree (determinism under degradation).
 	sym := telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}
 	run := func(parallel bool) *Diagnosis {
-		_, m := trainChain(t)
+		workers := 1
+		if parallel {
+			workers = 4
+		}
+		_, m := trainChainWorkers(t, workers)
 		m.SetEvalHook(func(a telemetry.EntityID) {
 			if a == "front" {
 				panic("poisoned")
 			}
 		})
-		var d *Diagnosis
-		var err error
-		if parallel {
-			d, err = m.DiagnoseParallel(sym, 4)
-		} else {
-			d, err = m.Diagnose(sym)
-		}
+		d, err := m.Diagnose(sym)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,12 +91,12 @@ func TestFactorCacheSharedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1, Store: store})
+			m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1, Store: store, Workers: 4})
 			if err != nil {
 				errs <- err
 				return
 			}
-			diag, err := m.DiagnoseParallel(sym, 4)
+			diag, err := m.Diagnose(sym)
 			if err != nil {
 				errs <- err
 				return
@@ -130,7 +130,8 @@ func TestFactorCacheDegradedPaths(t *testing.T) {
 	store := NewFactorStore()
 
 	// Skip path: one candidate's evaluation panics mid-diagnosis.
-	m, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1, Store: store})
+	pooled := TrainOpts{Now: -1, Store: store, Workers: 4}
+	m, err := TrainOpt(context.Background(), db, g, cfg, pooled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestFactorCacheDegradedPaths(t *testing.T) {
 			panic("poisoned evaluator")
 		}
 	})
-	diag, err := m.DiagnoseParallel(sym, 4)
+	diag, err := m.Diagnose(sym)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,23 +149,23 @@ func TestFactorCacheDegradedPaths(t *testing.T) {
 	}
 
 	// Partial path: the deadline expires during inference.
-	m2, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1, Store: store})
+	m2, err := TrainOpt(context.Background(), db, g, cfg, pooled)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2.SetEvalHook(func(telemetry.EntityID) { time.Sleep(5 * time.Millisecond) })
 	ctx, cancel := context.WithTimeout(context.Background(), 12*time.Millisecond)
 	defer cancel()
-	if _, err := m2.DiagnoseParallelContext(ctx, sym, 4); err != nil {
+	if _, err := m2.DiagnoseContext(ctx, sym); err != nil {
 		t.Fatalf("an expiring deadline should degrade, not error: %v", err)
 	}
 
 	// The store must still serve pristine factors.
-	m3, err := TrainOpt(context.Background(), db, g, cfg, TrainOpts{Now: -1, Store: store})
+	m3, err := TrainOpt(context.Background(), db, g, cfg, pooled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := m3.DiagnoseParallel(sym, 4)
+	clean, err := m3.Diagnose(sym)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@ import (
 )
 
 // forEachIndex runs fn(i) for every i in [0, n), fanning the calls across up
-// to `workers` goroutines. It is the training pass's pool primitive, built so
+// to `workers` goroutines. It is the package's one worker pool — the
+// training pass's per-series and per-factor jobs, a diagnosis's candidate
+// evaluations and a candidate's Gibbs chains all run on it — built so
 // parallelism can never change results:
 //
 //   - workers <= 1 (or n <= 1) degrades to the plain inline loop — no
@@ -18,7 +20,7 @@ import (
 //     to slot i of its output, so results are positionally deterministic
 //     regardless of goroutine interleaving.
 //   - The context is polled before every item; on cancellation remaining
-//     items fail fast with the context error.
+//     items fail fast with the context error and fn never runs for them.
 //
 // The returned error is the lowest-index failure, which for deterministic fn
 // is the same error the serial loop would have returned first.

@@ -12,7 +12,8 @@ import (
 // per-(candidate, symptom) subgraph is computed at most once even when the
 // same model serves many Diagnose calls.
 //
-// The cache is safe for concurrent use (DiagnoseParallel workers share one).
+// The cache is safe for concurrent use (a diagnosis's pooled candidate
+// evaluations share one).
 // Returned slices are shared between callers and the cache: treat them as
 // read-only.
 type SubgraphCache struct {

@@ -257,7 +257,7 @@ func (r *CycleStatsResult) String() string {
 // FastPathOptions parameterizes the shared-computation fast-path A/B
 // measurement: the Table-2 contention workload diagnosed with the classic
 // fixed-budget inference versus factor-store reuse + early-stopped
-// counterfactual tests, both fanned out over DiagnoseParallel workers.
+// counterfactual tests, every arm trained and diagnosed on one worker pool.
 type FastPathOptions struct {
 	// Scenarios is the number of contention incidents.
 	Scenarios int
@@ -265,7 +265,8 @@ type FastPathOptions struct {
 	Steps int
 	// Samples / TrainWindow configure Murphy.
 	Samples, TrainWindow int
-	// Workers is the DiagnoseParallel fan-out.
+	// Workers sizes each arm's one worker pool: it fans out both the
+	// training fits and the candidate evaluations.
 	Workers int
 	// Rounds is how many times each incident is diagnosed at the same
 	// slice (an operator re-triaging: this is what the factor store
@@ -359,12 +360,12 @@ func RunFastPath(opts FastPathOptions) (*FastPathResult, error) {
 			var diagTime time.Duration
 			t0 := time.Now()
 			for r := 0; r < opts.Rounds; r++ {
-				model, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1, Store: store, Obs: rec})
+				model, err := core.TrainOpt(context.Background(), db, g, cfg, core.TrainOpts{Now: -1, Store: store, Obs: rec, Workers: opts.Workers})
 				if err != nil {
 					return nil, 0, 0, 0, err
 				}
 				d0 := time.Now()
-				diag, err := model.DiagnoseParallel(sc.Symptom, opts.Workers)
+				diag, err := model.Diagnose(sc.Symptom)
 				if err != nil {
 					return nil, 0, 0, 0, err
 				}

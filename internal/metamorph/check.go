@@ -18,7 +18,8 @@ type Options struct {
 	EarlyStop bool
 	// Chains is the Gibbs chain count (0/1 = single stream).
 	Chains int
-	// Workers is the training worker pool size (0/1 = serial).
+	// Workers sizes the model's one worker pool, which runs both the
+	// training fits and the candidate evaluations (0/1 = serial).
 	Workers int
 	// Store trains twice at the same slice through a fresh incremental
 	// factor store: the anchoring pass, then a pass served from the store,

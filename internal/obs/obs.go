@@ -225,8 +225,8 @@ func (h Hist) Name() string {
 
 // Observer receives the live event stream of an enabled Recorder. All
 // callbacks are serialized by the Recorder (even when events originate on
-// concurrent DiagnoseParallel workers), so implementations need no internal
-// locking; they must not block, since they run inline with the pipeline.
+// concurrent pool workers), so implementations need no internal locking;
+// they must not block, since they run inline with the pipeline.
 type Observer interface {
 	// StageStart fires when a pipeline stage begins.
 	StageStart(st Stage)
@@ -234,9 +234,10 @@ type Observer interface {
 	// and the process CPU time consumed while it ran (0 where the platform
 	// offers no cheap process CPU clock).
 	StageEnd(st Stage, wall, cpu time.Duration)
-	// Progress fires as long-running stages advance — for StageTest, after
-	// every candidate: done of total evaluated, entity naming the candidate
-	// just finished.
+	// Progress fires as long-running stages advance — for StageTest, once
+	// per candidate whose evaluation ran (passed, failed or panicked): done
+	// of total evaluated, entity naming the candidate just finished. A
+	// candidate a deadline cut off before it started emits none.
 	Progress(st Stage, done, total int, entity string)
 }
 

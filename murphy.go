@@ -31,7 +31,7 @@
 // declarations against a golden file so surface changes are deliberate.
 // Each concern has exactly one option: WithSampler for the sampling kernel,
 // WithResilience for the read path, WithIncrementalTraining for training
-// reuse.
+// reuse, WithWorkers for parallelism.
 // Context-taking methods (DiagnoseContext, WhatIfContext) are canonical;
 // their context-less twins are one-line Background wrappers.
 //
@@ -77,9 +77,9 @@ type System struct {
 	brkCfg  *resilience.BreakerConfig
 	breaker *resilience.Breaker
 	rsrc    *resilience.Source
+	// workers sizes the trained model's one pool: training fits and
+	// candidate evaluations (WithWorkers).
 	workers int
-	// trainWorkers bounds the training-pass worker pool (0 = follow workers).
-	trainWorkers int
 	// incStore, when set, amortizes training across Diagnose calls by
 	// sliding per-factor sufficient statistics, and serves a repeat at the
 	// same slice from the stored factors (WithIncrementalTraining).
@@ -176,26 +176,16 @@ func (s *System) DiagnoseContext(ctx context.Context, symptom telemetry.Symptom)
 // already-trained model. It is the shared back half of DiagnoseContext and
 // DiagnoseBatch.
 func (s *System) diagnoseWith(ctx context.Context, model *core.Model, symptom telemetry.Symptom) (*Report, error) {
-	var diag *core.Diagnosis
-	var err error
-	if s.workers > 1 {
-		diag, err = model.DiagnoseParallelContext(ctx, symptom, s.workers)
-	} else {
-		diag, err = model.DiagnoseContext(ctx, symptom)
-	}
+	diag, err := model.DiagnoseContext(ctx, symptom)
 	if err != nil {
 		return nil, err
 	}
 	labeler := explain.NewLabeler(model, s.db, s.th)
-	since := model.Now() - s.cfg.TrainWindow
-	if since < 0 {
-		since = 0
-	}
 	report := &Report{
 		SchemaVersion: SchemaVersion,
 		Symptom:       symptom,
 		Candidates:    diag.Candidates,
-		RecentChanges: s.db.EventsSince(since),
+		RecentChanges: recentChanges(s.db, model),
 		Partial:       diag.Partial,
 		ReadFailures:  len(model.ReadFailures()),
 	}
@@ -219,6 +209,20 @@ func (s *System) diagnoseWith(ctx context.Context, model *core.Model, symptom te
 	return report, nil
 }
 
+// recentChanges returns the configuration changes inside the model's
+// training window [now-TrainWindow+1, now], taken from the trained model so
+// the bounds are the sanitized window it actually trained on.
+func recentChanges(db *telemetry.DB, model *core.Model) []telemetry.Event {
+	now := model.Now()
+	var out []telemetry.Event
+	for _, ev := range db.EventsSince(now - model.Config().TrainWindow + 1) {
+		if ev.Slice <= now {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 // BatchItem is one symptom's outcome within a DiagnoseBatch call: the report
 // when its diagnosis completed, or the error that stopped it. Exactly one of
 // Report and Err is set.
@@ -230,7 +234,7 @@ type BatchItem struct {
 
 // DiagnoseBatch diagnoses several symptoms of one incident against a single
 // online-trained model: the MRF is trained once (on the pool configured by
-// WithParallelTraining) and every symptom then reuses it — along with the
+// WithWorkers) and every symptom then reuses it — along with the
 // session's shortest-path subgraph cache — instead of paying the per-call
 // retraining that separate Diagnose calls would. Per-symptom failures
 // (unknown entity, cancellation mid-inference) land in the item's Err
@@ -260,12 +264,7 @@ func (s *System) DiagnoseBatch(ctx context.Context, symptoms []telemetry.Symptom
 
 // train fits the MRF through the configured read path.
 func (s *System) train(ctx context.Context) (*core.Model, error) {
-	opts := core.TrainOpts{Now: -1, Store: s.incStore, Obs: s.rec, Workers: s.trainWorkers}
-	if opts.Workers == 0 {
-		// Unset: a session that fans inference out across workers gets the
-		// same fan-out for its training fits.
-		opts.Workers = s.workers
-	}
+	opts := core.TrainOpts{Now: -1, Store: s.incStore, Obs: s.rec, Workers: s.workers}
 	if plain, ok := s.src.(*telemetry.DB); !ok || plain != s.db {
 		// An interposed source (chaos, resilience, remote): route reads
 		// through it. The factor store is bypassed on this path.

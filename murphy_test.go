@@ -379,26 +379,53 @@ func TestWhatIfContextCancelled(t *testing.T) {
 	}
 }
 
+// TestReportRecentChanges pins the window RecentChanges reports: the trained
+// model's [now-TrainWindow+1, now], with the sanitized window. demoDB ends at
+// slice 239.
 func TestReportRecentChanges(t *testing.T) {
-	db := demoDB(t)
-	if err := db.RecordEvent(telemetry.Event{Slice: 235, Kind: telemetry.EventScaled, Entity: "web", Detail: "replicas 2 -> 1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.RecordEvent(telemetry.Event{Slice: 2, Kind: telemetry.EventEntityCreated, Entity: "web", Detail: "ancient"}); err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Samples = 200
-	cfg.TrainWindow = 100
-	sys, err := New(db, WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := sys.Diagnose(telemetry.Symptom{Entity: "backend", Metric: telemetry.MetricCPU, High: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.RecentChanges) != 1 || report.RecentChanges[0].Detail != "replicas 2 -> 1" {
-		t.Fatalf("RecentChanges = %+v, want only the in-window event", report.RecentChanges)
+	for _, tc := range []struct {
+		name   string
+		window int
+		events map[int]string // slice -> detail
+		want   []string
+	}{
+		{"window 100", 100, map[int]string{
+			235: "replicas 2 -> 1",
+			2:   "ancient",
+			139: "one slice before the window",
+			240: "after the diagnosis slice",
+		}, []string{"replicas 2 -> 1"}},
+		// TrainWindow 0 trains on the default 300 slices, all of demoDB.
+		{"default window", 0, map[int]string{
+			139: "resize",
+			189: "migrate",
+		}, []string{"resize", "migrate"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := demoDB(t)
+			for slice, detail := range tc.events {
+				if err := db.RecordEvent(telemetry.Event{Slice: slice, Kind: telemetry.EventScaled, Entity: "web", Detail: detail}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg := DefaultConfig()
+			cfg.Samples = 200
+			cfg.TrainWindow = tc.window
+			sys, err := New(db, WithConfig(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			report, err := sys.Diagnose(telemetry.Symptom{Entity: "backend", Metric: telemetry.MetricCPU, High: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, ev := range report.RecentChanges {
+				got = append(got, ev.Detail)
+			}
+			if strings.Join(got, "|") != strings.Join(tc.want, "|") {
+				t.Fatalf("RecentChanges = %q, want only the in-window events %q", got, tc.want)
+			}
+		})
 	}
 }

@@ -1,8 +1,6 @@
 package murphy
 
 import (
-	"runtime"
-
 	"murphy/internal/core"
 	"murphy/internal/explain"
 	"murphy/internal/resilience"
@@ -42,7 +40,7 @@ type FactorStore = core.FactorStore
 type FactorStoreStats = core.FactorStoreStats
 
 // SamplerConfig bundles every knob of the batched Gibbs sampling kernel
-// (precision, chains, early stopping, scratch sizing); see WithSampler.
+// (precision, chains, early stopping); see WithSampler.
 type SamplerConfig = core.SamplerConfig
 
 // Precision selects the floating-point width of the sampling kernel; see
@@ -93,32 +91,20 @@ func WithThresholds(th explain.Thresholds) Option {
 	return func(s *System) { s.th = th }
 }
 
-// WithWorkers fans candidate evaluations out over n workers per Diagnose
-// call. n <= 1 (including WithWorkers(0)) is valid and stays on the serial
-// code path — no goroutines, no channels; results are identical either way,
-// per the independently seeded samplers.
+// WithWorkers sizes the session's one worker pool: each online training
+// pass fans its per-series preprocessing and per-factor fits out over n
+// workers, and each diagnosis its candidate evaluations. n <= 1 (including
+// WithWorkers(0)) is valid and stays on the serial code path — no
+// goroutines. Trained models and diagnoses are bit-identical at any worker
+// count (deterministic job order, independently seeded samplers, per-slot
+// outputs), so this is purely a latency knob. The pool composes with
+// incremental training and honors context cancellation mid-pool.
 func WithWorkers(n int) Option {
 	return func(s *System) {
 		if n < 1 {
 			n = 1
 		}
 		s.workers = n
-	}
-}
-
-// WithParallelTraining fans the online training pass — per-series
-// preprocessing and per-factor ridge fits — out over n pool workers per
-// train. n <= 0 uses GOMAXPROCS. The trained model is bit-identical at any
-// worker count (deterministic job order, per-slot outputs), so this is purely
-// a latency knob; without it, training follows WithWorkers. The worker pool
-// composes with incremental training and honors context cancellation
-// mid-pool.
-func WithParallelTraining(n int) Option {
-	return func(s *System) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		s.trainWorkers = n
 	}
 }
 
@@ -136,7 +122,6 @@ func WithParallelTraining(n int) Option {
 //     draws arrive in batches through a streaming Welch t-test and stop as
 //     soon as the verdict at Alpha is decided with margin to spare
 //     (confidence 0 uses the 0.999 default).
-//   - ArenaSamples: pre-size the per-chain scratch vectors.
 //
 // Apply after WithConfig: the bundle replaces Config.Sampler.
 func WithSampler(sc SamplerConfig) Option {
