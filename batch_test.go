@@ -156,30 +156,25 @@ func TestDiagnoseBatchCancelled(t *testing.T) {
 }
 
 // TestWithParallelTrainingMatchesSerial is the facade-level determinism check:
-// a WithWorkers pool (training fits and candidate evaluations) and
-// multi-chain sampling must leave single-chain verdicts bit-identical and
-// multi-chain rankings intact.
+// a WithWorkers pool (training fits and candidate evaluations) must leave
+// the verdicts bit-identical, for both the fixed-budget and the early-stop
+// sampler.
 func TestWithParallelTrainingMatchesSerial(t *testing.T) {
-	want, err := testSystem(t).Diagnose(demoSymptom())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := testSystem(t, WithWorkers(4)).Diagnose(demoSymptom())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameReport(t, "parallel training", want, got)
-
-	chained, err := testSystem(t, WithWorkers(4), WithSampler(SamplerConfig{Chains: 4})).Diagnose(demoSymptom())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chained.Causes) != len(want.Causes) {
-		t.Fatalf("chains=4: %d causes vs %d", len(chained.Causes), len(want.Causes))
-	}
-	for i := range want.Causes {
-		if chained.Causes[i].Entity != want.Causes[i].Entity {
-			t.Fatalf("chains=4: rank %d is %s, want %s", i, chained.Causes[i].Entity, want.Causes[i].Entity)
+	for _, es := range []bool{false, true} {
+		sampler := WithSampler(SamplerConfig{EarlyStop: es})
+		want, err := testSystem(t, sampler).Diagnose(demoSymptom())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Causes) == 0 {
+			t.Fatalf("earlyStop=%v: no causes certified", es)
+		}
+		for _, workers := range []int{2, 4} {
+			got, err := testSystem(t, WithWorkers(workers), sampler).Diagnose(demoSymptom())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameReport(t, fmt.Sprintf("earlyStop=%v workers=%d", es, workers), want, got)
 		}
 	}
 }

@@ -492,7 +492,6 @@ func BenchmarkFastPathDiagnoseParallel(b *testing.B) {
 			cfg := base
 			if v.early {
 				cfg.Sampler.EarlyStop = true
-				cfg.Sampler.EarlyStopConfidence = 0.999
 			}
 			var store *core.FactorStore
 			if v.store {
@@ -539,7 +538,7 @@ func BenchmarkFastPathTable2(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel training and multi-chain sampling
+// Parallel training and candidate evaluation
 
 // BenchmarkCoreTrainParallel times the training pool across worker counts on
 // the same workload as BenchmarkCoreTrainOnline; workers=1 is the serial
@@ -682,24 +681,6 @@ func benchSlides(b *testing.B, db *telemetry.DB, g *graph.Graph, cfg core.Config
 	b.ReportMetric(float64(st.Hits)/float64(b.N), "hits/op")
 	b.ReportMetric(float64(st.Refits)/float64(b.N), "refits/op")
 	b.ReportMetric(float64(st.Reselects)/float64(b.N), "reselects/op")
-}
-
-// BenchmarkDiagnoseChains times multi-chain Gibbs sampling across chain
-// counts; chains=1 is the untouched legacy single-stream sampler.
-func BenchmarkDiagnoseChains(b *testing.B) {
-	for _, chains := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("chains%d", chains), func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.Sampler.Chains = chains
-			m, sc := contentionModel(b, cfg, 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Diagnose(sc.Symptom); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // ---------------------------------------------------------------------------

@@ -37,10 +37,9 @@ func main() {
 		window   = flag.Int("window", 300, "online-training window (time slices)")
 		timeout  = flag.Duration("timeout", 0, "diagnosis deadline; on expiry the partial ranking is printed (0 = none)")
 		workers  = flag.Int("workers", 1, "worker pool for training fits and candidate evaluations (1 = sequential; results identical)")
-		chains   = flag.Int("chains", 1, "independent Gibbs chains per counterfactual test (1 = single-stream sampler)")
 		prec     = flag.String("precision", "float64", "sampling kernel precision: float64 (bit-stable default) or float32 (fast path)")
 		retries  = flag.Int("retries", 0, "retry attempts for transient telemetry read faults (0 = no retry layer)")
-		early    = flag.Float64("earlystop", 0, "early-stop confidence for the counterfactual tests, e.g. 0.999 (0 = full sample budget)")
+		early    = flag.Bool("earlystop", false, "stop each counterfactual test's sampling once its verdict is decided (default: full sample budget)")
 		edges    = flag.String("edges", "", "edge-list file overlaying known associations onto the snapshot (\"a -> b\" directed, \"a -- b\" loose)")
 		outFmt   = flag.String("o", "text", "output format: text or json (the versioned Report schema)")
 		stats    = flag.Bool("stats", false, "print the per-stage timing and counter breakdown after each diagnosis")
@@ -48,6 +47,13 @@ func main() {
 		listen   = flag.String("listen", "", "serve /metrics, /stats and /debug/pprof on this address while diagnosing (e.g. :6060)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops at the first non-flag argument, so anything after it
+		// (including later flags) would be silently dropped.
+		fmt.Fprintf(os.Stderr, "murphy: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *snapshot == "" {
 		fmt.Fprintln(os.Stderr, "murphy: -snapshot is required")
 		flag.Usage()
@@ -89,11 +95,7 @@ func main() {
 	if *workers > 1 {
 		opts = append(opts, murphy.WithWorkers(*workers))
 	}
-	sampler := murphy.SamplerConfig{Chains: *chains}
-	if *early > 0 {
-		sampler.EarlyStop = true
-		sampler.EarlyStopConfidence = *early
-	}
+	sampler := murphy.SamplerConfig{EarlyStop: *early}
 	switch *prec {
 	case "float64", "f64", "":
 		sampler.Precision = murphy.PrecisionFloat64

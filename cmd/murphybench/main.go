@@ -19,11 +19,12 @@ import (
 	"murphy/internal/enterprise"
 	"murphy/internal/harness"
 	"murphy/internal/obs"
+	"murphy/internal/serve"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "comma-separated experiments: fig5c, fig5d, table1, fig6b, fig6c, table2, fig7, fig8a, fig8b, scaling, sensitivity, cycles, fastpath, obsoverhead, inctrain, accuracy, baselines, sweep, soak, all")
+		exp     = flag.String("exp", "all", "comma-separated experiments: fig5c, fig5d, table1, fig6b, fig6c, table2, fig7, fig8a, fig8b, scaling, sensitivity, cycles, fastpath, obsoverhead, inctrain, baselines, sweep, soak, all")
 		full    = flag.Bool("full", false, "use paper-scale parameters (slow)")
 		stats   = flag.Bool("stats", false, "print the accumulated per-stage timing and counter breakdown at exit")
 		trace   = flag.Bool("trace", false, "stream pipeline stage events to stderr as experiments run")
@@ -241,18 +242,6 @@ func main() {
 			}
 		}
 	}
-	if run("accuracy") {
-		cases := 8
-		if *full {
-			cases = 32
-		}
-		res, err := harness.RunAccuracy(1, cases)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(res)
-		report.Accuracy = res
-	}
 	if run("baselines") {
 		cases := 16 // matches the accguard-pinned suite (seed 1, 16 cases/family)
 		if *full {
@@ -278,12 +267,12 @@ func main() {
 		report.RegressorSweep = res
 	}
 	if run("soak") {
-		opts := harness.DefaultSoakOptions()
+		opts := serve.DefaultSoakOptions()
 		if *full {
 			opts.Duration = 15 * time.Second
 			opts.Samples = 1000
 		}
-		res, err := harness.RunSoak(opts)
+		res, err := serve.RunSoak(opts)
 		if err != nil {
 			fail(err)
 		}

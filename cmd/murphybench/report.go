@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"murphy/internal/harness"
+	"murphy/internal/serve"
 )
 
 // benchReport is the top-level -json document. Experiments that did not run
@@ -26,9 +27,6 @@ type benchReport struct {
 	// factor-equivalence and identical-causes evidence. The base replay
 	// always runs; -full adds the enterprise-scale arms.
 	IncTrain []incTrainJSON `json:"inctrain,omitempty"`
-	// Accuracy is the fuzzed-suite diagnosis accuracy (the same numbers
-	// cmd/accguard pins against testdata/acc_baseline.json).
-	Accuracy *harness.AccuracyResult `json:"accuracy,omitempty"`
 	// Baselines is the comparative accuracy of Murphy vs NetMedic /
 	// ExplainIt / Sage over the fuzzed suite (per-method columns accguard
 	// pins: Murphy gated, baselines tracked).
@@ -38,7 +36,7 @@ type benchReport struct {
 	RegressorSweep *harness.RegressorSweepResult `json:"regressor_sweep,omitempty"`
 	// Soak is the chaos soak drill of the always-on daemon (shed rates,
 	// queue high-water, latency percentiles, degradation-ladder evidence).
-	Soak *harness.SoakResult `json:"soak,omitempty"`
+	Soak *serve.SoakResult `json:"soak,omitempty"`
 }
 
 // fastPathJSON summarizes the fastpath A/B experiment.

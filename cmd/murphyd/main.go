@@ -76,6 +76,13 @@ func main() {
 		chaosSeed    = flag.Int64("chaos-seed", 1, "chaos injector seed")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops at the first non-flag argument, so anything after it
+		// (including later flags) would be silently dropped.
+		fmt.Fprintf(os.Stderr, "murphyd: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// Boot order: recover the latest crash-safe state snapshot if one
 	// exists; otherwise fall back to the bootstrap telemetry snapshot;

@@ -171,7 +171,7 @@ func TestGoldenMicrosimRanking(t *testing.T) {
 
 	// The early-stop fast path may truncate p-values but must keep the
 	// top-ranked cause (and, on this clear-cut scenario, the accept set).
-	fast := diagnoseRanked(t, db, sc.Symptom, WithSampler(SamplerConfig{EarlyStop: true, EarlyStopConfidence: 0.999}), WithWorkers(4))
+	fast := diagnoseRanked(t, db, sc.Symptom, WithSampler(SamplerConfig{EarlyStop: true}), WithWorkers(4))
 	assertSameTop1(t, "early stop vs baseline", baseline, fast)
 	assertGolden(t, rankedEntities(fast), goldenMicrosim)
 }
@@ -190,6 +190,6 @@ func TestGoldenEnterpriseRanking(t *testing.T) {
 	assertStoreReuseIdentical(t, "store", db, inc.Symptom, baseline)
 	assertStoreReuseIdentical(t, "store+parallel", db, inc.Symptom, baseline, WithWorkers(4))
 
-	fast := diagnoseRanked(t, db, inc.Symptom, WithSampler(SamplerConfig{EarlyStop: true, EarlyStopConfidence: 0.999}), WithWorkers(4))
+	fast := diagnoseRanked(t, db, inc.Symptom, WithSampler(SamplerConfig{EarlyStop: true}), WithWorkers(4))
 	assertSameTop1(t, "early stop vs baseline", baseline, fast)
 }

@@ -2,25 +2,25 @@ package core
 
 import "sync"
 
-// arena is the per-chain scratch space of the batched Gibbs kernel. The
+// arena is the per-candidate scratch space of the batched Gibbs kernel. The
 // sampler's state — one vector of n parallel chain values per touched
 // (entity, metric) — lives in flat slices indexed by the model's series
-// slots, plus the merged draw buffers of the fixed-budget test and the
-// float32 path's widening scratch. Every pass eagerly re-fills the slots its
-// plan touches from the start state, so buffers never need clearing between
+// slots, plus the fixed-budget test's counterfactual draws and the float32
+// path's widening scratch. Every pass eagerly re-fills the slots its plan
+// touches from the start state, so buffers never need clearing between
 // passes, batches, or candidates; they just get reused at whatever capacity
 // they last grew to.
 //
 // An arena is single-goroutine scratch: every candidate evaluation takes its
-// own from the model's pool, and so does every pooled chain after the first.
+// own from the model's pool.
 type arena struct {
 	vals64 [][]float64
 	vals32 [][]float32
 	// x is the per-sample feature gather buffer of generic (non-fused) steps.
 	x []float64
-	// d1/d2 hold the merged counterfactual/factual draws of the fixed-budget
-	// test across all chains.
-	d1, d2 []float64
+	// cf holds the fixed-budget test's counterfactual draws while the
+	// factual pass reuses the slot vectors.
+	cf []float64
 	// conv is the float64 view of a float32 pass's symptom draws.
 	conv []float64
 }
@@ -47,19 +47,12 @@ func (a *arena) slots32(nslots int) [][]float32 {
 	return a.vals32
 }
 
-// draws1/draws2 return the two merged draw vectors, sized n.
-func (a *arena) draws1(n int) []float64 {
-	if cap(a.d1) < n {
-		a.d1 = make([]float64, n)
+// cfDraws returns the counterfactual draw buffer, sized n.
+func (a *arena) cfDraws(n int) []float64 {
+	if cap(a.cf) < n {
+		a.cf = make([]float64, n)
 	}
-	return a.d1[:n]
-}
-
-func (a *arena) draws2(n int) []float64 {
-	if cap(a.d2) < n {
-		a.d2 = make([]float64, n)
-	}
-	return a.d2[:n]
+	return a.cf[:n]
 }
 
 // scratch64 returns the float32 path's widening buffer, sized n.

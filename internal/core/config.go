@@ -56,8 +56,8 @@ type Config struct {
 	// streams — and therefore every p-value bit — survive the rename.
 	// Production diagnoses should leave it nil.
 	SeedFor func(candidate, symptom telemetry.EntityID) int64
-	// Sampler bundles every sampling-kernel knob: precision, chain
-	// parallelism, and sequential early stopping.
+	// Sampler bundles every sampling-kernel knob: precision and sequential
+	// early stopping.
 	Sampler SamplerConfig
 }
 
@@ -86,37 +86,23 @@ func (p Precision) String() string {
 }
 
 // SamplerConfig is the bundled configuration of the batched Gibbs sampling
-// kernel: arithmetic precision, chain parallelism, and sequential early
-// stopping. The zero value is the bit-stable default sampler.
+// kernel: arithmetic precision and sequential early stopping. The zero value
+// is the bit-stable default sampler.
 type SamplerConfig struct {
 	// Precision selects float64 (default, bit-compatible with the original
 	// sampler) or the float32 fast path.
 	Precision Precision
-	// Chains splits each counterfactual test's factual and counterfactual
-	// Monte-Carlo draws across K independent Gibbs chains, each with its own
-	// splitmix-derived RNG stream and arena, executed on up to
-	// min(K, GOMAXPROCS) goroutines. For a fixed K the merged draws are
-	// bit-identical regardless of how many goroutines actually run (one
-	// included), so verdicts never depend on scheduling. 0 or 1 keeps the
-	// single-stream sampler — the historical bit pattern the golden rankings
-	// are pinned against; K >= 2 changes individual p-value bits (different
-	// RNG streams) but preserves the rankings on clear-cut workloads.
-	Chains int
 	// EarlyStop enables sequential significance testing: the Monte-Carlo
 	// samples of each counterfactual test are drawn in batches through a
 	// streaming Welch t-test, and sampling stops as soon as the verdict at
-	// Alpha is decided with margin to spare (see stats.StreamingWelch). This
-	// cuts the Samples budget by an order of magnitude for clear-cut
-	// candidates; borderline candidates still run the full budget. The
-	// accept/reject verdicts are the same in practice, but reported p-values
-	// come from the truncated sample.
+	// Alpha is decided with margin to spare — both the t statistic (vs its
+	// critical value) and the effect estimate (vs MinEffect) sit Φ⁻¹(0.999)
+	// ≈ 3.1 standard errors past their thresholds (see
+	// stats.StreamingWelch). This cuts the Samples budget by an order of
+	// magnitude for clear-cut candidates; borderline candidates still run
+	// the full budget. The accept/reject verdicts are the same in practice,
+	// but reported p-values come from the truncated sample.
 	EarlyStop bool
-	// EarlyStopConfidence is how decided a verdict must be before sampling
-	// stops early, as a confidence c in (0.5, 1): both the t statistic
-	// (vs its critical value) and the effect estimate (vs MinEffect) must
-	// sit Φ⁻¹(c) standard deviations past their thresholds. Zero (or out of
-	// range) defaults to 0.999 (≈3.1σ).
-	EarlyStopConfidence float64
 }
 
 // DefaultConfig returns the paper's parameter choices.
@@ -136,9 +122,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// sanitized returns a copy with out-of-range values clamped to safe ones, so
-// a partially filled Config never produces a degenerate run.
-func (c Config) sanitized() Config {
+// Sanitized returns a copy of c with out-of-range values clamped to safe
+// ones, so a partially filled Config never produces a degenerate run. It is
+// the configuration TrainOpt actually trains and diagnoses with; callers
+// that need an effective value (a zero TrainWindow, say) read it from here
+// rather than re-deriving the default.
+func Sanitized(c Config) Config {
 	d := DefaultConfig()
 	if c.TopB <= 0 {
 		c.TopB = d.TopB
@@ -166,9 +155,6 @@ func (c Config) sanitized() Config {
 	}
 	if c.AnomalyZ <= 0 {
 		c.AnomalyZ = d.AnomalyZ
-	}
-	if c.Sampler.EarlyStopConfidence <= 0.5 || c.Sampler.EarlyStopConfidence >= 1 {
-		c.Sampler.EarlyStopConfidence = 0.999
 	}
 	return c
 }

@@ -341,28 +341,23 @@ func TestLowSymptomDirection(t *testing.T) {
 
 func TestConfigSanitized(t *testing.T) {
 	var c Config // all zero
-	s := c.sanitized()
+	s := Sanitized(c)
 	d := DefaultConfig()
 	if s.TopB != d.TopB || s.GibbsRounds != d.GibbsRounds || s.Samples != d.Samples ||
 		s.TrainWindow != d.TrainWindow || s.Alpha != d.Alpha || s.AnomalyZ != d.AnomalyZ {
 		t.Fatalf("sanitized zero config should match defaults: %+v", s)
 	}
-	if want := (SamplerConfig{EarlyStopConfidence: 0.999}); s.Sampler != want {
-		t.Fatalf("sanitized zero sampler = %+v, want %+v", s.Sampler, want)
+	if s.Sampler != (SamplerConfig{}) {
+		t.Fatalf("sanitized zero sampler = %+v, want the zero value", s.Sampler)
 	}
 	c = DefaultConfig()
 	c.Alpha = 5 // invalid
-	if got := c.sanitized().Alpha; got != d.Alpha {
+	if got := Sanitized(c).Alpha; got != d.Alpha {
 		t.Fatalf("invalid alpha should reset, got %v", got)
 	}
-	c.Sampler = SamplerConfig{EarlyStop: true, EarlyStopConfidence: 1.5}
-	want := SamplerConfig{EarlyStop: true, EarlyStopConfidence: 0.999}
-	if got := c.sanitized().Sampler; got != want {
-		t.Fatalf("out-of-range sampler fields should clamp: got %+v, want %+v", got, want)
-	}
-	c.Sampler = SamplerConfig{Chains: 4, EarlyStopConfidence: 0.99}
-	if got := c.sanitized().Sampler; got != c.Sampler {
-		t.Fatalf("in-range sampler fields should pass through: got %+v, want %+v", got, c.Sampler)
+	c.Sampler = SamplerConfig{Precision: PrecisionFloat32, EarlyStop: true}
+	if got := Sanitized(c).Sampler; got != c.Sampler {
+		t.Fatalf("sampler fields should pass through: got %+v, want %+v", got, c.Sampler)
 	}
 }
 

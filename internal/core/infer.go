@@ -343,150 +343,71 @@ const (
 	earlyStopMinSamples = 512
 )
 
+// earlyStopZ is how decided a verdict must be before sampling stops early:
+// both the t statistic (vs its critical value) and the effect estimate (vs
+// MinEffect) must sit Φ⁻¹(0.999) ≈ 3.1 standard errors past their
+// thresholds.
+var earlyStopZ = stats.NormalQuantile(0.999)
+
 // sampleCandidate runs one candidate's counterfactual test on the batched
-// kernel, returning the test result, the raw mean shift
-// mean(factual)−mean(counterfactual), and the total draws consumed. It is
-// the single sampling path behind every configuration — fixed-budget or
-// sequential, one chain or many — with the mode differences reduced to seed
-// derivation, budget partitioning, and when the verdict is examined:
+// kernel and the candidate's own arena, returning the test result, the raw
+// mean shift mean(factual)−mean(counterfactual), and the total draws
+// consumed:
 //
-//   - Fixed budget (cfg.Sampler.EarlyStop off): every chain draws its whole
-//     quota counterfactual-then-factual from one stream into its owned
-//     segment of the merged draw vectors, then one batch Welch t-test runs
-//     on the merge. A single chain reproduces the original sequential sampler's
-//     stream bit-for-bit (one pairSeed stream, CF then F).
+//   - Fixed budget (cfg.Sampler.EarlyStop off): one pairSeed stream draws
+//     the whole counterfactual budget, then the whole factual budget, and
+//     one batch Welch t-test compares them — the original sequential
+//     sampler's stream, bit for bit.
 //
-//   - Sequential (cfg.Sampler.EarlyStop on): each chain owns two independent
-//     streams (counterfactual and factual, so neither run's draws depend on
-//     where the other stopped) and draws in earlyStopBatch-sized rounds;
-//     batches merge into the streaming Welch state in chain order, and the
-//     shared three-exit verdict (earlyStopVerdict) decides when to stop:
-//
-//   - the effect is decisively below MinEffect → rejected, whatever p
-//     says (this is what stops near-null candidates: their t statistic
-//     hovers in the undecided band forever, but their effect pins to ~0
-//     quickly);
-//
-//   - p is decisively above Alpha → rejected;
-//
-//   - p is decisively below Alpha AND the effect is decisively above
-//     MinEffect → accepted.
-//
-// Chain c always owns the same budget slice and the same seeds, and merges
-// happen in chain order, so for a fixed chain count every verdict is
-// bit-identical no matter how many goroutines actually ran. Seed derivation
-// is keyed on the configured chain count (not the budget-clamped effective
-// one): a single-chain config uses the pairSeed stream directly — the
-// historical bit pattern the golden rankings pin — while any multi-chain
-// config derives per-chain streams through chainSeed.
+//   - Sequential (cfg.Sampler.EarlyStop on): two independent streams
+//     (counterfactual and factual, so neither run's draws depend on where
+//     the other stopped) draw in earlyStopBatch-sized rounds into a
+//     streaming Welch state, and earlyStopVerdict decides when to stop.
 //
 // effScale maps a raw mean shift to the signed effect the accept criterion
 // uses (±1/hstd of the symptom factor).
 func (m *Model) sampleCandidate(ctx context.Context, a, d telemetry.EntityID, plan *pathPlan, ov *overrides, alt stats.Alternative, ar *arena, effScale float64) (stats.TTestResult, float64, int, error) {
 	n := m.cfg.Samples
-	base := m.pairSeed(a, d)
-	multi := m.cfg.Sampler.Chains > 1
-	k := 1
-	if multi {
-		k = m.chainCount(n)
-		m.obs.Add(obs.CtrGibbsChains, int64(k))
-	}
-	seedOf := func(c int) int64 {
-		if multi {
-			return chainSeed(base, c)
-		}
-		return base
-	}
+	seed := m.pairSeed(a, d)
 
 	if !m.cfg.Sampler.EarlyStop {
-		d1 := ar.draws1(n) // counterfactual draws
-		d2 := ar.draws2(n) // factual draws
-		err := m.runChains(ctx, k, ar, func(c int, car *arena) error {
-			lo, hi := chainBounds(n, k, c)
-			ns := m.newStream(seedOf(c))
-			out, err := m.runPass(ctx, plan, ov, ns, car, hi-lo)
-			if err != nil {
-				return err
-			}
-			copy(d1[lo:hi], out) // the factual pass below reuses the arena
-			out, err = m.runPass(ctx, plan, nil, ns, car, hi-lo)
-			if err != nil {
-				return err
-			}
-			copy(d2[lo:hi], out)
-			return nil
-		})
+		ns := m.newStream(seed)
+		out, err := m.runPass(ctx, plan, ov, ns, ar, n)
 		if err != nil {
 			return stats.TTestResult{}, 0, 0, err
 		}
-		res, err := stats.WelchTTest(d1, d2, alt)
+		cf := ar.cfDraws(n)
+		copy(cf, out) // the factual pass below reuses the arena
+		f, err := m.runPass(ctx, plan, nil, ns, ar, n)
 		if err != nil {
 			return stats.TTestResult{}, 0, 0, err
 		}
-		return res, stats.Mean(d2) - stats.Mean(d1), 2 * n, nil
+		res, err := stats.WelchTTest(cf, f, alt)
+		if err != nil {
+			return stats.TTestResult{}, 0, 0, err
+		}
+		return res, stats.Mean(f) - stats.Mean(cf), 2 * n, nil
 	}
 
-	// esChain is one chain's sequential-test state: its two noise streams,
-	// its share of the budget, and reusable buffers holding the current
-	// round's draws until the in-order merge.
-	type esChain struct {
-		cf, f   noiseStream
-		quota   int
-		drawn   int
-		cfD, fD []float64
-	}
-	chains := make([]*esChain, k)
-	for c := range chains {
-		lo, hi := chainBounds(n, k, c)
-		seed := seedOf(c)
-		chains[c] = &esChain{
-			cf:    m.newStream(seed),
-			f:     m.newStream(seed ^ 0x5e9c3779b97f4a7d), // independent stream
-			quota: hi - lo,
-		}
-	}
-	zConf := stats.NormalQuantile(m.cfg.Sampler.EarlyStopConfidence)
+	cfStream := m.newStream(seed)
+	fStream := m.newStream(seed ^ 0x5e9c3779b97f4a7d) // independent stream
 	var st stats.StreamingWelch
-	minDraws := earlyStopMinSamples
-	if minDraws > n {
-		minDraws = n
-	}
+	minDraws := min(earlyStopMinSamples, n)
 	decisive := false
 	for drawn := 0; drawn < n && !decisive; {
-		err := m.runChains(ctx, k, ar, func(c int, car *arena) error {
-			ch := chains[c]
-			b := min(earlyStopBatch, ch.quota-ch.drawn)
-			ch.cfD, ch.fD = ch.cfD[:0], ch.fD[:0]
-			if b == 0 {
-				return nil
-			}
-			out, err := m.runPass(ctx, plan, ov, ch.cf, car, b)
-			if err != nil {
-				return err
-			}
-			ch.cfD = append(ch.cfD, out...)
-			out, err = m.runPass(ctx, plan, nil, ch.f, car, b)
-			if err != nil {
-				return err
-			}
-			ch.fD = append(ch.fD, out...)
-			ch.drawn += b
-			return nil
-		})
+		b := min(earlyStopBatch, n-drawn)
+		out, err := m.runPass(ctx, plan, ov, cfStream, ar, b)
 		if err != nil {
 			return stats.TTestResult{}, 0, 0, err
 		}
-		for _, ch := range chains { // merge in chain order: deterministic moments
-			st.A.AddAll(ch.cfD)
-			st.B.AddAll(ch.fD)
-			drawn += len(ch.cfD)
+		st.A.AddAll(out)
+		out, err = m.runPass(ctx, plan, nil, fStream, ar, b)
+		if err != nil {
+			return stats.TTestResult{}, 0, 0, err
 		}
-		if drawn < minDraws {
-			continue
-		}
-		if m.earlyStopVerdict(&st, alt, zConf, effScale) {
-			decisive = true
-		}
+		st.B.AddAll(out)
+		drawn += b
+		decisive = drawn >= minDraws && m.earlyStopVerdict(&st, alt, effScale)
 	}
 	if decisive {
 		m.obs.Add(obs.CtrEarlyStopDecisive, 1)
@@ -504,28 +425,27 @@ func (m *Model) sampleCandidate(ctx context.Context, a, d telemetry.EntityID, pl
 // against the current streaming state (A = counterfactual draws, B = factual
 // draws), returning true when sampling can stop:
 //
-//   - the effect is decisively below MinEffect → rejected, whatever p says;
+//   - the effect is decisively below MinEffect → rejected, whatever p says
+//     (this is what stops near-null candidates: their t statistic hovers in
+//     the undecided band forever, but their effect pins to ~0 quickly);
 //   - p is decisively above Alpha → rejected;
 //   - p is decisively below Alpha AND the effect is decisively above
 //     MinEffect → accepted.
-//
-// It is shared by the single-stream and the multi-chain sequential samplers so
-// both stop on exactly the same criteria.
-func (m *Model) earlyStopVerdict(st *stats.StreamingWelch, alt stats.Alternative, zConf, effScale float64) bool {
+func (m *Model) earlyStopVerdict(st *stats.StreamingWelch, alt stats.Alternative, effScale float64) bool {
 	eff := effScale * (st.B.Mean() - st.A.Mean())
 	na, nb := float64(st.A.Count()), float64(st.B.Count())
 	effSE := math.Abs(effScale) * math.Sqrt(st.A.Variance()/na+st.B.Variance()/nb)
-	if eff+zConf*effSE < m.cfg.MinEffect {
+	if eff+earlyStopZ*effSE < m.cfg.MinEffect {
 		return true // effect decisively below MinEffect: rejected whatever p says
 	}
-	sig, decided := st.Decisive(alt, m.cfg.Alpha, zConf)
+	sig, decided := st.Decisive(alt, m.cfg.Alpha, earlyStopZ)
 	if !decided {
 		return false
 	}
 	if !sig {
 		return true // p decisively above Alpha: rejected no matter the effect
 	}
-	return eff-zConf*effSE > m.cfg.MinEffect // both arms of the accept criterion decided
+	return eff-earlyStopZ*effSE > m.cfg.MinEffect // both arms of the accept criterion decided
 }
 
 // counterfactualOverrides returns candidate A's counterfactual start state:

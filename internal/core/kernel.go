@@ -213,7 +213,8 @@ func (m *Model) compilePlan(path []telemetry.EntityID, symSlot int32) *pathPlan 
 	return p
 }
 
-// noiseStream is one chain's noise source; exactly one field is non-nil.
+// noiseStream is one sampling stream's noise source; exactly one field is
+// non-nil.
 // The float64 kernel keeps *rand.Rand so its draw stream is bit-identical
 // to the original sampler's; the float32 kernel uses the ziggurat source.
 type noiseStream struct {

@@ -100,7 +100,7 @@ type Model struct {
 	// (TrainOpts.Workers); zero or one evaluates them inline.
 	workers int
 	// arenas pools the Gibbs resampler's scratch buffers across candidate
-	// evaluations and their chains.
+	// evaluations.
 	arenas *arenaPool
 	// kern holds the sampling kernel's per-(candidate, symptom) execution
 	// plan cache. Shared (by pointer) with Rebind copies: plans depend only
@@ -198,7 +198,7 @@ func TrainOpt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config,
 	}
 	sp := rec.StartStage(obs.StageTrain)
 	defer sp.End()
-	cfg = cfg.sanitized()
+	cfg = Sanitized(cfg)
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("core: empty database")
 	}

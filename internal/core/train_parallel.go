@@ -8,9 +8,8 @@ import (
 
 // forEachIndex runs fn(i) for every i in [0, n), fanning the calls across up
 // to `workers` goroutines. It is the package's one worker pool — the
-// training pass's per-series and per-factor jobs, a diagnosis's candidate
-// evaluations and a candidate's Gibbs chains all run on it — built so
-// parallelism can never change results:
+// training pass's per-series and per-factor jobs and a diagnosis's candidate
+// evaluations all run on it — built so parallelism can never change results:
 //
 //   - workers <= 1 (or n <= 1) degrades to the plain inline loop — no
 //     goroutines, no channels — so single-threaded configurations pay zero

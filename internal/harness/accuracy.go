@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
-	"fmt"
 	"sort"
-	"strings"
 
 	"murphy/internal/metamorph"
 	"murphy/internal/telemetry"
@@ -61,78 +58,6 @@ func (a *FamilyAccuracy) finish() {
 	a.Top1 /= n
 	a.Top3 /= n
 	a.Top5 /= n
-}
-
-// AccuracyResult is the diagnosis accuracy over the fuzzed scenario suite:
-// the numbers cmd/accguard pins in CI.
-type AccuracyResult struct {
-	// Seed is the base seed the suite expanded from.
-	Seed int64 `json:"seed"`
-	// CasesPerFamily is the suite size knob.
-	CasesPerFamily int `json:"cases_per_family"`
-	// Families maps family name to its accuracy.
-	Families map[string]FamilyAccuracy `json:"families"`
-}
-
-// RunAccuracy diagnoses casesPerFamily fuzzed scenarios of every metamorph
-// family with the reference configuration and scores the certified rankings
-// against each case's relaxed accept set.
-func RunAccuracy(seed int64, casesPerFamily int) (*AccuracyResult, error) {
-	if casesPerFamily <= 0 {
-		return nil, fmt.Errorf("harness: casesPerFamily must be positive")
-	}
-	out := &AccuracyResult{Seed: seed, CasesPerFamily: casesPerFamily, Families: make(map[string]FamilyAccuracy, len(metamorph.Families))}
-	for _, fam := range metamorph.Families {
-		var acc FamilyAccuracy
-		for i := 0; i < casesPerFamily; i++ {
-			c, err := metamorph.Generate(fam, i, seed)
-			if err != nil {
-				return nil, fmt.Errorf("harness: %w", err)
-			}
-			diag, err := metamorph.Diagnose(c, metamorph.Options{})
-			if err != nil {
-				return nil, fmt.Errorf("harness: %s[%d] seed=%d: %w", fam, i, c.Seed, err)
-			}
-			acc.observe(diag.Ranked(), c.Accept)
-		}
-		acc.finish()
-		out.Families[fam] = acc
-	}
-	return out, nil
-}
-
-// String renders the accuracy table (one row per family, fixed order).
-func (r *AccuracyResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Diagnosis accuracy on the fuzzed scenario suite (seed=%d, %d cases/family)\n", r.Seed, r.CasesPerFamily)
-	fmt.Fprintf(&b, "%-15s %8s %8s %8s %8s\n", "family", "prec", "top1", "top3", "top5")
-	for _, fam := range familyOrder(r.Families) {
-		acc := r.Families[fam]
-		fmt.Fprintf(&b, "%-15s %8.3f %8.3f %8.3f %8.3f\n", fam, acc.Precision, acc.Top1, acc.Top3, acc.Top5)
-	}
-	return b.String()
-}
-
-// MarshalIndent renders the result as pretty JSON (the acc_baseline.json /
-// acc_report.json wire format).
-func (r *AccuracyResult) MarshalIndent() ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// ParseAccuracy parses an accuracy JSON file written by MarshalIndent.
-func ParseAccuracy(data []byte) (*AccuracyResult, error) {
-	var r AccuracyResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("parse accuracy JSON: %w", err)
-	}
-	if r.Families == nil {
-		return nil, fmt.Errorf("parse accuracy JSON: no families recorded")
-	}
-	return &r, nil
 }
 
 // familyOrder returns metamorph's fixed family order, with any extra keys

@@ -19,38 +19,33 @@ import (
 // CaseEnv is the shared evaluation environment for one fuzzed metamorph
 // case: every scheme diagnoses the same telemetry through the same pruned
 // candidate search space (§4.2), so accuracy differences measure the methods,
-// not their inputs. The Murphy model and diagnosis are built exactly as
-// metamorph.Diagnose's reference path does, which keeps the Murphy rows of
-// the comparative table bit-identical to RunAccuracy's.
+// not their inputs. Murphy's diagnosis comes from metamorph.Diagnose's
+// reference path, so the Murphy rows of the comparative table score the same
+// diagnosis every metamorphic invariant compares against.
 type CaseEnv struct {
 	// Case is the fuzzed scenario under diagnosis.
 	Case *metamorph.Case
 	// Graph is the relationship graph grown from the symptom entity.
 	Graph *graph.Graph
-	// Model is the trained Murphy model (reference configuration).
-	Model *core.Model
 	// Diag is Murphy's diagnosis of the case's symptom.
 	Diag *core.Diagnosis
 	// Candidates is the pruned candidate search space every scheme ranks.
 	Candidates []telemetry.EntityID
 }
 
-// NewCaseEnv trains Murphy on the case with the metamorph reference
-// configuration and captures the candidate space all baselines share.
+// NewCaseEnv diagnoses the case on Murphy's metamorph reference path
+// (metamorph.Diagnose with zero Options) and captures the graph and the
+// candidate space all baselines share.
 func NewCaseEnv(c *metamorph.Case) (*CaseEnv, error) {
 	g, err := graph.Build(c.DB, []telemetry.EntityID{c.Symptom.Entity}, -1)
 	if err != nil {
 		return nil, fmt.Errorf("build graph: %w", err)
 	}
-	model, err := core.TrainOpt(context.Background(), c.DB, g, metamorph.BaseConfig(), core.TrainOpts{Now: -1})
+	diag, err := metamorph.Diagnose(c, metamorph.Options{})
 	if err != nil {
-		return nil, fmt.Errorf("train murphy: %w", err)
+		return nil, fmt.Errorf("murphy: %w", err)
 	}
-	diag, err := model.Diagnose(c.Symptom)
-	if err != nil {
-		return nil, fmt.Errorf("murphy diagnose: %w", err)
-	}
-	return &CaseEnv{Case: c, Graph: g, Model: model, Diag: diag, Candidates: diag.Candidates}, nil
+	return &CaseEnv{Case: c, Graph: g, Diag: diag, Candidates: diag.Candidates}, nil
 }
 
 // Diagnoser adapts one root-cause analysis method to the comparative
@@ -167,8 +162,7 @@ type BaselinesResult struct {
 
 // RunBaselines diagnoses casesPerFamily fuzzed scenarios of every metamorph
 // family with all four methods and scores each certified ranking against the
-// same relaxed accept sets. The Murphy column equals RunAccuracy's output
-// for the same (seed, casesPerFamily).
+// same relaxed accept sets.
 func RunBaselines(seed int64, casesPerFamily int) (*BaselinesResult, error) {
 	if casesPerFamily <= 0 {
 		return nil, fmt.Errorf("harness: casesPerFamily must be positive")
@@ -240,23 +234,24 @@ func (r *BaselinesResult) MarshalIndent() ([]byte, error) {
 // files (the pre-comparative `families` shape) are upgraded in place: their
 // numbers become the Murphy method, other methods absent.
 func ParseBaselines(data []byte) (*BaselinesResult, error) {
-	var r BaselinesResult
+	var r struct {
+		BaselinesResult
+		// Families is the legacy Murphy-only shape.
+		Families map[string]FamilyAccuracy `json:"families"`
+	}
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("parse baselines JSON: %w", err)
 	}
 	if len(r.Methods) == 0 {
-		legacy, err := ParseAccuracy(data)
-		if err != nil {
+		if r.Families == nil {
 			return nil, fmt.Errorf("parse baselines JSON: no methods recorded and not a legacy accuracy file")
 		}
-		r.Seed = legacy.Seed
-		r.CasesPerFamily = legacy.CasesPerFamily
-		r.Methods = map[string]map[string]FamilyAccuracy{SchemeMurphy: legacy.Families}
+		r.Methods = map[string]map[string]FamilyAccuracy{SchemeMurphy: r.Families}
 	}
 	if len(r.Methods[SchemeMurphy]) == 0 {
 		return nil, fmt.Errorf("parse baselines JSON: no Murphy rows recorded")
 	}
-	return &r, nil
+	return &r.BaselinesResult, nil
 }
 
 // SweepRegressors is the Fig 8a comparison order: the factor regression

@@ -127,32 +127,6 @@ func reversedEdges(edges [][2]telemetry.EntityID) [][2]telemetry.EntityID {
 	return out
 }
 
-// TestMurphyColumnMatchesRunAccuracy pins the comparative harness to the
-// accuracy harness: the Murphy method's per-family numbers must equal
-// RunAccuracy's for the same suite, because both run the identical reference
-// training/diagnosis path. If these drift apart, the bake-off is no longer
-// measuring the Murphy that accguard gates.
-func TestMurphyColumnMatchesRunAccuracy(t *testing.T) {
-	const seed, cases = 1, 4
-	cmp, err := RunBaselines(seed, cases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := RunAccuracy(seed, cases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for fam, want := range acc.Families {
-		got, ok := cmp.Methods[SchemeMurphy][fam]
-		if !ok {
-			t.Fatalf("family %s missing from comparative Murphy rows", fam)
-		}
-		if got != want {
-			t.Errorf("family %s: comparative Murphy row %+v != RunAccuracy %+v", fam, got, want)
-		}
-	}
-}
-
 // TestBaselinesGoldenRankings pins one seeded scenario per family with every
 // method's full ranking, so any ranking change in any method is visible in
 // review diffs. Regenerate with UPDATE_GOLDEN=1.

@@ -272,8 +272,6 @@ type FastPathOptions struct {
 	// slice (an operator re-triaging: this is what the factor store
 	// amortizes — every round after the first is served from the store).
 	Rounds int
-	// Confidence is the early-stop confidence (0 uses the 0.999 default).
-	Confidence float64
 	// Seed drives scenario generation.
 	Seed int64
 }
@@ -283,7 +281,7 @@ type FastPathOptions struct {
 func DefaultFastPathOptions() FastPathOptions {
 	return FastPathOptions{
 		Scenarios: 4, Steps: 300, Samples: 4000, TrainWindow: 280,
-		Workers: 4, Rounds: 2, Confidence: 0.999, Seed: 1,
+		Workers: 4, Rounds: 2, Seed: 1,
 	}
 }
 
@@ -338,7 +336,6 @@ func RunFastPath(opts FastPathOptions) (*FastPathResult, error) {
 	baseCfg := murphyConfig(opts.Samples, opts.TrainWindow)
 	fastCfg := baseCfg
 	fastCfg.Sampler.EarlyStop = true
-	fastCfg.Sampler.EarlyStopConfidence = opts.Confidence
 	f32Cfg := baseCfg
 	f32Cfg.Sampler.Precision = core.PrecisionFloat32
 	res := &FastPathResult{Opts: opts, RankingsIdentical: true, Top1Identical: true, F32CausesIdentical: true}
@@ -455,7 +452,7 @@ func sameCauses(a, b *core.Diagnosis) bool {
 
 // sameRankedEntities reports whether two diagnoses certified the same ranked
 // entity list (ignoring p-values/effects, which legitimately differ across
-// chain counts and sampling precisions).
+// sampling precisions).
 func sameRankedEntities(a, b *core.Diagnosis) bool {
 	if len(a.Causes) != len(b.Causes) {
 		return false

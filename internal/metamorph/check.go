@@ -16,8 +16,6 @@ import (
 type Options struct {
 	// EarlyStop enables the sequential Welch test.
 	EarlyStop bool
-	// Chains is the Gibbs chain count (0/1 = single stream).
-	Chains int
 	// Workers sizes the model's one worker pool, which runs both the
 	// training fits and the candidate evaluations (0/1 = serial).
 	Workers int
@@ -51,7 +49,6 @@ func BaseConfig() core.Config {
 func Diagnose(c *Case, opt Options) (*core.Diagnosis, error) {
 	cfg := BaseConfig()
 	cfg.Sampler.EarlyStop = opt.EarlyStop
-	cfg.Sampler.Chains = opt.Chains
 	cfg.Sampler.Precision = opt.Precision
 	cfg.SeedFor = opt.SeedFor
 	if opt.Samples > 0 {
@@ -286,18 +283,16 @@ func hitTopK(d *core.Diagnosis, accept map[telemetry.EntityID]bool, k int) bool 
 }
 
 // FastPathGrid enumerates every fast-path configuration the cross-check
-// compares against the reference serial path: early-stop × chains × train
-// workers × kernel precision, plus the incremental-store reuse arm (serial
-// and pooled — both anchor and hit bit-identically, so a full cross product
-// with the sampling axes would only re-test the sampling paths).
+// compares against the reference serial path: early-stop × workers × kernel
+// precision, plus the incremental-store reuse arm (serial and pooled — both
+// anchor and hit bit-identically, so a full cross product with the sampling
+// axes would only re-test the sampling paths).
 func FastPathGrid() []Options {
 	var grid []Options
 	for _, es := range []bool{false, true} {
-		for _, chains := range []int{1, 2} {
-			for _, workers := range []int{1, 4} {
-				for _, prec := range []core.Precision{core.PrecisionFloat64, core.PrecisionFloat32} {
-					grid = append(grid, Options{EarlyStop: es, Chains: chains, Workers: workers, Precision: prec})
-				}
+		for _, workers := range []int{1, 4} {
+			for _, prec := range []core.Precision{core.PrecisionFloat64, core.PrecisionFloat32} {
+				grid = append(grid, Options{EarlyStop: es, Workers: workers, Precision: prec})
 			}
 		}
 	}
@@ -307,8 +302,8 @@ func FastPathGrid() []Options {
 // crossCheckSamples is the Monte-Carlo budget of the configuration
 // cross-check. It is deliberately larger than BaseConfig's: with a small
 // budget the t-statistic itself is noisy enough that an independent RNG
-// stream (chains ≥ 2) can flip a borderline candidate decisively, which is
-// sampling noise, not a fast-path bug. It also exceeds the sequential test's
+// stream (the float32 kernel's) can flip a borderline candidate decisively,
+// which is sampling noise, not a fast-path bug. It also exceeds the sequential test's
 // minimum draw count, so the early-stop configurations genuinely stop early
 // instead of degenerating into the full-budget path.
 const crossCheckSamples = 640
@@ -324,23 +319,22 @@ func CheckCrossConfigs(c *Case) error {
 		return caseErr(c, "reference", err)
 	}
 	for _, opt := range FastPathGrid() {
-		if !opt.EarlyStop && opt.Chains <= 1 && opt.Workers <= 1 && opt.Precision == core.PrecisionFloat64 && !opt.Store {
+		if !opt.EarlyStop && opt.Workers <= 1 && opt.Precision == core.PrecisionFloat64 && !opt.Store {
 			continue // the reference itself
 		}
 		opt.Samples = crossCheckSamples
-		label := fmt.Sprintf("config{earlystop=%v chains=%d workers=%d prec=%s store=%v}", opt.EarlyStop, opt.Chains, opt.Workers, opt.Precision, opt.Store)
+		label := fmt.Sprintf("config{earlystop=%v workers=%d prec=%s store=%v}", opt.EarlyStop, opt.Workers, opt.Precision, opt.Store)
 		got, err := Diagnose(c, opt)
 		if err != nil {
 			return caseErr(c, label, err)
 		}
-		if !opt.EarlyStop && opt.Chains <= 1 && opt.Precision == core.PrecisionFloat64 {
+		if !opt.EarlyStop && opt.Precision == core.PrecisionFloat64 {
 			// Training-only variants promise bit-identical factors.
 			err = bitIdentical(ref, got, identity)
 		} else {
-			// Early stopping truncates samples, extra chains use different
-			// RNG streams, and the float32 kernel uses different streams and
-			// arithmetic: decisive causes must agree, borderline ones may
-			// flip.
+			// Early stopping truncates samples, and the float32 kernel uses
+			// different streams and arithmetic: decisive causes must agree,
+			// borderline ones may flip.
 			err = agreeCertified(ref, got)
 		}
 		if err != nil {

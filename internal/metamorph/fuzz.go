@@ -12,21 +12,21 @@
 //     survive entity renaming, edge-insertion-order permutation, affine
 //     metric rescaling, and injection of disconnected decoy entities, must
 //     never *gain* a root cause when the true cause's telemetry is ablated,
-//     and every fast-path configuration (early stopping × chains × train
-//     workers × kernel precision, plus incremental-store reuse) must agree
-//     with the reference serial path.
+//     and every fast-path configuration (early stopping × workers × kernel
+//     precision, plus incremental-store reuse) must agree with the
+//     reference serial path.
 //
-// The same fuzzer feeds harness.RunAccuracy, whose precision/recall numbers
-// cmd/accguard pins against testdata/acc_baseline.json in CI.
+// The same fuzzer feeds harness.RunBaselines, whose Murphy precision/recall
+// numbers cmd/accguard pins against testdata/acc_baseline.json in CI.
 package metamorph
 
 import (
 	"fmt"
 	"math/rand"
 
-	"murphy/internal/core"
 	"murphy/internal/enterprise"
 	"murphy/internal/microsim"
+	"murphy/internal/stats"
 	"murphy/internal/telemetry"
 )
 
@@ -72,14 +72,14 @@ const (
 var Families = []string{FamilyHeavyHitter, FamilyNoisyNeighbor, FamilyCascade, FamilyConfounder, FamilyEnterprise}
 
 // CaseSeed expands (base, family, index) into the case's sub-seed through
-// the engine's splitmix64 finalizer: unrelated streams per family and index,
-// a pure function of its inputs.
+// the splitmix64 finalizer (stats.SplitMix64): unrelated streams per family
+// and index, a pure function of its inputs.
 func CaseSeed(base int64, family string, index int) int64 {
-	h := core.SplitMix64(uint64(base))
+	h := stats.SplitMix64(uint64(base))
 	for i := 0; i < len(family); i++ {
-		h = core.SplitMix64(h ^ uint64(family[i]))
+		h = stats.SplitMix64(h ^ uint64(family[i]))
 	}
-	return int64(core.SplitMix64(h ^ uint64(index)*0x9e3779b97f4a7c15))
+	return int64(stats.SplitMix64(h ^ uint64(index)*0x9e3779b97f4a7c15))
 }
 
 // Generate builds case number index of a family from a base seed. All

@@ -93,8 +93,8 @@ func TestMetamorphInvariants(t *testing.T) {
 }
 
 // TestMetamorphCrossConfigs fuzzes scenarios per family and checks that
-// every fast-path configuration (early-stop × chains × workers × precision,
-// plus store reuse) agrees with the reference serial path.
+// every fast-path configuration (early-stop × workers × precision, plus
+// store reuse) agrees with the reference serial path.
 func TestMetamorphCrossConfigs(t *testing.T) {
 	n := casesPerFamily(t, 2)
 	for _, fam := range Families {

@@ -16,7 +16,7 @@ import (
 //
 //   - Decisive-cause agreement *against* float64: the float32 kernel draws
 //     from different noise streams with different rounding, so it sits in the
-//     same statistical-noise band as extra chains or early stopping —
+//     same statistical-noise band as early stopping —
 //     decisive causes (p and effect with stream-stable margin) must match
 //     exactly; borderline bystanders may flip, and empirically ~1 in 6 fuzzed
 //     cases flips one. The Table-2 workload's full certified-set equality is

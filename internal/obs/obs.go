@@ -95,10 +95,6 @@ const (
 	// CtrTrainParallelFits counts factor fits executed while the training
 	// worker pool was active (pool size > 1); zero on serial training runs.
 	CtrTrainParallelFits
-	// CtrGibbsChains counts independent Gibbs chains launched by the
-	// multi-chain sampler (Config.Sampler.Chains >= 2); zero on the
-	// single-stream sampler.
-	CtrGibbsChains
 	// CtrIngestBatches / CtrIngestPoints count telemetry batches and
 	// individual observations accepted by the serve layer's ingest path;
 	// CtrIngestShed counts batches rejected by admission control (429/503).
@@ -161,7 +157,6 @@ var counterNames = [numCounters]string{
 	"read_failures",
 	"breaker_trips",
 	"train_parallel_fits",
-	"gibbs_chains",
 	"ingest_batches",
 	"ingest_points",
 	"ingest_shed",

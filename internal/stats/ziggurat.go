@@ -57,10 +57,10 @@ func init() {
 }
 
 // NormSource is a deterministic stream of standard-normal deviates: a
-// splitmix64 sequence (the same finalizer the sampler uses for seed
-// derivation) driving the ziggurat tables above. The zero value is a valid
-// stream seeded at 0; use NewNormSource to seed. Not safe for concurrent
-// use — one stream per Gibbs chain, like *rand.Rand in the float64 kernel.
+// splitmix64 sequence (see SplitMix64) driving the ziggurat tables above.
+// The zero value is a valid stream seeded at 0; use NewNormSource to seed.
+// Not safe for concurrent use: every sampling stream owns its own, like
+// *rand.Rand in the float64 kernel.
 type NormSource struct {
 	state uint64
 }
@@ -71,13 +71,27 @@ func NewNormSource(seed int64) *NormSource {
 	return &NormSource{state: uint64(seed)}
 }
 
+// splitmixGamma is the splitmix64 counter increment (2^64 / φ, odd).
+const splitmixGamma = 0x9e3779b97f4a7c15
+
+// SplitMix64 is the SplitMix64 finalizer applied to x + splitmixGamma: a
+// bijective avalanche, so the output of a splitmix64 stream whose counter
+// stands at x is SplitMix64(x). It is the project's one seed-derivation
+// hash — the float32 kernel's noise streams, the fuzzer's per-case seeds and
+// trace head sampling all go through it, so every derived stream is a pure,
+// uncorrelated function of its inputs.
+func SplitMix64(x uint64) uint64 {
+	x += splitmixGamma
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // next advances the splitmix64 counter and returns the finalized output.
 func (s *NormSource) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	z := SplitMix64(s.state)
+	s.state += splitmixGamma
+	return z
 }
 
 // Uint64 returns the next raw 64-bit draw of the underlying stream.
@@ -142,20 +156,14 @@ func (s *NormSource) AddNoise32(dst []float32, scale float32) {
 	n := len(dst)
 	i := 0
 	for ; i+1 < n; i += 2 {
-		st += 0x9e3779b97f4a7c15
-		z := st
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
+		z := SplitMix64(st)
+		st += splitmixGamma
 		dst[i] += scale * normTab32[z&(normTabSize-1)]
 		dst[i+1] += scale * normTab32[(z>>32)&(normTabSize-1)]
 	}
 	if i < n {
-		st += 0x9e3779b97f4a7c15
-		z := st
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
+		z := SplitMix64(st)
+		st += splitmixGamma
 		dst[i] += scale * normTab32[z&(normTabSize-1)]
 	}
 	s.state = st

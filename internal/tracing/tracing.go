@@ -102,10 +102,7 @@ func (s Sampler) Keep(traceID int64) bool {
 		return false
 	}
 	// SplitMix64 finalizer as a uniform hash.
-	z := uint64(traceID) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := stats.SplitMix64(uint64(traceID))
 	return float64(z%1e6)/1e6 < s.Rate
 }
 

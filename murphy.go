@@ -31,7 +31,8 @@
 // declarations against a golden file so surface changes are deliberate.
 // Each concern has exactly one option: WithSampler for the sampling kernel,
 // WithResilience for the read path, WithIncrementalTraining for training
-// reuse, WithWorkers for parallelism.
+// reuse, WithWorkers for parallelism (each counterfactual test runs one
+// sampling stream; candidates fan out on the worker pool).
 // Context-taking methods (DiagnoseContext, WhatIfContext) are canonical;
 // their context-less twins are one-line Background wrappers.
 //

@@ -40,7 +40,7 @@ type FactorStore = core.FactorStore
 type FactorStoreStats = core.FactorStoreStats
 
 // SamplerConfig bundles every knob of the batched Gibbs sampling kernel
-// (precision, chains, early stopping); see WithSampler.
+// (precision and early stopping); see WithSampler.
 type SamplerConfig = core.SamplerConfig
 
 // Precision selects the floating-point width of the sampling kernel; see
@@ -113,15 +113,12 @@ func WithWorkers(n int) Option {
 //   - Precision: PrecisionFloat64 (default, bit-identical to the original
 //     sampler) or PrecisionFloat32 (the fast path — several times the
 //     sampling throughput at float32 chain state).
-//   - Chains: split each counterfactual test's draws across k independent
-//     Gibbs chains with splitmix-derived RNG streams, run on up to
-//     min(k, GOMAXPROCS) goroutines. For a fixed k the verdicts are
-//     bit-identical at any goroutine count; 0 or 1 keeps the historical
-//     single-stream sampler.
-//   - EarlyStop / EarlyStopConfidence: sequential significance testing —
-//     draws arrive in batches through a streaming Welch t-test and stop as
-//     soon as the verdict at Alpha is decided with margin to spare
-//     (confidence 0 uses the 0.999 default).
+//   - EarlyStop: sequential significance testing — draws arrive in batches
+//     through a streaming Welch t-test and stop as soon as the verdict at
+//     Alpha is decided with a Φ⁻¹(0.999) ≈ 3.1 standard-error margin.
+//
+// Each counterfactual test runs one sampling stream; WithWorkers is the
+// one parallelism knob (candidates run concurrently on its pool).
 //
 // Apply after WithConfig: the bundle replaces Config.Sampler.
 func WithSampler(sc SamplerConfig) Option {

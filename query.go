@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"murphy/internal/anomaly"
+	"murphy/internal/core"
 	"murphy/internal/graph"
 	"murphy/internal/telemetry"
 )
@@ -247,8 +248,9 @@ type EntitySummary struct {
 }
 
 // EntitySummary summarizes one entity's performance over the trailing window
-// slices (window <= 0 uses the session's training window; wider-than-history
-// requests are clamped). Returns ErrUnknownEntity for an entity the database
+// slices (window <= 0 uses the window the session trains on, with an unset
+// Config.TrainWindow falling back to the default; wider-than-history requests
+// are clamped). Returns ErrUnknownEntity for an entity the database
 // does not know.
 func (s *System) EntitySummary(entity telemetry.EntityID, window int) (*EntitySummary, error) {
 	if !s.db.HasEntity(entity) {
@@ -256,7 +258,7 @@ func (s *System) EntitySummary(entity telemetry.EntityID, window int) (*EntitySu
 	}
 	n := s.db.Len()
 	if window <= 0 {
-		window = s.cfg.TrainWindow
+		window = core.Sanitized(s.cfg).TrainWindow
 	}
 	if window > n {
 		window = n

@@ -170,6 +170,20 @@ func TestEntitySummaryDefaultAndClampedWindow(t *testing.T) {
 	if sum.Window != 240 { // clamped to db length
 		t.Fatalf("clamped window = %d, want 240", sum.Window)
 	}
+	// A zero Config trains on the default window (all 240 slices), and the
+	// default summary window is that same sanitized width.
+	zero, err := New(demoDB(t), WithConfig(Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err = zero.EntitySummary("web", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Window != 240 || sum.FromSlice != 0 || sum.ToSlice != 239 || sum.Metrics[0].Observed != 240 {
+		t.Fatalf("zero-config default window %d [%d, %d] with %d observations, want 240 [0, 239] with 240",
+			sum.Window, sum.FromSlice, sum.ToSlice, sum.Metrics[0].Observed)
+	}
 }
 
 func TestEntitySummaryFactorHealth(t *testing.T) {
