@@ -5,9 +5,8 @@
 // reports the reproduced numbers. Run cmd/murphybench -full for the
 // paper-scale parameters.
 //
-// This file is an *external* test package (murphy_test) on purpose: it pulls
-// in internal/harness, which reaches the facade through internal/serve, and
-// an in-package test would close that import loop.
+// The benches drive internal/harness and the core directly, never the
+// facade, so this file is an external test package (murphy_test).
 package murphy_test
 
 import (

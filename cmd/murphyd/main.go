@@ -7,10 +7,16 @@
 //
 // Usage:
 //
-//	murphyd -listen :8080 -state /var/lib/murphyd/state.json
-//	murphyd -listen :8080 -snapshot db.json            # bootstrap telemetry
-//	murphyd -listen :8080 -queue 32 -workers 4 -detect-every 10s
-//	murphyd -listen :8080 -state state.json -inctrain  # amortized training
+//	murphyd -listen :8080 -snapshot db.json -state /var/lib/murphyd/state.json
+//	murphyd -listen :8080 -state /var/lib/murphyd/state.json  # restart
+//	murphyd -listen :8080 -snapshot db.json -queue 32 -workers 4 -detect-every 10s
+//	murphyd -listen :8080 -snapshot db.json -state state.json -inctrain
+//
+// The daemon boots from the latest recoverable -state snapshot, else from
+// the -snapshot telemetry file; with neither it exits 2. The relationship
+// graph diagnoses run on is built from that boot database: entities and
+// edges ingested later reach /topology and /entities at once, but diagnosis
+// only after a restart from -state.
 //
 // Endpoints: POST /ingest, POST /diagnose, GET /reports, GET /topology,
 // GET /entities/{ref}/performance, GET /healthz, GET /readyz, GET /statusz,
@@ -85,8 +91,7 @@ func main() {
 	}
 
 	// Boot order: recover the latest crash-safe state snapshot if one
-	// exists; otherwise fall back to the bootstrap telemetry snapshot;
-	// otherwise start with an empty database fed purely by /ingest.
+	// exists; otherwise fall back to the bootstrap telemetry snapshot.
 	var (
 		db      *telemetry.DB
 		restore func(*serve.Server)
@@ -113,7 +118,9 @@ func main() {
 		}
 	}
 	if db == nil {
-		db = telemetry.NewDB(600)
+		fmt.Fprintln(os.Stderr, "murphyd: no boot database: pass -snapshot, or -state naming a recoverable snapshot")
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	cfg := murphy.DefaultConfig()

@@ -309,7 +309,7 @@ func (m *Model) evaluateCandidate(ctx context.Context, a telemetry.EntityID, sym
 	if !symptom.High {
 		sign = -1
 	}
-	plan := m.planFor(a, symSlot, path)
+	plan := m.compilePlan(path, symSlot)
 	res, shift, used, statErr := m.sampleCandidate(ctx, a, d, plan, ov, alt, ar, sign/scale)
 	if statErr != nil {
 		if errors.Is(statErr, stats.ErrInsufficientData) {

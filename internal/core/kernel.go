@@ -29,29 +29,6 @@ import (
 	"murphy/internal/telemetry"
 )
 
-// kernelTables holds the sampling kernel's per-(candidate, symptom) plan
-// cache. Plans address state by the slots of the model's series index. One
-// instance is shared (by pointer) across a model and its Rebind copies —
-// plans depend only on the index, factor topology and trained weights,
-// which Rebind preserves (factor value-copies share the trained model
-// pointers).
-type kernelTables struct {
-	mu    sync.RWMutex
-	plans map[planKey]*pathPlan
-}
-
-func newKernelTables() *kernelTables {
-	return &kernelTables{plans: make(map[planKey]*pathPlan)}
-}
-
-// planKey identifies one compiled plan: the candidate and the symptom
-// metric's slot (the path is a pure function of the candidate and the
-// symptom entity via the subgraph cache).
-type planKey struct {
-	a   telemetry.EntityID
-	sym int32
-}
-
 // planStep is one factor application of a resampling round: read the feature
 // slots, predict, add noise, write the output slot.
 type planStep struct {
@@ -119,29 +96,6 @@ func (m *Model) base32() []float32 {
 type overrides struct {
 	slots []int32
 	vals  []float64
-}
-
-// planFor returns the compiled plan for one (candidate, symptom) pair,
-// compiling and caching it on first use. Candidates re-tested across
-// diagnoses (and Rebind copies) skip the compilation entirely.
-func (m *Model) planFor(a telemetry.EntityID, symSlot int32, path []telemetry.EntityID) *pathPlan {
-	kt := m.kern
-	key := planKey{a, symSlot}
-	kt.mu.RLock()
-	p := kt.plans[key]
-	kt.mu.RUnlock()
-	if p != nil {
-		return p
-	}
-	p = m.compilePlan(path, symSlot)
-	kt.mu.Lock()
-	if prev, ok := kt.plans[key]; ok {
-		p = prev // lost the compile race; keep the canonical plan
-	} else {
-		kt.plans[key] = p
-	}
-	kt.mu.Unlock()
-	return p
 }
 
 // compilePlan flattens one resampling walk: for every factor of every

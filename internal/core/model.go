@@ -102,10 +102,6 @@ type Model struct {
 	// arenas pools the Gibbs resampler's scratch buffers across candidate
 	// evaluations.
 	arenas *arenaPool
-	// kern holds the sampling kernel's per-(candidate, symptom) execution
-	// plan cache. Shared (by pointer) with Rebind copies: plans depend only
-	// on factor topology and trained weights, which Rebind preserves.
-	kern *kernelTables
 	// base caches the float32 copy of `current` the float32 kernel starts
 	// each pass from. Per-model (Rebind changes `current`).
 	base *slotBase
@@ -217,7 +213,6 @@ func TrainOpt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config,
 		workers: opts.Workers,
 		paths:   graph.NewSubgraphCache(g),
 		arenas:  newArenaPool(),
-		kern:    newKernelTables(),
 		base:    &slotBase{},
 		obs:     rec,
 	}

@@ -3,6 +3,7 @@ package harness
 import (
 	"sort"
 
+	"murphy/internal/evalx"
 	"murphy/internal/metamorph"
 	"murphy/internal/telemetry"
 )
@@ -21,43 +22,16 @@ type FamilyAccuracy struct {
 	Top5 float64 `json:"top5"`
 }
 
-// observe accumulates one case's ranking into the tally: rank credit is the
-// reciprocal rank of the first acceptable entity, top-k counters tick when it
-// sits within k. Call finish once every case of the family is in.
-func (a *FamilyAccuracy) observe(ranked []telemetry.EntityID, accept map[telemetry.EntityID]bool) {
-	a.Cases++
-	rank := 0 // 1-based rank of the first acceptable entity
-	for k, id := range ranked {
-		if accept[id] {
-			rank = k + 1
-			break
-		}
+// familyAccuracy scores one family's rankings against their accept sets
+// (precision and top-k recall as evalx defines them).
+func familyAccuracy(rankings [][]telemetry.EntityID, accepts []map[telemetry.EntityID]bool) FamilyAccuracy {
+	return FamilyAccuracy{
+		Cases:     len(rankings),
+		Precision: evalx.MeanPrecision(rankings, accepts),
+		Top1:      evalx.TopKRecall(rankings, accepts, 1),
+		Top3:      evalx.TopKRecall(rankings, accepts, 3),
+		Top5:      evalx.TopKRecall(rankings, accepts, 5),
 	}
-	if rank == 0 {
-		return
-	}
-	a.Precision += 1 / float64(rank)
-	if rank <= 1 {
-		a.Top1++
-	}
-	if rank <= 3 {
-		a.Top3++
-	}
-	if rank <= 5 {
-		a.Top5++
-	}
-}
-
-// finish converts the accumulated tallies into per-case means.
-func (a *FamilyAccuracy) finish() {
-	if a.Cases == 0 {
-		return
-	}
-	n := float64(a.Cases)
-	a.Precision /= n
-	a.Top1 /= n
-	a.Top3 /= n
-	a.Top5 /= n
 }
 
 // familyOrder returns metamorph's fixed family order, with any extra keys

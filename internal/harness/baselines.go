@@ -7,36 +7,19 @@ import (
 	"strings"
 
 	"murphy/internal/core"
-	"murphy/internal/explainit"
 	"murphy/internal/graph"
 	"murphy/internal/metamorph"
-	"murphy/internal/netmedic"
 	"murphy/internal/regress"
 	"murphy/internal/sage"
 	"murphy/internal/telemetry"
 )
 
-// CaseEnv is the shared evaluation environment for one fuzzed metamorph
-// case: every scheme diagnoses the same telemetry through the same pruned
-// candidate search space (§4.2), so accuracy differences measure the methods,
-// not their inputs. Murphy's diagnosis comes from metamorph.Diagnose's
-// reference path, so the Murphy rows of the comparative table score the same
-// diagnosis every metamorphic invariant compares against.
-type CaseEnv struct {
-	// Case is the fuzzed scenario under diagnosis.
-	Case *metamorph.Case
-	// Graph is the relationship graph grown from the symptom entity.
-	Graph *graph.Graph
-	// Diag is Murphy's diagnosis of the case's symptom.
-	Diag *core.Diagnosis
-	// Candidates is the pruned candidate search space every scheme ranks.
-	Candidates []telemetry.EntityID
-}
-
-// NewCaseEnv diagnoses the case on Murphy's metamorph reference path
-// (metamorph.Diagnose with zero Options) and captures the graph and the
-// candidate space all baselines share.
-func NewCaseEnv(c *metamorph.Case) (*CaseEnv, error) {
+// RankCase ranks one fuzzed metamorph case with every scheme. Murphy's
+// diagnosis comes from metamorph.Diagnose's reference path (zero Options),
+// so the Murphy rows of the comparative table score the same diagnosis every
+// metamorphic invariant compares against; the baselines rank its pruned
+// candidates over the suite's training window (rankSchemes).
+func RankCase(c *metamorph.Case) (map[string][]telemetry.EntityID, error) {
 	g, err := graph.Build(c.DB, []telemetry.EntityID{c.Symptom.Entity}, -1)
 	if err != nil {
 		return nil, fmt.Errorf("build graph: %w", err)
@@ -45,66 +28,7 @@ func NewCaseEnv(c *metamorph.Case) (*CaseEnv, error) {
 	if err != nil {
 		return nil, fmt.Errorf("murphy: %w", err)
 	}
-	return &CaseEnv{Case: c, Graph: g, Diag: diag, Candidates: diag.Candidates}, nil
-}
-
-// Diagnoser adapts one root-cause analysis method to the comparative
-// harness: given a case environment, produce a ranked root-cause list. An
-// empty ranking is a valid answer ("cannot diagnose"), scored as a miss.
-type Diagnoser interface {
-	// Name is the scheme name used in result rows (one of Schemes).
-	Name() string
-	// Diagnose ranks root causes for the environment's symptom.
-	Diagnose(env *CaseEnv) ([]telemetry.EntityID, error)
-}
-
-// Diagnosers returns all four methods in the fixed Schemes order.
-func Diagnosers() []Diagnoser {
-	return []Diagnoser{murphyDiagnoser{}, sageDiagnoser{}, netmedicDiagnoser{}, explainitDiagnoser{}}
-}
-
-type murphyDiagnoser struct{}
-
-func (murphyDiagnoser) Name() string { return SchemeMurphy }
-
-func (murphyDiagnoser) Diagnose(env *CaseEnv) ([]telemetry.EntityID, error) {
-	return env.Diag.Ranked(), nil
-}
-
-type netmedicDiagnoser struct{}
-
-func (netmedicDiagnoser) Name() string { return SchemeNetMedic }
-
-func (netmedicDiagnoser) Diagnose(env *CaseEnv) ([]telemetry.EntityID, error) {
-	cfg := netmedic.DefaultConfig()
-	cfg.Window = metamorph.BaseConfig().TrainWindow
-	nm, err := netmedic.Diagnose(env.Case.DB, env.Graph, env.Case.Symptom, env.Candidates, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return netmedic.RankedIDs(nm), nil
-}
-
-type explainitDiagnoser struct{}
-
-func (explainitDiagnoser) Name() string { return SchemeExplainIt }
-
-func (explainitDiagnoser) Diagnose(env *CaseEnv) ([]telemetry.EntityID, error) {
-	cfg := explainit.DefaultConfig()
-	cfg.Window = metamorph.BaseConfig().TrainWindow
-	ei, err := explainit.Diagnose(env.Case.DB, env.Case.Symptom, env.Candidates, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return explainit.RankedIDs(ei), nil
-}
-
-type sageDiagnoser struct{}
-
-func (sageDiagnoser) Name() string { return SchemeSage }
-
-func (sageDiagnoser) Diagnose(env *CaseEnv) ([]telemetry.EntityID, error) {
-	return dagRanking(env.Case.DB, env.Case.CallDAG, env.Case.Symptom, metamorph.BaseConfig().TrainWindow, env.Candidates), nil
+	return rankSchemes(c.DB, g, c.Symptom, c.CallDAG, diag, metamorph.BaseConfig().TrainWindow)
 }
 
 // dagRanking trains Sage on a causal call DAG over the telemetry and ranks
@@ -167,36 +91,29 @@ func RunBaselines(seed int64, casesPerFamily int) (*BaselinesResult, error) {
 	if casesPerFamily <= 0 {
 		return nil, fmt.Errorf("harness: casesPerFamily must be positive")
 	}
-	ds := Diagnosers()
-	out := &BaselinesResult{Seed: seed, CasesPerFamily: casesPerFamily, Methods: make(map[string]map[string]FamilyAccuracy, len(ds))}
-	for _, d := range ds {
-		out.Methods[d.Name()] = make(map[string]FamilyAccuracy, len(metamorph.Families))
+	out := &BaselinesResult{Seed: seed, CasesPerFamily: casesPerFamily, Methods: make(map[string]map[string]FamilyAccuracy, len(Schemes))}
+	for _, s := range Schemes {
+		out.Methods[s] = make(map[string]FamilyAccuracy, len(metamorph.Families))
 	}
 	for _, fam := range metamorph.Families {
-		tallies := make(map[string]*FamilyAccuracy, len(ds))
-		for _, d := range ds {
-			tallies[d.Name()] = &FamilyAccuracy{}
-		}
+		rankings := make(map[string][][]telemetry.EntityID, len(Schemes))
+		var accepts []map[telemetry.EntityID]bool
 		for i := 0; i < casesPerFamily; i++ {
 			c, err := metamorph.Generate(fam, i, seed)
 			if err != nil {
 				return nil, fmt.Errorf("harness: %w", err)
 			}
-			env, err := NewCaseEnv(c)
+			rs, err := RankCase(c)
 			if err != nil {
 				return nil, fmt.Errorf("harness: %s[%d] seed=%d: %w", fam, i, c.Seed, err)
 			}
-			for _, d := range ds {
-				ranked, err := d.Diagnose(env)
-				if err != nil {
-					return nil, fmt.Errorf("harness: %s on %s[%d] seed=%d: %w", d.Name(), fam, i, c.Seed, err)
-				}
-				tallies[d.Name()].observe(ranked, c.Accept)
+			accepts = append(accepts, c.Accept)
+			for _, s := range Schemes {
+				rankings[s] = append(rankings[s], rs[s])
 			}
 		}
-		for name, t := range tallies {
-			t.finish()
-			out.Methods[name][fam] = *t
+		for _, s := range Schemes {
+			out.Methods[s][fam] = familyAccuracy(rankings[s], accepts)
 		}
 	}
 	return out, nil
@@ -267,13 +184,17 @@ type RegressorSweepResult struct {
 	CasesPerFamily int `json:"cases_per_family"`
 	// Regressors maps regressor name → family name → accuracy.
 	Regressors map[string]map[string]FamilyAccuracy `json:"regressors"`
+	// Errors maps regressor name → cases whose training or diagnosis
+	// failed, over all families (each also scored as a miss).
+	Errors map[string]int `json:"errors"`
 }
 
 // RunRegressorSweep reproduces Fig 8a end to end: instead of scoring held-out
 // MASE, each candidate regressor is swapped into Murphy's training path via
 // core.TrainOpts.Trainer and the full pipeline diagnoses the fuzzed suite.
-// A regressor whose training fails on a case (e.g. a degenerate GMM fit)
-// scores that case as a miss rather than aborting the sweep.
+// A regressor whose training or diagnosis fails on a case (e.g. a degenerate
+// GMM fit) scores that case as a miss and counts it in Errors rather than
+// aborting the sweep.
 func RunRegressorSweep(seed int64, casesPerFamily int) (*RegressorSweepResult, error) {
 	if casesPerFamily <= 0 {
 		return nil, fmt.Errorf("harness: casesPerFamily must be positive")
@@ -285,15 +206,18 @@ func RunRegressorSweep(seed int64, casesPerFamily int) (*RegressorSweepResult, e
 		"MLP":   regress.MLPTrainer(5, seed),
 		"SVR":   regress.SVRTrainer(seed),
 	}
-	out := &RegressorSweepResult{Seed: seed, CasesPerFamily: casesPerFamily, Regressors: make(map[string]map[string]FamilyAccuracy, len(SweepRegressors))}
+	out := &RegressorSweepResult{
+		Seed: seed, CasesPerFamily: casesPerFamily,
+		Regressors: make(map[string]map[string]FamilyAccuracy, len(SweepRegressors)),
+		Errors:     make(map[string]int, len(SweepRegressors)),
+	}
 	for _, name := range SweepRegressors {
 		out.Regressors[name] = make(map[string]FamilyAccuracy, len(metamorph.Families))
+		out.Errors[name] = 0
 	}
 	for _, fam := range metamorph.Families {
-		tallies := make(map[string]*FamilyAccuracy, len(SweepRegressors))
-		for _, name := range SweepRegressors {
-			tallies[name] = &FamilyAccuracy{}
-		}
+		rankings := make(map[string][][]telemetry.EntityID, len(SweepRegressors))
+		var accepts []map[telemetry.EntityID]bool
 		for i := 0; i < casesPerFamily; i++ {
 			c, err := metamorph.Generate(fam, i, seed)
 			if err != nil {
@@ -303,35 +227,39 @@ func RunRegressorSweep(seed int64, casesPerFamily int) (*RegressorSweepResult, e
 			if err != nil {
 				return nil, fmt.Errorf("harness: %s[%d] seed=%d: build graph: %w", fam, i, c.Seed, err)
 			}
+			accepts = append(accepts, c.Accept)
 			for _, name := range SweepRegressors {
-				ranked := regressorRanking(c, g, trainers[name])
-				tallies[name].observe(ranked, c.Accept)
+				ranked, err := regressorRanking(c, g, trainers[name])
+				if err != nil {
+					out.Errors[name]++
+				}
+				rankings[name] = append(rankings[name], ranked)
 			}
 		}
-		for name, t := range tallies {
-			t.finish()
-			out.Regressors[name][fam] = *t
+		for _, name := range SweepRegressors {
+			out.Regressors[name][fam] = familyAccuracy(rankings[name], accepts)
 		}
 	}
 	return out, nil
 }
 
 // regressorRanking diagnoses one case with the given factor trainer swapped
-// into Murphy's training path; any failure yields an empty ranking (a miss).
-func regressorRanking(c *metamorph.Case, g *graph.Graph, tr regress.Trainer) []telemetry.EntityID {
+// into Murphy's training path.
+func regressorRanking(c *metamorph.Case, g *graph.Graph, tr regress.Trainer) ([]telemetry.EntityID, error) {
 	model, err := core.TrainOpt(context.Background(), c.DB, g, metamorph.BaseConfig(), core.TrainOpts{Now: -1, Trainer: tr})
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	diag, err := model.Diagnose(c.Symptom)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return diag.Ranked()
+	return diag.Ranked(), nil
 }
 
 // String renders the sweep as a precision grid (regressor × family) plus the
-// across-family mean, the end-to-end analogue of Fig 8a's MASE CDF.
+// across-family mean, the end-to-end analogue of Fig 8a's MASE CDF, and each
+// regressor's failed cases.
 func (r *RegressorSweepResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 8a end-to-end — Murphy accuracy by factor regressor (seed=%d, %d cases/family)\n", r.Seed, r.CasesPerFamily)
@@ -340,7 +268,7 @@ func (r *RegressorSweepResult) String() string {
 	for _, fam := range fams {
 		fmt.Fprintf(&b, " %13s", fam)
 	}
-	fmt.Fprintf(&b, " %8s\n", "mean")
+	fmt.Fprintf(&b, " %8s %6s\n", "mean", "errors")
 	for _, name := range SweepRegressors {
 		rows, ok := r.Regressors[name]
 		if !ok {
@@ -357,7 +285,7 @@ func (r *RegressorSweepResult) String() string {
 		if len(fams) > 0 {
 			mean = sum / float64(len(fams))
 		}
-		fmt.Fprintf(&b, " %8.3f\n", mean)
+		fmt.Fprintf(&b, " %8.3f %6d\n", mean, r.Errors[name])
 	}
 	return b.String()
 }

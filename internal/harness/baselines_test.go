@@ -3,28 +3,44 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"murphy/internal/core"
+	"murphy/internal/graph"
 	"murphy/internal/metamorph"
 	"murphy/internal/telemetry"
 )
 
-// baselineEnv builds the shared case environment for one family's index-0
-// case of the fixed test seed.
-func baselineEnv(t *testing.T, fam string) *CaseEnv {
+// baselineCase generates one family's index-0 case of the fixed test seed and
+// diagnoses it with Murphy the way RankCase does, returning the inputs
+// rankSchemes takes so the tests can vary them.
+func baselineCase(t *testing.T, fam string) (*metamorph.Case, *graph.Graph, *core.Diagnosis) {
 	t.Helper()
 	c, err := metamorph.Generate(fam, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewCaseEnv(c)
+	g, err := graph.Build(c.DB, []telemetry.EntityID{c.Symptom.Entity}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diag, err := metamorph.Diagnose(c, metamorph.Options{})
 	if err != nil {
 		t.Fatalf("%s: %v", fam, err)
 	}
-	return env
+	return c, g, diag
+}
+
+// rankCaseWith ranks c with every scheme from the given Murphy diagnosis and
+// call DAG.
+func rankCaseWith(t *testing.T, c *metamorph.Case, g *graph.Graph, diag *core.Diagnosis, callDAG [][2]telemetry.EntityID) map[string][]telemetry.EntityID {
+	t.Helper()
+	rs, err := rankSchemes(c.DB, g, c.Symptom, callDAG, diag, metamorph.BaseConfig().TrainWindow)
+	if err != nil {
+		t.Fatalf("%s: %v", c.Family, err)
+	}
+	return rs
 }
 
 func sameRanking(a, b []telemetry.EntityID) bool {
@@ -39,7 +55,7 @@ func sameRanking(a, b []telemetry.EntityID) bool {
 	return true
 }
 
-// TestBaselineDeterminism checks every diagnoser's ranking is byte-identical
+// TestBaselineDeterminism checks every scheme's ranking is byte-identical
 // across repeated runs, across a freshly regenerated identical case (fresh
 // training included), and across candidate-order permutation. Each baseline
 // dedupes its candidates and breaks score ties by entity ID, so the input
@@ -49,56 +65,48 @@ func TestBaselineDeterminism(t *testing.T) {
 		fam := fam
 		t.Run(fam, func(t *testing.T) {
 			t.Parallel()
-			env := baselineEnv(t, fam)
-			env2 := baselineEnv(t, fam) // identical case, fresh training
-			for _, d := range Diagnosers() {
-				ref, err := d.Diagnose(env)
-				if err != nil {
-					t.Fatalf("%s: %v", d.Name(), err)
+			c, g, diag := baselineCase(t, fam)
+			ref := rankCaseWith(t, c, g, diag, c.CallDAG)
+			again := rankCaseWith(t, c, g, diag, c.CallDAG)
+			c2, err := metamorph.Generate(fam, 0, 1) // identical case, fresh training
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := RankCase(c2)
+			if err != nil {
+				t.Fatalf("fresh case: %v", err)
+			}
+			// Candidate-order permutations: reversed and seed-shuffled, with
+			// every candidate duplicated to exercise dedup.
+			perms := map[string]map[string][]telemetry.EntityID{}
+			for name, perm := range map[string][]telemetry.EntityID{
+				"reversed": reversedIDs(diag.Candidates),
+				"shuffled": shuffledIDs(diag.Candidates, 42),
+				"duped":    append(append([]telemetry.EntityID(nil), diag.Candidates...), diag.Candidates...),
+			} {
+				pd := *diag
+				pd.Candidates = perm
+				perms[name] = rankCaseWith(t, c, g, &pd, c.CallDAG)
+			}
+			for _, s := range Schemes {
+				if !sameRanking(ref[s], again[s]) {
+					t.Errorf("%s: ranking differs across runs on the same case:\n%v\n%v", s, ref[s], again[s])
 				}
-				again, err := d.Diagnose(env)
-				if err != nil {
-					t.Fatalf("%s rerun: %v", d.Name(), err)
+				if !sameRanking(ref[s], fresh[s]) {
+					t.Errorf("%s: ranking differs across identically generated cases:\n%v\n%v", s, ref[s], fresh[s])
 				}
-				if !sameRanking(ref, again) {
-					t.Errorf("%s: ranking differs across runs on the same env:\n%v\n%v", d.Name(), ref, again)
-				}
-				fresh, err := d.Diagnose(env2)
-				if err != nil {
-					t.Fatalf("%s fresh env: %v", d.Name(), err)
-				}
-				if !sameRanking(ref, fresh) {
-					t.Errorf("%s: ranking differs across identically generated envs:\n%v\n%v", d.Name(), ref, fresh)
-				}
-				// Candidate-order permutations: reversed and seed-shuffled,
-				// with the symptom entity duplicated to exercise dedup.
-				for name, perm := range map[string][]telemetry.EntityID{
-					"reversed": reversedIDs(env.Candidates),
-					"shuffled": shuffledIDs(env.Candidates, 42),
-					"duped":    append(append([]telemetry.EntityID(nil), env.Candidates...), env.Candidates...),
-				} {
-					penv := *env
-					penv.Candidates = perm
-					got, err := d.Diagnose(&penv)
-					if err != nil {
-						t.Fatalf("%s %s candidates: %v", d.Name(), name, err)
-					}
-					if !sameRanking(ref, got) {
-						t.Errorf("%s: ranking depends on %s candidate order:\n%v\n%v", d.Name(), name, ref, got)
+				for name, got := range perms {
+					if !sameRanking(ref[s], got[s]) {
+						t.Errorf("%s: ranking depends on %s candidate order:\n%v\n%v", s, name, ref[s], got[s])
 					}
 				}
 			}
 			// Sage additionally must not care about the call DAG's edge-list
 			// order.
-			if len(env.Case.CallDAG) > 0 {
-				ref, _ := (sageDiagnoser{}).Diagnose(env)
-				penv := *env
-				pc := *env.Case
-				pc.CallDAG = reversedEdges(env.Case.CallDAG)
-				penv.Case = &pc
-				got, _ := (sageDiagnoser{}).Diagnose(&penv)
-				if !sameRanking(ref, got) {
-					t.Errorf("Sage: ranking depends on call-DAG edge order:\n%v\n%v", ref, got)
+			if len(c.CallDAG) > 0 {
+				got := rankCaseWith(t, c, g, diag, reversedEdges(c.CallDAG))
+				if !sameRanking(ref[SchemeSage], got[SchemeSage]) {
+					t.Errorf("Sage: ranking depends on call-DAG edge order:\n%v\n%v", ref[SchemeSage], got[SchemeSage])
 				}
 			}
 		})
@@ -128,45 +136,29 @@ func reversedEdges(edges [][2]telemetry.EntityID) [][2]telemetry.EntityID {
 }
 
 // TestBaselinesGoldenRankings pins one seeded scenario per family with every
-// method's full ranking, so any ranking change in any method is visible in
+// scheme's full ranking, so any ranking change in any method is visible in
 // review diffs. Regenerate with UPDATE_GOLDEN=1.
 func TestBaselinesGoldenRankings(t *testing.T) {
-	const goldenPath = "testdata/baseline_rankings.golden"
 	var b strings.Builder
 	for _, fam := range metamorph.Families {
-		env := baselineEnv(t, fam)
-		fmt.Fprintf(&b, "family %s (seed=%d) symptom=%s truth=%s\n", fam, env.Case.Seed, env.Case.Symptom.Entity, env.Case.Truth)
-		for _, d := range Diagnosers() {
-			ranked, err := d.Diagnose(env)
-			if err != nil {
-				t.Fatalf("%s on %s: %v", d.Name(), fam, err)
-			}
-			ids := make([]string, len(ranked))
-			for i, id := range ranked {
+		c, err := metamorph.Generate(fam, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := RankCase(c)
+		if err != nil {
+			t.Fatalf("%s: %v", fam, err)
+		}
+		fmt.Fprintf(&b, "family %s (seed=%d) symptom=%s truth=%s\n", fam, c.Seed, c.Symptom.Entity, c.Truth)
+		for _, s := range Schemes {
+			ids := make([]string, len(rs[s]))
+			for i, id := range rs[s] {
 				ids[i] = string(id)
 			}
-			fmt.Fprintf(&b, "  %-10s %s\n", d.Name(), strings.Join(ids, " > "))
+			fmt.Fprintf(&b, "  %-10s %s\n", s, strings.Join(ids, " > "))
 		}
 	}
-	got := b.String()
-
-	if os.Getenv("UPDATE_GOLDEN") == "1" {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", goldenPath)
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create it)", err)
-	}
-	if got != string(want) {
-		t.Fatalf("per-method rankings drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "baseline_rankings.golden", b.String())
 }
 
 // TestParseBaselinesLegacy checks the pre-comparative Murphy-only baseline

@@ -59,14 +59,10 @@ func hotelContention(steps int, seed int64, v int) (*microsim.Scenario, *graph.G
 	return sc, g, nil
 }
 
-// schemeRankings runs all four schemes on one microsim scenario and returns
-// each scheme's ranked root-cause list. Every scheme receives the same
-// pruned candidate search space (§4.2). Sage receives the scenario's causal
-// call DAG; when the true cause lies outside it, Sage simply cannot rank it.
+// schemeRankings trains Murphy on one microsim scenario, diagnoses its
+// symptom and ranks it with every scheme (rankSchemes).
 func schemeRankings(sc *microsim.Scenario, cfg core.Config) (map[string][]telemetry.EntityID, error) {
 	db := sc.Result.DB
-	out := make(map[string][]telemetry.EntityID, 4)
-
 	g, err := graph.Build(db, []telemetry.EntityID{sc.Symptom.Entity}, -1)
 	if err != nil {
 		return nil, fmt.Errorf("harness: build graph: %w", err)
@@ -79,36 +75,36 @@ func schemeRankings(sc *microsim.Scenario, cfg core.Config) (map[string][]teleme
 	if err != nil {
 		return nil, fmt.Errorf("harness: murphy diagnose: %w", err)
 	}
-	out[SchemeMurphy] = diag.Ranked()
-	candidates := diag.Candidates
+	return rankSchemes(db, g, sc.Symptom, sc.CallDAG, diag, cfg.TrainWindow)
+}
 
-	// ExplainIt.
+// rankSchemes is the harness's one comparison path: it returns every
+// scheme's ranked root-cause list for Murphy's diagnosis diag of symptom.
+// Every scheme ranks the same pruned candidate search space (§4.2),
+// diag.Candidates, so accuracy differences measure the methods, not their
+// inputs. ExplainIt and NetMedic read the trailing window; Sage receives
+// the causal call DAG (see dagRanking), so when the true cause lies outside
+// it Sage simply cannot rank it. An empty ranking is a valid answer
+// ("cannot diagnose"), scored as a miss.
+func rankSchemes(db *telemetry.DB, g *graph.Graph, symptom telemetry.Symptom, callDAG [][2]telemetry.EntityID, diag *core.Diagnosis, window int) (map[string][]telemetry.EntityID, error) {
 	eiCfg := explainit.DefaultConfig()
-	eiCfg.Window = cfg.TrainWindow
-	ei, err := explainit.Diagnose(db, sc.Symptom, candidates, eiCfg)
+	eiCfg.Window = window
+	ei, err := explainit.Diagnose(db, symptom, diag.Candidates, eiCfg)
 	if err != nil {
 		return nil, fmt.Errorf("harness: explainit: %w", err)
 	}
-	out[SchemeExplainIt] = explainit.RankedIDs(ei)
-
-	// NetMedic.
 	nmCfg := netmedic.DefaultConfig()
-	nmCfg.Window = cfg.TrainWindow
-	nm, err := netmedic.Diagnose(db, g, sc.Symptom, candidates, nmCfg)
+	nmCfg.Window = window
+	nm, err := netmedic.Diagnose(db, g, symptom, diag.Candidates, nmCfg)
 	if err != nil {
 		return nil, fmt.Errorf("harness: netmedic: %w", err)
 	}
-	out[SchemeNetMedic] = netmedic.RankedIDs(nm)
-
-	// Sage: DAG-only view of the same telemetry.
-	out[SchemeSage] = sageRanking(db, sc, cfg, candidates)
-	return out, nil
-}
-
-// sageRanking trains Sage on the scenario's call DAG and ranks the
-// candidates; see dagRanking for the unusable-environment semantics.
-func sageRanking(db *telemetry.DB, sc *microsim.Scenario, cfg core.Config, candidates []telemetry.EntityID) []telemetry.EntityID {
-	return dagRanking(db, sc.CallDAG, sc.Symptom, cfg.TrainWindow, candidates)
+	return map[string][]telemetry.EntityID{
+		SchemeMurphy:    diag.Ranked(),
+		SchemeSage:      dagRanking(db, callDAG, symptom, window, diag.Candidates),
+		SchemeNetMedic:  netmedic.RankedIDs(nm),
+		SchemeExplainIt: explainit.RankedIDs(ei),
+	}, nil
 }
 
 // fmtCurve renders a K→accuracy curve as "K=1:0.75 K=5:0.86 ...".

@@ -7,9 +7,7 @@ import (
 	"murphy/internal/core"
 	"murphy/internal/enterprise"
 	"murphy/internal/evalx"
-	"murphy/internal/explainit"
 	"murphy/internal/graph"
-	"murphy/internal/netmedic"
 	"murphy/internal/sage"
 	"murphy/internal/telemetry"
 )
@@ -104,24 +102,10 @@ func RunTable1(opts Table1Options) (*Table1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		candidates := diag.Candidates
-		ranked := map[string][]telemetry.EntityID{SchemeMurphy: diag.Ranked()}
-
-		eiCfg := explainit.DefaultConfig()
-		eiCfg.Window = cfg.TrainWindow
-		ei, err := explainit.Diagnose(db, inc.Symptom, candidates, eiCfg)
+		ranked, err := rankSchemes(db, g, inc.Symptom, nil, diag, cfg.TrainWindow)
 		if err != nil {
 			return nil, err
 		}
-		ranked[SchemeExplainIt] = explainit.RankedIDs(ei)
-
-		nmCfg := netmedic.DefaultConfig()
-		nmCfg.Window = cfg.TrainWindow
-		nm, err := netmedic.Diagnose(db, g, inc.Symptom, candidates, nmCfg)
-		if err != nil {
-			return nil, err
-		}
-		ranked[SchemeNetMedic] = netmedic.RankedIDs(nm)
 
 		// Sage structurally cannot run: the relationship graph is cyclic and
 		// no causal DAG exists for arbitrary enterprise applications (§6.2).

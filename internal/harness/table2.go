@@ -57,20 +57,13 @@ func RunTable2(opts Table2Options) (*Table2Result, error) {
 	for _, s := range Schemes {
 		res.Recall[s] = map[string]float64{}
 	}
-	kinds := []microsim.FaultKind{microsim.FaultCPU, microsim.FaultMem, microsim.FaultDisk}
 	for _, deg := range Degradations {
 		rankings := map[string][][]telemetry.EntityID{}
 		var accepts []map[telemetry.EntityID]bool
 		for v := 0; v < opts.Scenarios; v++ {
-			cOpts := microsim.ContentionOptions{
-				Topo:           "hotel",
-				Steps:          opts.Steps,
-				PriorIncidents: 4,
-				Kind:           kinds[v%len(kinds)],
-				Intensity:      0.5,
-				Seed:           opts.Seed + int64(v),
-			}
-			sc, err := microsim.Contention(cOpts)
+			// The fixture's graph is dropped: schemeRankings grows its own
+			// from the corrupted telemetry.
+			sc, _, err := hotelContention(opts.Steps, opts.Seed, v)
 			if err != nil {
 				return nil, err
 			}

@@ -2,7 +2,7 @@
 // comparison points must be as transform-stable as Murphy itself, or the
 // comparative accuracy table would measure harness artifacts instead of
 // methods. This lives in an external test package because the invariants
-// drive the baselines through the harness's shared Diagnoser adapters
+// rank each case through the harness's one comparison path, harness.RankCase
 // (harness imports metamorph).
 package metamorph_test
 
@@ -15,36 +15,17 @@ import (
 	"murphy/internal/telemetry"
 )
 
-// baselineSchemes are the diagnosers under invariant test. Murphy's rename
-// invariance needs the RNG seed hook and is already covered bit-for-bit by
+// rankCase ranks a case with every scheme. Murphy's rename invariance needs
+// the RNG seed hook and is already covered bit-for-bit by
 // metamorph.CheckInvariants; the baselines are sampling-free, so their
 // rankings must survive the transforms with no hooks at all.
-func baselineSchemes() []harness.Diagnoser {
-	var out []harness.Diagnoser
-	for _, d := range harness.Diagnosers() {
-		if d.Name() != harness.SchemeMurphy {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-func env(t *testing.T, c *metamorph.Case) *harness.CaseEnv {
+func rankCase(t *testing.T, c *metamorph.Case) map[string][]telemetry.EntityID {
 	t.Helper()
-	e, err := harness.NewCaseEnv(c)
+	rs, err := harness.RankCase(c)
 	if err != nil {
 		t.Fatalf("%s[%d] seed=%d: %v", c.Family, c.Index, c.Seed, err)
 	}
-	return e
-}
-
-func ranking(t *testing.T, d harness.Diagnoser, e *harness.CaseEnv) []telemetry.EntityID {
-	t.Helper()
-	r, err := d.Diagnose(e)
-	if err != nil {
-		t.Fatalf("%s: %v", d.Name(), err)
-	}
-	return r
+	return rs
 }
 
 func equalIDs(a, b []telemetry.EntityID) bool {
@@ -72,18 +53,19 @@ func TestBaselineRenameInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := env(t, c)
+			ref := rankCase(t, c)
 			renamed, inv := metamorph.Rename(c)
-			got := env(t, renamed)
-			for _, d := range baselineSchemes() {
-				want := ranking(t, d, ref)
-				back := ranking(t, d, got)
-				mapped := make([]telemetry.EntityID, len(back))
-				for i, id := range back {
+			got := rankCase(t, renamed)
+			for _, s := range harness.Schemes {
+				if s == harness.SchemeMurphy {
+					continue
+				}
+				mapped := make([]telemetry.EntityID, len(got[s]))
+				for i, id := range got[s] {
 					mapped[i] = inv[id]
 				}
-				if !equalIDs(want, mapped) {
-					t.Errorf("%s: ranking not rename-invariant:\nref:     %v\nrenamed: %v", d.Name(), want, mapped)
+				if !equalIDs(ref[s], mapped) {
+					t.Errorf("%s: ranking not rename-invariant:\nref:     %v\nrenamed: %v", s, ref[s], mapped)
 				}
 			}
 		})
@@ -92,7 +74,7 @@ func TestBaselineRenameInvariant(t *testing.T) {
 
 // TestBaselinePermuteEdgesInvariant: association-edge (and call-DAG edge)
 // insertion order must be immaterial to every method — the DB's neighbor
-// accessors sort, and the Sage adapter seeds its BFS deterministically.
+// accessors sort, and Sage's ranking seeds its BFS deterministically.
 // Murphy is included: its permute invariance holds bit-for-bit with no hook.
 func TestBaselinePermuteEdgesInvariant(t *testing.T) {
 	for _, fam := range metamorph.Families {
@@ -103,13 +85,11 @@ func TestBaselinePermuteEdgesInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := env(t, c)
-			got := env(t, metamorph.PermuteEdges(c, c.Seed+1))
-			for _, d := range harness.Diagnosers() {
-				want := ranking(t, d, ref)
-				perm := ranking(t, d, got)
-				if !equalIDs(want, perm) {
-					t.Errorf("%s: ranking depends on edge insertion order:\nref:      %v\npermuted: %v", d.Name(), want, perm)
+			ref := rankCase(t, c)
+			got := rankCase(t, metamorph.PermuteEdges(c, c.Seed+1))
+			for _, s := range harness.Schemes {
+				if !equalIDs(ref[s], got[s]) {
+					t.Errorf("%s: ranking depends on edge insertion order:\nref:      %v\npermuted: %v", s, ref[s], got[s])
 				}
 			}
 		})

@@ -43,8 +43,8 @@
 // Gibbs samples, early-stop decisions, retries, breaker trips), and a
 // progress-event stream. Subscribe with WithObserver, enable passive
 // collection with WithStats, read it back with Stats, or serve it with
-// MetricsHandler / ObservabilityMux. Disabled (the default), the whole layer
-// costs one predicted branch per call site.
+// ObservabilityMux (/metrics, /stats, /debug/vars). Disabled (the default),
+// the whole layer costs one predicted branch per call site.
 package murphy
 
 import (
@@ -67,7 +67,6 @@ type System struct {
 	db     *telemetry.DB
 	g      *graph.Graph
 	cfg    Config
-	th     explain.Thresholds
 	maxHop int
 	seeds  []telemetry.EntityID
 	// src is the read path used for online training; defaults to db.
@@ -86,7 +85,7 @@ type System struct {
 	// same slice from the stored factors (WithIncrementalTraining).
 	incStore *core.FactorStore
 	// rec is the session's instrumentation recorder. Always non-nil;
-	// disabled unless WithObserver/WithStats (or EnableStats) turned it on.
+	// disabled unless WithObserver/WithStats turned it on.
 	rec *obs.Recorder
 }
 
@@ -98,7 +97,6 @@ func New(db *telemetry.DB, opts ...Option) (*System, error) {
 	s := &System{
 		db:     db,
 		cfg:    core.DefaultConfig(),
-		th:     explain.DefaultThresholds(),
 		maxHop: -1,
 		rec:    obs.New(),
 	}
@@ -181,7 +179,7 @@ func (s *System) diagnoseWith(ctx context.Context, model *core.Model, symptom te
 	if err != nil {
 		return nil, err
 	}
-	labeler := explain.NewLabeler(model, s.db, s.th)
+	labeler := explain.NewLabeler(model, s.db, explain.DefaultThresholds())
 	report := &Report{
 		SchemaVersion: SchemaVersion,
 		Symptom:       symptom,

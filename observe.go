@@ -38,16 +38,13 @@ type PipelineStats = obs.Snapshot
 // into one Recorder so a single /metrics endpoint tells the whole story.
 type Recorder = obs.Recorder
 
-// NewRecorder returns a fresh, disabled Recorder, for sharing between a
-// System (via WithRecorder) and other writers before enabling collection.
-func NewRecorder() *Recorder { return obs.New() }
-
 // WithRecorder makes the System record its instrumentation into r instead of
 // a private recorder, so pipeline counters and externally recorded ones (the
 // diagnosis daemon's ingest/queue/shedding counters) share one snapshot and
-// one /metrics exposition. Apply it before WithObserver/WithStats — those
-// act on whichever recorder the System holds at that point. A nil r is
-// ignored.
+// one /metrics exposition. A zero Recorder is ready to use, disabled until
+// WithObserver/WithStats (or its Enable) turns it on. Apply WithRecorder
+// before WithObserver/WithStats — those act on whichever recorder the System
+// holds at that point. A nil r is ignored.
 func WithRecorder(r *Recorder) Option {
 	return func(s *System) {
 		if r != nil {
@@ -74,26 +71,9 @@ func WithStats() Option {
 	return func(s *System) { s.rec.Enable() }
 }
 
-// EnableStats turns instrumentation collection on (equivalent to the
-// WithStats option, after construction); DisableStats turns it off again,
-// keeping accumulated data.
-func (s *System) EnableStats() { s.rec.Enable() }
-
-// DisableStats stops instrumentation collection; accumulated data is kept.
-func (s *System) DisableStats() { s.rec.Disable() }
-
 // Stats returns a snapshot of the session's pipeline instrumentation. All
-// zeros (Enabled false) unless WithStats/WithObserver/EnableStats turned
-// collection on.
+// zeros (Enabled false) unless WithStats/WithObserver turned collection on.
 func (s *System) Stats() PipelineStats { return s.rec.Snapshot() }
-
-// ResetStats zeroes the session's counters, stage totals, and histograms
-// (observers stay attached). Meant for quiescent points between runs.
-func (s *System) ResetStats() { s.rec.Reset() }
-
-// MetricsHandler serves the session's instrumentation in the Prometheus text
-// exposition format (the murphy_ namespace).
-func (s *System) MetricsHandler() http.Handler { return s.rec.Handler() }
 
 // ObservabilityMux builds an HTTP mux exposing the session's
 // instrumentation: /metrics (Prometheus text), /stats (the PipelineStats

@@ -106,10 +106,6 @@ func TestStatsSnapshotCounters(t *testing.T) {
 	if !strings.Contains(st.Table(), "train") {
 		t.Errorf("breakdown table missing the train stage:\n%s", st.Table())
 	}
-	sys.ResetStats()
-	if got := sys.Stats().Counters["factors_trained"]; got != 0 {
-		t.Errorf("ResetStats left factors_trained = %d", got)
-	}
 }
 
 func TestStatsDisabledByDefault(t *testing.T) {

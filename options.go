@@ -2,7 +2,6 @@ package murphy
 
 import (
 	"murphy/internal/core"
-	"murphy/internal/explain"
 	"murphy/internal/resilience"
 	"murphy/internal/telemetry"
 )
@@ -84,11 +83,6 @@ func WithApp(db *telemetry.DB, app string) Option {
 // used four hops from the affected application.
 func WithMaxHops(h int) Option {
 	return func(s *System) { s.maxHop = h }
-}
-
-// WithThresholds overrides the explanation labeling thresholds.
-func WithThresholds(th explain.Thresholds) Option {
-	return func(s *System) { s.th = th }
 }
 
 // WithWorkers sizes the session's one worker pool: each online training
