@@ -3,14 +3,22 @@
 // as windows slide, continuously scans fresh windows for problematic
 // symptoms, and feeds them (plus client-requested symptoms) through a
 // bounded diagnosis queue with admission control, deadline propagation, a
-// stuck-diagnosis watchdog, and crash-safe state snapshots.
+// stuck-diagnosis watchdog, a crash-safe report store, and crash-safe state
+// snapshots.
 //
 // Usage:
 //
-//	murphyd -listen :8080 -snapshot db.json -state /var/lib/murphyd/state.json
-//	murphyd -listen :8080 -state /var/lib/murphyd/state.json  # restart
-//	murphyd -listen :8080 -snapshot db.json -queue 32 -workers 4 -detect-every 10s
-//	murphyd -listen :8080 -snapshot db.json -state state.json -inctrain
+//	murphyd -listen :8080 -snapshot db.json -reportdir /var/lib/murphyd/reports -state /var/lib/murphyd/state.json
+//	murphyd -listen :8080 -reportdir /var/lib/murphyd/reports -state /var/lib/murphyd/state.json  # restart
+//	murphyd -listen :8080 -snapshot db.json -reportdir reports -queue 32 -workers 4 -detect-every 10s
+//	murphyd -listen :8080 -snapshot db.json -reportdir reports -state state.json -inctrain
+//
+// -reportdir is required: completed diagnosis reports are appended to an
+// append-only, crash-safe segment file there before they are acknowledged,
+// GET /reports searches that store (by entity, app, cause, source, and time
+// range, with cursor pagination), and the report sequence continues from the
+// store's last record across restarts; -report-retention caps how many
+// reports the store keeps. Without -reportdir the daemon exits 2.
 //
 // The daemon boots from the latest recoverable -state snapshot, else from
 // the -snapshot telemetry file; with neither it exits 2. The relationship
@@ -21,12 +29,6 @@
 // Endpoints: POST /ingest, POST /diagnose, GET /reports, GET /topology,
 // GET /entities/{ref}/performance, GET /healthz, GET /readyz, GET /statusz,
 // plus /metrics /stats /debug/vars (and /debug/pprof with -pprof).
-//
-// With -reportdir, completed diagnosis reports are additionally persisted to
-// an append-only, crash-safe segment file before they are acknowledged, and
-// GET /reports searches the persisted store (by entity, app, cause, source,
-// and time range, with cursor pagination) instead of the bounded in-memory
-// ring; -report-retention caps how many reports the store keeps.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: readiness flips off, new
 // work is shed with 503, queued and in-flight diagnoses finish (bounded by
@@ -66,8 +68,8 @@ func main() {
 		snapEv   = flag.Duration("snapshot-every", 30*time.Second, "periodic state-snapshot cadence (needs -state)")
 		ingestN  = flag.Int("max-ingest", 4, "concurrently applied ingest batches; excess sheds with 429")
 		readsN   = flag.Int("max-reads", 16, "concurrently served operator queries (/topology, /entities, /reports); excess sheds with 429")
-		repDir   = flag.String("reportdir", "", "directory for the persisted report store: completed diagnoses are appended crash-safely and GET /reports searches them across restarts (\"\" keeps the in-memory ring only)")
-		repKeep  = flag.Int("report-retention", 10000, "reports retained in the persisted store before compaction drops the oldest (needs -reportdir)")
+		repDir   = flag.String("reportdir", "", "directory for the report store (required): completed diagnoses are appended crash-safely before they are acknowledged, and GET /reports searches them across restarts")
+		repKeep  = flag.Int("report-retention", 10000, "reports retained in the report store before compaction drops the oldest")
 		retries  = flag.Int("retries", 0, "retry attempts for transient telemetry read faults (0 = no retry layer)")
 		inctrain = flag.Bool("inctrain", false, "train incrementally: slide per-factor sufficient statistics as windows advance instead of retraining full windows; the factor store persists in the -state snapshot so warm restarts skip training")
 		driftTh  = flag.Float64("drift-threshold", 0, "MASE drift score above which an incrementally maintained factor is fully refit (0 = default 4.0; needs -inctrain)")
@@ -86,6 +88,11 @@ func main() {
 		// flag stops at the first non-flag argument, so anything after it
 		// (including later flags) would be silently dropped.
 		fmt.Fprintf(os.Stderr, "murphyd: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *repDir == "" {
+		fmt.Fprintln(os.Stderr, "murphyd: no report store: pass -reportdir")
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -1,13 +1,16 @@
-// Package reportstore persists completed diagnosis reports beyond the serve
-// layer's in-memory ring: an append-only segment file with CRC-framed JSON
-// records, an in-memory index over the indexed fields, and a search API with
-// stable pagination cursors.
+// Package reportstore is the serve layer's only home for completed diagnosis
+// reports: an append-only segment file with CRC-framed JSON records, an
+// in-memory index over the indexed fields, the report sequence, and a search
+// API with stable pagination cursors.
 //
 // Durability contract: Append fsyncs the segment before returning, so a
 // record whose Append returned nil survives kill -9 — the daemon acknowledges
-// a diagnosis to its client only after the append returns. Crash recovery is
-// Open: the segment is scanned frame by frame and a torn or corrupt final
-// record (a crash mid-write) is truncated away, never propagated.
+// a diagnosis to its client only after the append returns. A failed Append
+// leaves the store as it was: every frame is written at the end of the last
+// good one, and the index and sequence advance only after write and fsync
+// succeed. Crash recovery is Open: the segment is scanned frame by frame and
+// a torn or corrupt final record (a crash mid-write) is truncated away, never
+// propagated.
 //
 // Retention rewrites the segment through the same temp + fsync + rename
 // discipline the serve snapshots use, keeping the newest MaxRecords records.
@@ -98,10 +101,8 @@ type Query struct {
 	// Since/Until bound the completion time (inclusive); zero means open.
 	Since time.Time
 	Until time.Time
-	// SinceSeq keeps only records with Seq > SinceSeq (the legacy ring
-	// protocol: "records newer than the last one I saw").
-	SinceSeq int64
-	// AfterSeq resumes a paginated scan after a cursor position.
+	// AfterSeq keeps only records with Seq > AfterSeq: a cursor position,
+	// or the last sequence number a client saw.
 	AfterSeq int64
 	// Limit caps the page size (0 = DefaultLimit, never above MaxLimit).
 	Limit int
@@ -136,7 +137,7 @@ type Store struct {
 	opts Options
 
 	f      *os.File
-	size   int64
+	size   int64     // end of the last good frame; the next frame goes here
 	recs   []*Record // ascending Seq
 	last   int64
 	closed bool
@@ -200,9 +201,6 @@ func (s *Store) replay() error {
 	// queries rely on ascending Seq for the cursor binary search.
 	sort.SliceStable(s.recs, func(i, j int) bool { return s.recs[i].Seq < s.recs[j].Seq })
 	s.size = int64(off)
-	if _, err := s.f.Seek(int64(off), io.SeekStart); err != nil {
-		return fmt.Errorf("reportstore: seek segment end: %w", err)
-	}
 	return nil
 }
 
@@ -238,27 +236,25 @@ func encodeFrame(dst []byte, payload []byte) []byte {
 }
 
 // Append durably persists one record and returns its sequence number. A
-// caller-provided Seq greater than the store's last is adopted (the serve
-// layer owns the sequence); otherwise the store assigns last+1. When Append
-// returns nil the record has been fsynced: it survives kill -9.
+// caller-provided Seq greater than the store's last is adopted; otherwise
+// the store assigns last+1. When Append returns nil the record has been
+// fsynced: it survives kill -9. When it returns an error the store is
+// unchanged, and the next frame overwrites whatever the failed write left.
 func (s *Store) Append(rec *Record) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, ErrClosed
 	}
-	if rec.Seq > s.last {
-		s.last = rec.Seq
-	} else {
-		s.last++
-		rec.Seq = s.last
+	if rec.Seq <= s.last {
+		rec.Seq = s.last + 1
 	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return 0, fmt.Errorf("reportstore: encode record: %w", err)
 	}
 	frame := encodeFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
-	if _, err := s.f.Write(frame); err != nil {
+	if _, err := s.f.WriteAt(frame, s.size); err != nil {
 		return 0, fmt.Errorf("reportstore: append record: %w", err)
 	}
 	if !s.opts.NoSync {
@@ -266,6 +262,7 @@ func (s *Store) Append(rec *Record) (int64, error) {
 			return 0, fmt.Errorf("reportstore: sync segment: %w", err)
 		}
 	}
+	s.last = rec.Seq
 	s.size += int64(len(frame))
 	s.recs = append(s.recs, rec)
 	s.appends++
@@ -313,8 +310,8 @@ func (s *Store) compactLocked() error {
 		return err
 	}
 	// The old handle points at the unlinked inode; reopen the published file
-	// for subsequent appends.
-	f, err := os.OpenFile(s.path, os.O_RDWR|os.O_APPEND, 0o644)
+	// for subsequent appends (positioned writes, so no O_APPEND).
+	f, err := os.OpenFile(s.path, os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}
@@ -335,22 +332,18 @@ func (s *Store) Query(q Query) (*Page, error) {
 	if limit > MaxLimit {
 		limit = MaxLimit
 	}
-	after := q.AfterSeq
-	if q.SinceSeq > after {
-		after = q.SinceSeq
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	// First index with Seq > after: the cursor position survives compaction
+	// First index with Seq > AfterSeq: the cursor position survives compaction
 	// because expired records only ever vanish from the front.
-	i := sort.Search(len(s.recs), func(i int) bool { return s.recs[i].Seq > after })
+	i := sort.Search(len(s.recs), func(i int) bool { return s.recs[i].Seq > q.AfterSeq })
 	page := &Page{}
 	for ; i < len(s.recs); i++ {
 		rec := s.recs[i]
-		if !q.Matches(rec) {
+		if !q.matches(rec) {
 			continue
 		}
 		if len(page.Records) == limit {
@@ -364,10 +357,9 @@ func (s *Store) Query(q Query) (*Page, error) {
 	return page, nil
 }
 
-// Matches reports whether rec passes every set filter (Seq cursors are the
-// caller's concern; only the field filters apply). Exported so the serve
-// layer's ring fallback shares the store's exact search semantics.
-func (q Query) Matches(rec *Record) bool {
+// matches reports whether rec passes every set field filter (Query applies
+// AfterSeq by position).
+func (q Query) matches(rec *Record) bool {
 	if q.Entity != "" && rec.Entity != q.Entity {
 		return false
 	}

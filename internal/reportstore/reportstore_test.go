@@ -3,6 +3,7 @@ package reportstore
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -127,6 +128,48 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 	}
 }
 
+// TestAppendOverwritesStrayBytes: bytes a failed write left past the last
+// good frame never end up in front of the next acknowledged frame, where a
+// reopen's torn-tail truncation would drop it.
+func TestAppendOverwritesStrayBytes(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir, Options{})
+	if _, err := st.Append(testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	// What a write that failed part-way leaves behind: bytes past the last
+	// good frame, with the handle's offset after them.
+	if _, err := st.f.Seek(0, io.SeekEnd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.f.Write([]byte("junk!")); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := st.Append(testRecord(1)); err != nil || seq != 2 {
+		t.Fatalf("Append after stray bytes: got (%d, %v), want (2, nil)", seq, err)
+	}
+	re := mustOpen(t, dir, Options{}) // no Close: kill -9
+	if got, tr := re.Len(), re.Stats().Truncated; got != 2 || tr != 0 {
+		t.Fatalf("reopen recovered %d records and truncated %d bytes, want 2 and 0", got, tr)
+	}
+}
+
+// TestFailedAppendLeavesStoreUnchanged: an Append whose write fails neither
+// advances the sequence nor indexes the record.
+func TestFailedAppendLeavesStoreUnchanged(t *testing.T) {
+	st := mustOpen(t, t.TempDir(), Options{})
+	if _, err := st.Append(testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	st.f.Close() // the next write fails
+	if _, err := st.Append(testRecord(1)); err == nil {
+		t.Fatal("Append on a closed segment handle succeeded")
+	}
+	if last, n := st.LastSeq(), st.Len(); last != 1 || n != 1 {
+		t.Fatalf("after a failed Append: LastSeq %d with %d records, want 1 and 1", last, n)
+	}
+}
+
 func TestCorruptTailCRCDropped(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, dir, Options{})
@@ -203,7 +246,7 @@ func TestQueryFilters(t *testing.T) {
 		{"cause", Query{Cause: "cause-3", Limit: MaxLimit}, 9},
 		{"source", Query{Source: "api", Limit: MaxLimit}, 30},
 		{"entity+source", Query{Entity: "svc-0", Source: "api", Limit: MaxLimit}, 6},
-		{"since-seq", Query{SinceSeq: 50, Limit: MaxLimit}, 10},
+		{"after-seq", Query{AfterSeq: 50, Limit: MaxLimit}, 10},
 		{"time-range", Query{
 			Since: time.Date(2026, 1, 1, 0, 10, 0, 0, time.UTC),
 			Until: time.Date(2026, 1, 1, 0, 19, 0, 0, time.UTC),

@@ -149,9 +149,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "decode batch: "+err.Error())
 		return
 	}
-	if n := len(batch.Observations); n > s.cfg.MaxBatchPoints {
+	if n := len(batch.Observations); n > maxBatchPoints {
 		writeErr(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch has %d observations, limit %d", n, s.cfg.MaxBatchPoints))
+			fmt.Sprintf("batch has %d observations, limit %d", n, maxBatchPoints))
 		return
 	}
 	res, err := s.applyBatch(&batch)
@@ -228,7 +228,8 @@ func (s *Server) applyBatch(batch *IngestBatch) (*IngestResult, error) {
 
 // handleDiagnose runs one client-requested diagnosis through the bounded
 // queue and waits for its report. The request deadline propagates into
-// DiagnoseContext; queue-full sheds with 429 + Retry-After.
+// DiagnoseContext; queue-full sheds with 429 + Retry-After; a report the
+// store could not persist answers 500.
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only")
@@ -251,7 +252,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		symptom:    req.Symptom,
 		deadline:   deadline,
 		source:     "api",
-		result:     make(chan *ReportRecord, 1),
+		result:     make(chan jobResult, 1),
 		enqueuedAt: time.Now(),
 	}
 	ok, retryAfter := s.enqueue(j)
@@ -260,11 +261,15 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	select {
-	case rec := <-j.result:
-		writeJSON(w, http.StatusOK, rec)
+	case res := <-j.result:
+		if res.err != nil {
+			writeErr(w, http.StatusInternalServerError, res.err.Error())
+			return
+		}
+		writeJSON(w, http.StatusOK, res.rec)
 	case <-r.Context().Done():
 		// The client went away; the worker still completes the job into the
-		// report ring (the buffered result channel absorbs the record).
+		// report store (the buffered result channel absorbs the outcome).
 		writeErr(w, http.StatusRequestTimeout, "client cancelled while waiting for diagnosis")
 	}
 }
@@ -308,7 +313,7 @@ func (s *Server) Status() map[string]any {
 		Inflight:    s.inflight,
 		MaxDepth:    s.maxDepth,
 		EwmaMs:      s.ewmaMs,
-		Seq:         s.seq,
+		Seq:         int(s.store.LastSeq()),
 		Quarantined: len(s.quarantine),
 		LastScanned: s.lastScanned,
 		Goroutines:  runtime.NumGoroutine(),

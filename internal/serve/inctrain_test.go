@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"murphy"
-	"murphy/internal/obs"
 )
 
 // TestKillAndRestartWarmTraining: when the daemon trains incrementally, the
@@ -42,8 +41,8 @@ func TestKillAndRestartWarmTraining(t *testing.T) {
 	}
 	srv1.Close() // crash
 
-	// Second life: recover database + factor store from disk. A dedicated
-	// recorder isolates the post-recovery training counters.
+	// Second life: recover database + factor store from disk. The new
+	// daemon's own recorder isolates the post-recovery training counters.
 	db2, restore, err := RecoverFromDisk(state)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
@@ -51,11 +50,10 @@ func TestKillAndRestartWarmTraining(t *testing.T) {
 	if db2 == nil {
 		t.Fatal("recovery found no snapshot")
 	}
-	rec := obs.New()
 	mcfg := murphy.DefaultConfig()
 	mcfg.Samples = 150
 	mcfg.TrainWindow = 80
-	srv2, err := New(db2, Config{QueueCap: 4, Workers: 1, Recorder: rec},
+	srv2, err := New(db2, Config{QueueCap: 4, Workers: 1, ReportDir: t.TempDir()},
 		murphy.WithConfig(mcfg), murphy.WithSeeds(sc.Symptom.Entity),
 		murphy.WithIncrementalTraining(murphy.IncrementalTraining{}))
 	if err != nil {
@@ -87,7 +85,7 @@ func TestKillAndRestartWarmTraining(t *testing.T) {
 		t.Fatalf("post-recovery hits = %d, want one per anchored factor (%d): %+v",
 			st2.Hits, st1.Refits, st2)
 	}
-	if got := rec.Snapshot().Counters["factors_trained"]; got != 0 {
+	if got := srv2.System().Stats().Counters["factors_trained"]; got != 0 {
 		t.Fatalf("factors_trained = %d after recovery, want 0", got)
 	}
 
@@ -134,7 +132,7 @@ func TestSnapshotWithoutStoreOmitsFactorState(t *testing.T) {
 	mcfg := murphy.DefaultConfig()
 	mcfg.Samples = 150
 	mcfg.TrainWindow = 80
-	srv2, err := New(db2, Config{QueueCap: 4, Workers: 1},
+	srv2, err := New(db2, Config{QueueCap: 4, Workers: 1, ReportDir: t.TempDir()},
 		murphy.WithConfig(mcfg), murphy.WithSeeds(sc.Symptom.Entity),
 		murphy.WithIncrementalTraining(murphy.IncrementalTraining{}))
 	if err != nil {

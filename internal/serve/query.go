@@ -1,10 +1,9 @@
 // The daemon's operator query surface: GET /topology (relationship-graph
 // neighborhoods), GET /entities/{ref}/performance (sliding-window summaries),
-// and GET /reports (search over the persisted report store, or the in-memory
-// ring when no store is configured). All three ride the same admission and
-// drain lifecycle as the write path: a draining daemon answers 503, and a
-// bounded read semaphore sheds excess concurrency with 429 + Retry-After
-// instead of letting queries pile onto a busy daemon.
+// and GET /reports (search over the persisted report store). All three ride
+// the same admission and drain lifecycle as the write path: a draining daemon
+// answers 503, and a bounded read semaphore sheds excess concurrency with 429
+// + Retry-After instead of letting queries pile onto a busy daemon.
 package serve
 
 import (
@@ -143,12 +142,11 @@ func (s *Server) handleEntityPerf(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sum)
 }
 
-// handleReports serves GET /reports: a paginated search over completed
-// diagnosis reports by entity, app, certified cause, source, and completion
-// time range. With Config.ReportDir the persisted store (surviving restarts
-// and ring eviction) is the source; otherwise the in-memory ring answers with
-// identical semantics. ?since= accepts either a sequence number (the legacy
-// ring protocol) or an RFC3339 timestamp; anything else is a 400.
+// handleReports serves GET /reports: a paginated search of the report store
+// over completed diagnosis reports by entity, app, certified cause, source,
+// and completion time range. ?since= accepts either a sequence number
+// ("records after the last one I saw") or an RFC3339 timestamp; anything
+// else is a 400.
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "GET only")
@@ -164,29 +162,24 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var page *ReportPage
-	if s.store != nil {
-		sp, err := s.store.Query(q)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "report store: "+err.Error())
-			return
-		}
-		page = &ReportPage{NextCursor: sp.NextCursor}
-		for _, rec := range sp.Records {
-			payload := rec.Payload
-			if len(payload) == 0 {
-				// A record without an embedded wire payload (not produced by
-				// this daemon) still serves its indexed fields.
-				buf, err := json.Marshal(rec)
-				if err != nil {
-					continue
-				}
-				payload = buf
+	sp, err := s.store.Query(q)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "report store: "+err.Error())
+		return
+	}
+	page := &ReportPage{NextCursor: sp.NextCursor}
+	for _, rec := range sp.Records {
+		payload := rec.Payload
+		if len(payload) == 0 {
+			// A record without an embedded wire payload (not produced by
+			// this daemon) still serves its indexed fields.
+			buf, err := json.Marshal(rec)
+			if err != nil {
+				continue
 			}
-			page.Reports = append(page.Reports, payload)
+			payload = buf
 		}
-	} else {
-		page = s.ringQuery(q)
+		page.Reports = append(page.Reports, payload)
 	}
 	page.Count = len(page.Reports)
 	s.rec.Add(obs.CtrReportQueries, 1)
@@ -195,19 +188,21 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 
 // parseReportQuery validates a /reports query string into a store query.
 // Unknown parameters are ignored (the schema stays open); malformed values of
-// known parameters are errors, never silently defaulted.
+// known parameters are errors, never silently defaulted. A sequence-number
+// since and a cursor both bound the scan from below, so the larger wins.
 func parseReportQuery(vals url.Values) (reportstore.Query, error) {
 	var q reportstore.Query
 	q.Entity = vals.Get("entity")
 	q.App = vals.Get("app")
 	q.Cause = vals.Get("cause")
 	q.Source = vals.Get("source")
+	var sinceSeq int64
 	if v := vals.Get("since"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil {
 			if n < 0 {
 				return q, fmt.Errorf("bad since: negative sequence number %d", n)
 			}
-			q.SinceSeq = int64(n)
+			sinceSeq = int64(n)
 		} else if ts, terr := time.Parse(time.RFC3339, v); terr == nil {
 			q.Since = ts
 		} else {
@@ -238,43 +233,6 @@ func parseReportQuery(vals url.Values) (reportstore.Query, error) {
 		}
 		q.AfterSeq = after
 	}
+	q.AfterSeq = max(q.AfterSeq, sinceSeq)
 	return q, nil
-}
-
-// ringQuery answers a report search from the in-memory ring with the same
-// filter and pagination semantics as the persisted store.
-func (s *Server) ringQuery(q reportstore.Query) *ReportPage {
-	s.mu.Lock()
-	recs := append([]*ReportRecord(nil), s.reports...)
-	s.mu.Unlock()
-	limit := q.Limit
-	if limit <= 0 {
-		limit = reportstore.DefaultLimit
-	}
-	if limit > reportstore.MaxLimit {
-		limit = reportstore.MaxLimit
-	}
-	after := q.AfterSeq
-	if q.SinceSeq > after {
-		after = q.SinceSeq
-	}
-	page := &ReportPage{}
-	var lastSeq int64
-	for _, rec := range recs {
-		if int64(rec.Seq) <= after {
-			continue
-		}
-		srec := s.storeRecord(rec)
-		if srec == nil || !q.Matches(srec) {
-			continue
-		}
-		if len(page.Reports) == limit {
-			// A further match exists, so the page is full, not exhausted.
-			page.NextCursor = reportstore.Cursor(lastSeq)
-			return page
-		}
-		page.Reports = append(page.Reports, srec.Payload)
-		lastSeq = srec.Seq
-	}
-	return page
 }

@@ -210,9 +210,9 @@ func TestKill9LosesNoAcknowledgedReport(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("post-crash /reports = %d: %s", w.Code, w.Body.String())
 	}
-	ring := decodeReportPage(t, w.Body.Bytes())
-	if len(ring) != 1 || ring[0].Seq != acked.Seq || ring[0].Symptom != sc.Symptom {
-		t.Fatalf("acknowledged report lost across kill -9: got %+v, want seq %d", ring, acked.Seq)
+	recs := decodeReportPage(t, w.Body.Bytes())
+	if len(recs) != 1 || recs[0].Seq != acked.Seq || recs[0].Symptom != sc.Symptom {
+		t.Fatalf("acknowledged report lost across kill -9: got %+v, want seq %d", recs, acked.Seq)
 	}
 
 	w = post(t, mux2, "/diagnose", DiagnoseRequest{Symptom: sc.Symptom})
@@ -310,6 +310,35 @@ func TestReportsPaginatesPersistedStore(t *testing.T) {
 	if len(filtered) != n/3 {
 		t.Fatalf("entity filter matched %d, want %d", len(filtered), n/3)
 	}
+
+	// since=<n> keeps the records after seq n; with a cursor as well, the
+	// larger of the two bounds wins.
+	for _, tc := range []struct {
+		path      string
+		wantFirst int64
+	}{
+		{"/reports?since=50", 51},
+		{"/reports?since=50&cursor=" + url.QueryEscape(reportstore.Cursor(54)), 55},
+		{"/reports?since=54&cursor=" + url.QueryEscape(reportstore.Cursor(50)), 55},
+	} {
+		w := get(mux, tc.path)
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", tc.path, w.Code, w.Body.String())
+		}
+		var got []int64
+		for _, raw := range decodeRawPage(t, w.Body.Bytes()) {
+			var p struct {
+				Seq int64 `json:"seq"`
+			}
+			if err := json.Unmarshal(raw, &p); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, p.Seq)
+		}
+		if want := int(n - tc.wantFirst + 1); len(got) != want || got[0] != tc.wantFirst || got[len(got)-1] != n {
+			t.Fatalf("GET %s returned seqs %v, want %d..%d", tc.path, got, tc.wantFirst, n)
+		}
+	}
 }
 
 // decodeRawPage unwraps a report page without decoding payloads.
@@ -360,7 +389,7 @@ func TestQueryGoldenResponses(t *testing.T) {
 	mcfg := murphy.DefaultConfig()
 	mcfg.Samples = 150
 	mcfg.TrainWindow = 80
-	srv2, err := New(db2, Config{QueueCap: 4, Workers: 1}, murphy.WithConfig(mcfg), murphy.WithSeeds(sc.Symptom.Entity))
+	srv2, err := New(db2, Config{QueueCap: 4, Workers: 1, ReportDir: t.TempDir()}, murphy.WithConfig(mcfg), murphy.WithSeeds(sc.Symptom.Entity))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +460,8 @@ func FuzzReportQuery(f *testing.F) {
 		if q.Limit < 0 || q.Limit > reportstore.MaxLimit {
 			t.Fatalf("accepted limit %d out of range", q.Limit)
 		}
-		if q.SinceSeq < 0 || q.AfterSeq < 0 {
-			t.Fatalf("accepted negative seq bounds: since=%d after=%d", q.SinceSeq, q.AfterSeq)
+		if q.AfterSeq < 0 {
+			t.Fatalf("accepted negative seq bound: after=%d", q.AfterSeq)
 		}
 		if !q.Since.IsZero() && !q.Until.IsZero() && q.Until.Before(q.Since) {
 			t.Fatalf("accepted inverted time range %v..%v", q.Since, q.Until)

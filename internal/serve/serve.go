@@ -14,7 +14,10 @@
 //   - A watchdog that cancels diagnoses exceeding the stuck budget and
 //     quarantines their symptom so the detector stops re-enqueueing it.
 //   - Graceful drain on SIGTERM: stop admitting, finish in-flight work,
-//     flush reports and a final state snapshot, then exit cleanly.
+//     flush a final state snapshot, then exit cleanly.
+//   - One crash-safe report store (internal/reportstore, Config.ReportDir):
+//     every completed report is fsynced before its client sees it, and
+//     GET /reports searches the store across restarts.
 //   - Crash-safe periodic snapshots (temp file + atomic rename) with
 //     recovery-on-restart, bounding data loss to one snapshot interval.
 //
@@ -80,8 +83,9 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Config tunes the daemon. Zero fields fall back to defaults suited to the
-// emulated environments; production deployments scale QueueCap and Workers.
+// Config tunes the daemon. ReportDir is required; zero values of the other
+// fields fall back to defaults suited to the emulated environments, and
+// production deployments scale QueueCap and Workers.
 type Config struct {
 	// QueueCap bounds the diagnosis work queue (default 16). A full queue
 	// sheds with 429 + Retry-After — the queue is the only place diagnosis
@@ -90,9 +94,6 @@ type Config struct {
 	// Workers is the number of diagnosis workers draining the queue
 	// (default 1).
 	Workers int
-	// MaxBatchPoints caps the observations accepted in one ingest batch
-	// (default 10000; larger batches answer 413).
-	MaxBatchPoints int
 	// MaxConcurrentIngest is the admission limit on simultaneously applied
 	// ingest batches (default 4; excess answers 429 + Retry-After).
 	MaxConcurrentIngest int
@@ -101,19 +102,11 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// WatchdogTimeout is the hard per-diagnosis budget (default 2 min). A
 	// diagnosis cancelled by the watchdog quarantines its symptom for
-	// QuarantineFor so the detector stops feeding a stuck case back in.
+	// quarantineFor so the detector stops feeding a stuck case back in.
 	WatchdogTimeout time.Duration
-	// QuarantineFor is how long a watchdog-killed symptom is banned from
-	// detector re-enqueue (default 5 min).
-	QuarantineFor time.Duration
 	// DetectEvery is the continuous symptom detector cadence (0 disables
 	// the detector; API-driven diagnosis still works).
 	DetectEvery time.Duration
-	// DetectTopK caps the symptoms enqueued per detector scan (default 4).
-	DetectTopK int
-	// DetectCooldown suppresses detector re-diagnosis of a symptom already
-	// reported recently (default 30 s).
-	DetectCooldown time.Duration
 	// SnapshotPath is the crash-safe state snapshot file ("" disables
 	// persistence). Snapshots are written to a temp file and renamed into
 	// place, so a crash mid-write never corrupts the previous snapshot.
@@ -124,19 +117,14 @@ type Config struct {
 	// DrainTimeout bounds how long Drain waits for in-flight work before
 	// force-cancelling it (default 30 s).
 	DrainTimeout time.Duration
-	// ReportBuffer is how many completed reports the in-memory ring keeps
-	// for the query API (default 128). With ReportDir set the ring remains
-	// as the snapshot-embedded hot cache; the persisted store is the query
-	// source.
-	ReportBuffer int
-	// ReportDir, when set, persists every completed report to an append-only
-	// crash-safe segment store under the directory; GET /reports then
-	// searches the store (entity/app/cause/time-range, paginated) instead of
-	// the ring, and a diagnosis is acknowledged to its client only after the
-	// durable append. "" keeps the ring-only behavior.
+	// ReportDir is the directory of the append-only crash-safe report store
+	// (required). Every completed report is appended and fsynced before it
+	// is delivered to its client, GET /reports searches the store
+	// (entity/app/cause/time-range, paginated), and the report sequence
+	// continues from the store's last record across restarts.
 	ReportDir string
-	// ReportRetention caps the records the persisted store keeps (default
-	// 10000); older records are compacted away. Ignored without ReportDir.
+	// ReportRetention caps the records the report store keeps (default
+	// 10000); older records are compacted away.
 	ReportRetention int
 	// MaxConcurrentReads is the admission limit on simultaneously served
 	// read queries — topology, per-entity performance, report search
@@ -144,10 +132,22 @@ type Config struct {
 	MaxConcurrentReads int
 	// Pprof exposes /debug/pprof on the daemon mux when true.
 	Pprof bool
-	// Recorder, when set, receives the daemon's counters (and, via
-	// WithRecorder, the pipeline's); nil allocates a private one.
-	Recorder *obs.Recorder
 }
+
+// Fixed daemon policy.
+const (
+	// maxBatchPoints caps the observations accepted in one ingest batch;
+	// larger batches answer 413.
+	maxBatchPoints = 10000
+	// quarantineFor is how long a watchdog-killed symptom is banned from
+	// detector re-enqueue.
+	quarantineFor = 5 * time.Minute
+	// detectTopK caps the symptoms enqueued per detector scan.
+	detectTopK = 4
+	// detectCooldown suppresses detector re-diagnosis of a symptom already
+	// reported this recently.
+	detectCooldown = 30 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
@@ -155,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.MaxBatchPoints <= 0 {
-		c.MaxBatchPoints = 10000
 	}
 	if c.MaxConcurrentIngest <= 0 {
 		c.MaxConcurrentIngest = 4
@@ -168,23 +165,11 @@ func (c Config) withDefaults() Config {
 	if c.WatchdogTimeout <= 0 {
 		c.WatchdogTimeout = 2 * time.Minute
 	}
-	if c.QuarantineFor <= 0 {
-		c.QuarantineFor = 5 * time.Minute
-	}
-	if c.DetectTopK <= 0 {
-		c.DetectTopK = 4
-	}
-	if c.DetectCooldown <= 0 {
-		c.DetectCooldown = 30 * time.Second
-	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 30 * time.Second
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.ReportBuffer <= 0 {
-		c.ReportBuffer = 128
 	}
 	if c.ReportRetention <= 0 {
 		c.ReportRetention = 10000
@@ -200,14 +185,22 @@ type job struct {
 	symptom  telemetry.Symptom
 	deadline time.Duration
 	source   string // "api" or "detector"
-	// result, when non-nil, receives the completed record (buffered,
-	// capacity 1, so a departed waiter never blocks the worker).
-	result     chan *ReportRecord
+	// result, when non-nil, receives the persisted record or the error that
+	// kept it from the store (buffered, capacity 1, so a departed waiter
+	// never blocks the worker).
+	result     chan jobResult
 	enqueuedAt time.Time
 }
 
-// ReportRecord is one completed (or failed) diagnosis as stored in the
-// report ring and served by the query API.
+// jobResult is what a waiting client receives: the record once it is
+// durable, or the reason it is not.
+type jobResult struct {
+	rec *ReportRecord
+	err error
+}
+
+// ReportRecord is one completed (or failed) diagnosis as persisted in the
+// report store and served by the query API.
 type ReportRecord struct {
 	// Seq is the monotonically increasing completion sequence number.
 	Seq int `json:"seq"`
@@ -229,9 +222,22 @@ type ReportRecord struct {
 	QueuedMs float64 `json:"queued_ms"`
 	WallMs   float64 `json:"wall_ms"`
 	// CompletedAt is the completion wall-clock time (UTC); report search
-	// time-range filters run against it. Zero on records recovered from
-	// snapshots written before the field existed.
+	// time-range filters run against it.
 	CompletedAt time.Time `json:"completed_at"`
+}
+
+// fail turns rec into a failed diagnosis: never a zero-value report, but a
+// partial shell whose Skipped entry carries the reason, so the query API and
+// the waiting client both see what happened and what (nothing) was
+// certified.
+func (rec *ReportRecord) fail(reason string) {
+	rec.Err = reason
+	rec.Report = &murphy.Report{
+		SchemaVersion: murphy.SchemaVersion,
+		Symptom:       rec.Symptom,
+		Partial:       true,
+		Skipped:       []murphy.Skipped{{Entity: rec.Symptom.Entity, Reason: reason}},
+	}
 }
 
 // Server is the always-on diagnosis daemon over one monitoring database.
@@ -251,7 +257,7 @@ type Server struct {
 	readSem   chan struct{}
 	wg        sync.WaitGroup
 
-	// store is the persisted report store (nil without Config.ReportDir).
+	// store holds every completed report and owns the report sequence.
 	// Appends happen under mu so records land in seq order; queries go
 	// straight to the store's own lock.
 	store *reportstore.Store
@@ -259,8 +265,6 @@ type Server struct {
 	started time.Time
 
 	mu          sync.Mutex
-	seq         int
-	reports     []*ReportRecord // ring, oldest first, ≤ cfg.ReportBuffer
 	pending     map[telemetry.Symptom]bool
 	quarantine  map[telemetry.Symptom]time.Time
 	recent      map[telemetry.Symptom]time.Time
@@ -272,16 +276,18 @@ type Server struct {
 	lastSnap    time.Time
 }
 
-// New builds a daemon over db. sysOpts customize the underlying diagnosis
-// System (chaos/resilience sources, sampling parameters, …); the daemon
-// prepends WithRecorder so pipeline and daemon counters share one recorder.
-// Call Restore (optional) and then Start before serving the Mux.
+// New builds a daemon over db, opening the report store under
+// cfg.ReportDir. sysOpts customize the underlying diagnosis System
+// (chaos/resilience sources, sampling parameters, …); the daemon prepends
+// WithRecorder so pipeline and daemon counters share one private recorder,
+// which System().Stats() exposes. Call Recover (optional) and then Start
+// before serving the Mux.
 func New(db *telemetry.DB, cfg Config, sysOpts ...murphy.Option) (*Server, error) {
-	cfg = cfg.withDefaults()
-	rec := cfg.Recorder
-	if rec == nil {
-		rec = obs.New()
+	if cfg.ReportDir == "" {
+		return nil, errors.New("serve: Config.ReportDir is required: completed reports live in the report store")
 	}
+	cfg = cfg.withDefaults()
+	rec := obs.New()
 	rec.Enable()
 	opts := append([]murphy.Option{murphy.WithRecorder(rec)}, sysOpts...)
 	sys, err := murphy.New(db, opts...)
@@ -305,24 +311,15 @@ func New(db *telemetry.DB, cfg Config, sysOpts ...murphy.Option) (*Server, error
 		recent:      make(map[telemetry.Symptom]time.Time),
 		lastScanned: -1,
 	}
-	if cfg.ReportDir != "" {
-		store, err := reportstore.Open(cfg.ReportDir, reportstore.Options{MaxRecords: cfg.ReportRetention})
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("serve: open report store: %w", err)
-		}
-		s.store = store
-		// Resume the completion sequence past everything already persisted;
-		// Recover later raises it further if the snapshot is ahead.
-		s.seq = int(store.LastSeq())
+	store, err := reportstore.Open(cfg.ReportDir, reportstore.Options{MaxRecords: cfg.ReportRetention})
+	if err != nil {
+		cancel()
+		return nil, fmt.Errorf("serve: open report store: %w", err)
 	}
+	s.store = store
 	s.state.Store(int32(StateStarting))
 	return s, nil
 }
-
-// ReportStore exposes the persisted report store (nil without
-// Config.ReportDir); tests and the CLI use it to inspect durability.
-func (s *Server) ReportStore() *reportstore.Store { return s.store }
 
 // State returns the daemon's lifecycle state.
 func (s *Server) State() State { return State(s.state.Load()) }
@@ -441,9 +438,6 @@ func (s *Server) runJob(j *job) {
 		WallMs:   float64(elapsed) / float64(time.Millisecond),
 	}
 	if err != nil {
-		// Never hand back a zero-value report: annotate the failure in a
-		// partial shell so the query API and the waiting client both see
-		// what happened and what (nothing) was certified.
 		reason := err.Error()
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -454,7 +448,7 @@ func (s *Server) runJob(j *job) {
 				rec.Watchdog = true
 				s.rec.Add(obs.CtrWatchdogCancels, 1)
 				s.mu.Lock()
-				s.quarantine[j.symptom] = time.Now().Add(s.cfg.QuarantineFor)
+				s.quarantine[j.symptom] = time.Now().Add(quarantineFor)
 				s.mu.Unlock()
 				reason = fmt.Sprintf("serve: watchdog cancelled diagnosis after %s (budget %s); symptom quarantined", elapsed.Round(time.Millisecond), s.cfg.WatchdogTimeout)
 			} else {
@@ -463,31 +457,21 @@ func (s *Server) runJob(j *job) {
 		case errors.Is(err, context.Canceled):
 			reason = ErrDrainCancelled.Error()
 		}
-		rec.Err = reason
-		rec.Report = &murphy.Report{
-			SchemaVersion: murphy.SchemaVersion,
-			Symptom:       j.symptom,
-			Partial:       true,
-			Skipped:       []murphy.Skipped{{Entity: j.symptom.Entity, Reason: reason}},
-		}
+		rec.fail(reason)
 	}
 	s.complete(j, rec, elapsed)
 }
 
-// complete stamps, stores, and delivers one finished record. With a persisted
-// store configured the record is durably appended (fsync) before it is
-// delivered to the waiting client — an HTTP 200 on /diagnose therefore
-// implies the report survives kill -9.
+// complete stamps, persists, and delivers one finished record. The record
+// takes the sequence number after the store's last and is durably appended
+// (fsync) before it is delivered to the waiting client — an HTTP 200 on
+// /diagnose therefore implies the report survives kill -9. A record the
+// store refuses reaches its client as the error instead.
 func (s *Server) complete(j *job, rec *ReportRecord, elapsed time.Duration) {
 	s.rec.Add(obs.CtrDiagCompleted, 1)
 	s.mu.Lock()
-	s.seq++
-	rec.Seq = s.seq
+	rec.Seq = int(s.store.LastSeq()) + 1
 	rec.CompletedAt = time.Now().UTC()
-	s.reports = append(s.reports, rec)
-	if len(s.reports) > s.cfg.ReportBuffer {
-		s.reports = s.reports[len(s.reports)-s.cfg.ReportBuffer:]
-	}
 	ms := float64(elapsed) / float64(time.Millisecond)
 	if s.ewmaMs == 0 {
 		s.ewmaMs = ms
@@ -499,31 +483,28 @@ func (s *Server) complete(j *job, rec *ReportRecord, elapsed time.Duration) {
 		s.recent[j.symptom] = time.Now()
 	}
 	s.dirty = true
-	if s.store != nil {
-		// Persist under mu: seq assignment and the append share the lock, so
-		// the segment stays in seq order across concurrent workers. The
-		// fsync costs ~1ms — noise next to the diagnosis it concludes.
-		if srec := s.storeRecord(rec); srec != nil {
-			if _, err := s.store.Append(srec); err == nil {
-				s.rec.Add(obs.CtrReportsPersisted, 1)
-			}
-			// An append error (disk full, store closed mid-shutdown) keeps
-			// the report in the ring; the reports_persisted counter falling
-			// behind diag_completed is the operator signal.
-		}
+	// Persist under mu: seq assignment and the append share the lock, so
+	// the segment stays in seq order across concurrent workers. The fsync
+	// costs ~1ms — noise next to the diagnosis it concludes.
+	err := s.persist(rec)
+	if err == nil {
+		s.rec.Add(obs.CtrReportsPersisted, 1)
 	}
+	// A detector record that fails to persist (disk full, store closed
+	// mid-shutdown) is only counted: reports_persisted falling behind
+	// diag_completed is the operator signal.
 	s.mu.Unlock()
 	if j.result != nil {
-		j.result <- rec
+		j.result <- jobResult{rec: rec, err: err}
 	}
 }
 
-// storeRecord maps a completed record to its persisted form: the indexed
-// search fields plus the full wire record as payload.
-func (s *Server) storeRecord(rec *ReportRecord) *reportstore.Record {
+// persist appends rec to the report store: the indexed search fields plus
+// the full wire record as payload. Callers hold s.mu.
+func (s *Server) persist(rec *ReportRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return nil
+		return fmt.Errorf("serve: encode report seq %d: %w", rec.Seq, err)
 	}
 	srec := &reportstore.Record{
 		Seq:     int64(rec.Seq),
@@ -545,7 +526,10 @@ func (s *Server) storeRecord(rec *ReportRecord) *reportstore.Record {
 			srec.Causes = append(srec.Causes, string(c.Entity))
 		}
 	}
-	return srec
+	if _, err := s.store.Append(srec); err != nil {
+		return fmt.Errorf("serve: persist report seq %d: %w", rec.Seq, err)
+	}
+	return nil
 }
 
 // detectorLoop scans fresh windows for problematic symptoms and feeds them
@@ -578,7 +562,7 @@ func (s *Server) detectorLoop() {
 		scored := s.det.ScanAll(s.db, now)
 		enq := 0
 		for _, sc := range scored {
-			if enq >= s.cfg.DetectTopK {
+			if enq >= detectTopK {
 				break
 			}
 			if !s.admitDetected(sc.Symptom) {
@@ -612,7 +596,7 @@ func (s *Server) admitDetected(sym telemetry.Symptom) bool {
 	if s.pending[sym] {
 		return false
 	}
-	if at, ok := s.recent[sym]; ok && now.Sub(at) < s.cfg.DetectCooldown {
+	if at, ok := s.recent[sym]; ok && now.Sub(at) < detectCooldown {
 		return false
 	}
 	return true
@@ -622,8 +606,8 @@ func (s *Server) admitDetected(sym telemetry.Symptom) bool {
 // diagnosis answer 503, readiness flips), queued and in-flight diagnoses
 // finish within DrainTimeout (then are force-cancelled into partial
 // reports), loops stop, and — when persistence is configured — a final
-// state snapshot flushes the report ring to disk. It is idempotent; the
-// daemon ends in StateStopped with every goroutine joined.
+// state snapshot is written. It is idempotent; the daemon ends in
+// StateStopped with every goroutine joined and the report store closed.
 func (s *Server) Drain(ctx context.Context) error {
 	if !s.state.CompareAndSwap(int32(StateReady), int32(StateDraining)) {
 		if s.State() == StateStopped {
@@ -663,64 +647,52 @@ wait:
 	// Stop workers and loops. In the forced path this cancels in-flight
 	// job contexts too; DiagnoseContext returns promptly with an error and
 	// the worker records a drain-cancelled partial report before exiting.
-	s.cancel()
-	s.wg.Wait()
-	// Answer any jobs still sitting in the queue so their waiters unblock.
-	for {
-		select {
-		case j := <-s.queue:
-			s.complete(j, &ReportRecord{
-				Source:  j.source,
-				Symptom: j.symptom,
-				Err:     ErrDrainCancelled.Error(),
-				Report: &murphy.Report{
-					SchemaVersion: murphy.SchemaVersion,
-					Symptom:       j.symptom,
-					Partial:       true,
-					Skipped:       []murphy.Skipped{{Entity: j.symptom.Entity, Reason: ErrDrainCancelled.Error()}},
-				},
-			}, 0)
-		default:
-			if s.cfg.SnapshotPath != "" {
-				if err := s.WriteSnapshot(); err != nil && drainErr == nil {
-					drainErr = fmt.Errorf("serve: final snapshot: %w", err)
-				}
-			}
-			if s.store != nil {
-				if err := s.store.Close(); err != nil && drainErr == nil {
-					drainErr = fmt.Errorf("serve: close report store: %w", err)
-				}
-			}
-			s.state.Store(int32(StateStopped))
-			return drainErr
+	s.stopWorkers()
+	if s.cfg.SnapshotPath != "" {
+		if err := s.WriteSnapshot(); err != nil && drainErr == nil {
+			drainErr = fmt.Errorf("serve: final snapshot: %w", err)
 		}
 	}
+	if err := s.store.Close(); err != nil && drainErr == nil {
+		drainErr = fmt.Errorf("serve: close report store: %w", err)
+	}
+	s.state.Store(int32(StateStopped))
+	return drainErr
 }
 
 // Close force-stops the daemon without draining — the crash path (and test
-// cleanup). Queued work is abandoned, no final snapshot is written; the
-// latest periodic snapshot on disk is what a restart recovers.
+// cleanup). In-flight and queued diagnoses end as drain-cancelled partial
+// reports and no final snapshot is written; the latest periodic snapshot on
+// disk is what a restart recovers.
 func (s *Server) Close() {
 	if s.State() == StateStopped {
 		return
 	}
 	s.state.Store(int32(StateDraining))
+	// Barrier, as in Drain: no enqueue is mid-send once this lock is taken.
+	s.mu.Lock()
+	s.mu.Unlock() //nolint:staticcheck // intentional barrier, not a critical section
+	s.stopWorkers()
+	// Every acknowledged report was already fsynced; closing just releases
+	// the handle.
+	_ = s.store.Close()
+	s.state.Store(int32(StateStopped))
+}
+
+// stopWorkers cancels the daemon context, joins every worker and loop, and
+// then completes each job still queued with a drain-cancelled partial
+// report, so its waiter gets a persisted record like any other. The caller
+// has already turned admission off.
+func (s *Server) stopWorkers() {
 	s.cancel()
 	s.wg.Wait()
-	// Unblock any API waiters on queued jobs.
 	for {
 		select {
 		case j := <-s.queue:
-			if j.result != nil {
-				j.result <- &ReportRecord{Symptom: j.symptom, Err: ErrDrainCancelled.Error()}
-			}
+			rec := &ReportRecord{Source: j.source, Symptom: j.symptom}
+			rec.fail(ErrDrainCancelled.Error())
+			s.complete(j, rec, 0)
 		default:
-			if s.store != nil {
-				// Every acknowledged report was already fsynced; closing just
-				// releases the handle.
-				_ = s.store.Close()
-			}
-			s.state.Store(int32(StateStopped))
 			return
 		}
 	}

@@ -16,6 +16,7 @@ import (
 
 	"murphy"
 	"murphy/internal/microsim"
+	"murphy/internal/reportstore"
 	"murphy/internal/telemetry"
 )
 
@@ -32,14 +33,15 @@ func newTestScenario(t *testing.T) *microsim.Scenario {
 }
 
 // newTestServer boots a daemon over the scenario with fast algorithm
-// parameters; mutate applies config overrides before New, sysOpts extend the
-// System options (e.g. a slowed read path).
+// parameters and a fresh report dir; mutate applies config overrides before
+// New, sysOpts extend the System options (e.g. a slowed read path).
 func newTestServer(t *testing.T, sc *microsim.Scenario, mutate func(*Config), sysOpts ...murphy.Option) *Server {
 	t.Helper()
 	cfg := Config{
 		QueueCap:        4,
 		Workers:         1,
 		DefaultDeadline: 30 * time.Second,
+		ReportDir:       t.TempDir(),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -301,14 +303,92 @@ func TestDrainFinishesInflightAndFlipsReadiness(t *testing.T) {
 	}
 }
 
+// TestDiagnoseFailsWhenReportNotPersisted: a 200 on /diagnose promises a
+// durable report, so a report the store refuses reaches its client as a 500
+// naming the store error.
+func TestDiagnoseFailsWhenReportNotPersisted(t *testing.T) {
+	sc := newTestScenario(t)
+	srv := newTestServer(t, sc, nil)
+	srv.Start()
+	if err := srv.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w := post(t, srv.Mux(), "/diagnose", DiagnoseRequest{Symptom: sc.Symptom})
+	if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), reportstore.ErrClosed.Error()) {
+		t.Fatalf("/diagnose with a closed report store = %d: %s; want 500 naming the store error", w.Code, w.Body.String())
+	}
+}
+
+// TestCloseAnswersQueuedWaiters: Close, like Drain, completes a diagnosis
+// still waiting in the queue with a persisted drain-cancelled partial
+// report, never a record without one.
+func TestCloseAnswersQueuedWaiters(t *testing.T) {
+	sc := newTestScenario(t)
+	dir := t.TempDir()
+	srv := newTestServer(t, sc, func(c *Config) { c.ReportDir = dir },
+		withSlowReads(sc.Result.DB, 10*time.Millisecond))
+	srv.Start()
+	mux := srv.Mux()
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			srv.mu.Lock()
+			ok := cond()
+			srv.mu.Unlock()
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("never saw %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	answers := make(chan *httptest.ResponseRecorder, 2)
+	diagnose := func() {
+		go func() { answers <- post(t, mux, "/diagnose", DiagnoseRequest{Symptom: sc.Symptom}) }()
+	}
+	diagnose()
+	waitFor("a diagnosis in flight", func() bool { return srv.inflight > 0 })
+	diagnose()
+	waitFor("a diagnosis queued behind it", func() bool { return len(srv.queue) == 1 })
+	srv.Close()
+
+	for i := 0; i < 2; i++ {
+		w := <-answers
+		if w.Code != http.StatusOK {
+			t.Fatalf("/diagnose across Close = %d: %s", w.Code, w.Body.String())
+		}
+		var rec ReportRecord
+		if err := json.Unmarshal(w.Body.Bytes(), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Seq == 0 || rec.Report == nil || rec.Report.SchemaVersion == 0 || !rec.Report.Partial {
+			t.Fatalf("diagnosis cut short by Close got no persisted partial report: %+v", rec)
+		}
+	}
+	st, err := reportstore.Open(dir, reportstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Len() != 2 {
+		t.Fatalf("report store holds %d records after Close, want both answered diagnoses", st.Len())
+	}
+}
+
 func TestKillAndRestartRecoversSnapshotAndDiagnosis(t *testing.T) {
 	sc := newTestScenario(t)
 	state := filepath.Join(t.TempDir(), "state.json")
+	reports := t.TempDir() // one report store across both lives
 
 	// First life: serve one diagnosis, snapshot, then crash (Close, no
 	// drain, no final snapshot beyond the explicit one).
 	srv1 := newTestServer(t, sc, func(c *Config) {
 		c.SnapshotPath = state
+		c.ReportDir = reports
 	})
 	srv1.Start()
 	mux1 := srv1.Mux()
@@ -336,7 +416,7 @@ func TestKillAndRestartRecoversSnapshotAndDiagnosis(t *testing.T) {
 	mcfg := murphy.DefaultConfig()
 	mcfg.Samples = 150
 	mcfg.TrainWindow = 80
-	srv2, err := New(db2, Config{QueueCap: 4, Workers: 1},
+	srv2, err := New(db2, Config{QueueCap: 4, Workers: 1, ReportDir: reports},
 		murphy.WithConfig(mcfg), murphy.WithSeeds(sc.Symptom.Entity))
 	if err != nil {
 		t.Fatal(err)
@@ -346,11 +426,12 @@ func TestKillAndRestartRecoversSnapshotAndDiagnosis(t *testing.T) {
 	srv2.Start()
 	mux2 := srv2.Mux()
 
-	// The pre-kill report survived into the ring with its sequence number.
+	// The pre-kill report survived in the report store with its sequence
+	// number.
 	rw := get(mux2, "/reports")
-	ring := decodeReportPage(t, rw.Body.Bytes())
-	if len(ring) != 1 || ring[0].Seq != 1 || ring[0].Symptom != sc.Symptom {
-		t.Fatalf("recovered report ring = %v, want the single pre-kill report", ring)
+	recs := decodeReportPage(t, rw.Body.Bytes())
+	if len(recs) != 1 || recs[0].Seq != 1 || recs[0].Symptom != sc.Symptom {
+		t.Fatalf("recovered reports = %v, want the single pre-kill report", recs)
 	}
 
 	// And the recovered daemon serves a correct diagnosis for the pre-kill
@@ -386,7 +467,6 @@ func TestWatchdogCancelsAndQuarantines(t *testing.T) {
 		// A watchdog budget far below the diagnosis cost: the job must be
 		// cancelled and its symptom quarantined.
 		c.WatchdogTimeout = 20 * time.Millisecond
-		c.QuarantineFor = time.Hour
 	}, withSlowReads(sc.Result.DB, 50*time.Millisecond))
 	srv.Start()
 	mux := srv.Mux()
@@ -427,7 +507,6 @@ func TestDetectorEnqueuesFreshSymptoms(t *testing.T) {
 	sc := newTestScenario(t)
 	srv := newTestServer(t, sc, func(c *Config) {
 		c.DetectEvery = 10 * time.Millisecond
-		c.DetectTopK = 2
 	})
 	srv.Start()
 	mux := srv.Mux()

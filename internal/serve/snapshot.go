@@ -23,16 +23,16 @@ type quarantineEntry struct {
 }
 
 // daemonSnapshot is the crash-safe on-disk state: the monitoring database
-// (embedded in its own snapshot format), the report ring, the quarantine
-// list, and — when the system trains incrementally — the factor store's
-// sufficient statistics, so a restarted daemon resumes serving correct
-// diagnoses for pre-crash symptoms without retraining a single factor.
+// (embedded in its own snapshot format), the quarantine list, and — when the
+// system trains incrementally — the factor store's sufficient statistics,
+// so a restarted daemon resumes serving correct diagnoses for pre-crash
+// symptoms without retraining a single factor. Reports and their sequence
+// live in the report store, not here; the "reports" and "seq" keys of
+// snapshots that still carry them are ignored on load.
 type daemonSnapshot struct {
 	Version    int               `json:"version"`
 	SavedAt    time.Time         `json:"saved_at"`
-	Seq        int               `json:"seq"`
 	DB         json.RawMessage   `json:"db"`
-	Reports    []*ReportRecord   `json:"reports,omitempty"`
 	Quarantine []quarantineEntry `json:"quarantine,omitempty"`
 	// FactorStore is the incremental trainer's serialized state (absent when
 	// the daemon trains full windows). It is self-validating on adoption: a
@@ -70,13 +70,11 @@ func (s *Server) WriteSnapshot() error {
 	}
 	s.mu.Lock()
 	snap := daemonSnapshot{
-		Version: snapshotVersion,
-		SavedAt: time.Now().UTC(),
-		Seq:     s.seq,
-		DB:      json.RawMessage(dbBuf.Bytes()),
-		Reports: append([]*ReportRecord(nil), s.reports...),
+		Version:     snapshotVersion,
+		SavedAt:     time.Now().UTC(),
+		DB:          json.RawMessage(dbBuf.Bytes()),
+		FactorStore: storeBuf,
 	}
-	snap.FactorStore = storeBuf
 	for sym, until := range s.quarantine {
 		snap.Quarantine = append(snap.Quarantine, quarantineEntry{Symptom: sym, Until: until})
 	}
@@ -137,25 +135,16 @@ func LoadSnapshot(path string) (*daemonSnapshot, *telemetry.DB, error) {
 	return &snap, db, nil
 }
 
-// Recover restores a daemon's serving state (report ring, sequence counter,
-// unexpired quarantine, and — when the system trains incrementally — the
-// factor store's staged statistics) from a snapshot previously read by
-// LoadSnapshot. Call it after New, before Start.
+// Recover restores a daemon's serving state (unexpired quarantine and —
+// when the system trains incrementally — the factor store's staged
+// statistics) from a snapshot previously read by LoadSnapshot. Call it after
+// New, before Start.
 func (s *Server) Recover(snap *daemonSnapshot) {
 	if snap == nil {
 		return
 	}
 	now := time.Now()
 	s.mu.Lock()
-	if snap.Seq > s.seq {
-		// New already advanced seq past the persisted report store's last
-		// record; only move forward, never rewind onto acknowledged seqs.
-		s.seq = snap.Seq
-	}
-	s.reports = append([]*ReportRecord(nil), snap.Reports...)
-	if len(s.reports) > s.cfg.ReportBuffer {
-		s.reports = s.reports[len(s.reports)-s.cfg.ReportBuffer:]
-	}
 	for _, q := range snap.Quarantine {
 		if q.Until.After(now) {
 			s.quarantine[q.Symptom] = q.Until

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -292,11 +293,18 @@ func RunSoak(opts SoakOptions) (*SoakResult, error) {
 	}
 	res.ReadBurst = opts.ReadWorkers
 	res.ReadConcurrency = readSlots
+	// The drill's reports go to a throwaway store; nothing reads them after.
+	reportDir, err := os.MkdirTemp("", "murphyd-soak-reports-")
+	if err != nil {
+		return nil, fmt.Errorf("serve: soak report dir: %w", err)
+	}
+	defer os.RemoveAll(reportDir)
 	srv, err := New(db, Config{
 		QueueCap:            opts.QueueCap,
 		Workers:             opts.Workers,
 		MaxConcurrentIngest: 2,
 		MaxConcurrentReads:  readSlots,
+		ReportDir:           reportDir,
 		DefaultDeadline:     opts.DiagnoseDeadline,
 		WatchdogTimeout:     30 * time.Second,
 		DetectEvery:         75 * time.Millisecond,
