@@ -6,8 +6,10 @@ import "sync"
 // sampler's state — one vector of n parallel chain values per touched
 // (entity, metric) — lives in flat slices indexed by the model's series
 // slots, plus the fixed-budget test's counterfactual draws and the float32
-// path's widening scratch. Every pass eagerly re-fills the slots its plan
-// touches from the start state, so buffers never need clearing between
+// path's widening scratch. The float32 kernel eagerly re-fills every slot
+// its plan touches from the start state. The float64 kernel instead resets
+// each touched slot to its scalar start value and writes a slot's vector in
+// full whenever it makes one. Either way buffers never need clearing between
 // passes, batches, or candidates; they just get reused at whatever capacity
 // they last grew to.
 //
@@ -15,7 +17,11 @@ import "sync"
 // own from the model's pool.
 type arena struct {
 	vals64 [][]float64
-	vals32 [][]float32
+	// scal64 holds a float64 slot's value while every chain agrees on it
+	// (isVec64 false); vals64 holds it once the chains diverge.
+	scal64  []float64
+	isVec64 []bool
+	vals32  [][]float32
 	// x is the per-sample feature gather buffer of generic (non-fused) steps.
 	x []float64
 	// cf holds the fixed-budget test's counterfactual draws while the
@@ -27,14 +33,18 @@ type arena struct {
 
 func newArena() *arena { return &arena{} }
 
-// slots64 returns the slot → chain-vector table, grown to nslots entries.
-func (a *arena) slots64(nslots int) [][]float64 {
+// slots64 returns the float64 kernel's slot tables, grown to nslots
+// entries: the chain vectors, each slot's scalar value, and whether the
+// slot currently holds a vector (true) or its scalar.
+func (a *arena) slots64(nslots int) ([][]float64, []float64, []bool) {
 	if len(a.vals64) < nslots {
 		nv := make([][]float64, nslots)
 		copy(nv, a.vals64)
 		a.vals64 = nv
+		a.scal64 = make([]float64, nslots)
+		a.isVec64 = make([]bool, nslots)
 	}
-	return a.vals64
+	return a.vals64, a.scal64, a.isVec64
 }
 
 // slots32 is slots64 for the float32 kernel.

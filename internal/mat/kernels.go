@@ -35,6 +35,15 @@ func AccumTerm(dst, src []float64, c, mean, std float64) {
 	}
 }
 
+// AddConst adds v to every element of dst: a regression term whose feature
+// every chain agrees on, computed once and applied with the same
+// per-element addition AccumTerm would make.
+func AddConst(dst []float64, v float64) {
+	for i := range dst {
+		dst[i] += v
+	}
+}
+
 // AddScaled32 adds w·src into dst element-wise: the float32 kernel's folded
 // form of a regression term (the mean and std are folded into w and the
 // step's bias ahead of time).

@@ -33,6 +33,43 @@ func TestAccumTermMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestAddConstMatchesAccumTerm pins the constant-term form against AccumTerm
+// over a source vector whose elements all equal one value: adding the term
+// computed once must give the bits AccumTerm gives element by element. The
+// add covers exactly dst's length, so a prefix of a longer buffer leaves the
+// rest of the buffer alone.
+func TestAddConstMatchesAccumTerm(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(300)
+		c := rng.NormFloat64() * 3
+		mean := rng.NormFloat64() * 10
+		std := 0.1 + rng.Float64()*5
+		x := rng.NormFloat64() * 7
+		src := make([]float64, n)
+		dst := make([]float64, n)
+		want := make([]float64, n)
+		for i := range src {
+			src[i] = x
+			dst[i] = rng.NormFloat64()
+			want[i] = dst[i]
+		}
+		AccumTerm(want, src, c, mean, std)
+		AddConst(dst, c*(x-mean)/std)
+		for i := range dst {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d elem %d: got %v want %v (not bit-identical)", trial, i, dst[i], want[i])
+			}
+		}
+	}
+	buf := []float64{1, 1, 1}
+	AddConst(buf[:2], 0.5)
+	if buf[0] != 1.5 || buf[1] != 1.5 || buf[2] != 1 {
+		t.Fatalf("AddConst over a 2-element prefix: got %v", buf)
+	}
+	AddConst(nil, 1) // an empty vector is a no-op
+}
+
 func TestAddScaled32(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 50; trial++ {
