@@ -163,9 +163,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyBatch registers entities/edges and appends observations and events.
-// Per-point failures (unknown entity, negative slice) are collected into
-// Rejected rather than aborting the batch: telemetry is append-mostly and a
-// stray point must not discard its siblings.
+// Per-point failures (unknown entity, negative slice, a slice more than
+// maxSliceAhead past the newest) are collected into Rejected rather than
+// aborting the batch: telemetry is append-mostly and a stray point must not
+// discard its siblings.
 func (s *Server) applyBatch(batch *IngestBatch) (*IngestResult, error) {
 	slice := 0
 	if batch.Slice != nil {
@@ -195,6 +196,7 @@ func (s *Server) applyBatch(batch *IngestBatch) (*IngestResult, error) {
 			res.Rejected = append(res.Rejected, err.Error())
 		}
 	}
+	newest := s.db.Len() - 1
 	for _, p := range batch.Observations {
 		t := slice
 		if p.Slice != nil {
@@ -202,6 +204,11 @@ func (s *Server) applyBatch(batch *IngestBatch) (*IngestResult, error) {
 		}
 		if t < 0 {
 			res.Rejected = append(res.Rejected, fmt.Sprintf("%s/%s: negative slice %d", p.Entity, p.Metric, t))
+			continue
+		}
+		if t > newest+maxSliceAhead {
+			res.Rejected = append(res.Rejected, fmt.Sprintf("%s/%s: slice %d is more than %d past the newest slice %d",
+				p.Entity, p.Metric, t, maxSliceAhead, newest))
 			continue
 		}
 		if err := s.db.Observe(p.Entity, p.Metric, t, p.Value); err != nil {

@@ -139,6 +139,13 @@ const (
 	// maxBatchPoints caps the observations accepted in one ingest batch;
 	// larger batches answer 413.
 	maxBatchPoints = 10000
+	// maxSliceAhead caps how far past the newest slice an ingested point may
+	// land. The database grows to the largest slice observed, so without it
+	// one point at slice 1,000,000 would grow it to a million slices.
+	// Concurrent writers that post explicit slices run ahead of the newest
+	// by a few hundred at most (the chaos soak's 8 writers, which drop the
+	// slices of shed batches, reach ~240).
+	maxSliceAhead = 1024
 	// quarantineFor is how long a watchdog-killed symptom is banned from
 	// detector re-enqueue.
 	quarantineFor = 5 * time.Minute

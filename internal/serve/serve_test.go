@@ -187,6 +187,57 @@ func TestIngestAppendsAndProbesReport(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsFarFutureSlice: a point more than maxSliceAhead past the
+// newest slice is rejected on its own, so it cannot grow the database, while
+// its siblings and a point exactly at the bound are accepted.
+func TestIngestRejectsFarFutureSlice(t *testing.T) {
+	sc := newTestScenario(t)
+	srv := newTestServer(t, sc, nil)
+	srv.Start()
+	mux := srv.Mux()
+
+	db := sc.Result.DB
+	before := db.Len()
+	ent := db.Entities()[0]
+	metric := db.MetricNames(ent)[0]
+	ingest := func(slices ...int) IngestResult {
+		t.Helper()
+		var batch IngestBatch
+		for i := range slices {
+			batch.Observations = append(batch.Observations, IngestPoint{Entity: ent, Metric: metric, Slice: &slices[i], Value: 1})
+		}
+		w := post(t, mux, "/ingest", batch)
+		if w.Code != http.StatusOK {
+			t.Fatalf("/ingest = %d: %s", w.Code, w.Body.String())
+		}
+		var res IngestResult
+		if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	past := before - 1 + maxSliceAhead + 1
+	res := ingest(past, 1_000_000, before-1)
+	if res.Accepted != 1 || len(res.Rejected) != 2 {
+		t.Fatalf("accepted %d, rejected %v: want the in-range point accepted and both far points rejected", res.Accepted, res.Rejected)
+	}
+	for _, r := range res.Rejected {
+		if !strings.Contains(r, "past the newest slice") {
+			t.Fatalf("rejection %q does not name the bound", r)
+		}
+	}
+	if res.DBSlices != before || db.Len() != before {
+		t.Fatalf("db_slices = %d, db.Len() = %d after far points; want %d", res.DBSlices, db.Len(), before)
+	}
+
+	edge := before - 1 + maxSliceAhead
+	if res := ingest(edge); res.Accepted != 1 || len(res.Rejected) != 0 || res.DBSlices != edge+1 {
+		t.Fatalf("point at the bound: accepted %d, rejected %v, db_slices %d; want it accepted and %d slices",
+			res.Accepted, res.Rejected, res.DBSlices, edge+1)
+	}
+}
+
 func TestDiagnoseShedsWithRetryAfterUnderOverload(t *testing.T) {
 	sc := newTestScenario(t)
 	srv := newTestServer(t, sc, func(c *Config) {
