@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"murphy/internal/stats"
+)
 
 // arena is the per-candidate scratch space of the batched Gibbs kernel. The
 // sampler's state — one vector of n parallel chain values per touched
@@ -29,6 +33,10 @@ type arena struct {
 	cf []float64
 	// conv is the float64 view of a float32 pass's symptom draws.
 	conv []float64
+	// rng are the float64 kernel's noise generators, reseeded in place for
+	// each test: a fixed-budget test draws from rng[0], an early-stop test
+	// from rng[0] (counterfactual) and rng[1] (factual).
+	rng [2]stats.Rand64
 }
 
 func newArena() *arena { return &arena{} }

@@ -371,7 +371,7 @@ func (m *Model) sampleCandidate(ctx context.Context, a, d telemetry.EntityID, pl
 	seed := m.pairSeed(a, d)
 
 	if !m.cfg.Sampler.EarlyStop {
-		ns := m.newStream(seed)
+		ns := m.newStream(ar, 0, seed)
 		out, err := m.runPass(ctx, plan, ov, ns, ar, n)
 		if err != nil {
 			return stats.TTestResult{}, 0, 0, err
@@ -389,8 +389,8 @@ func (m *Model) sampleCandidate(ctx context.Context, a, d telemetry.EntityID, pl
 		return res, stats.Mean(f) - stats.Mean(cf), 2 * n, nil
 	}
 
-	cfStream := m.newStream(seed)
-	fStream := m.newStream(seed ^ 0x5e9c3779b97f4a7d) // independent stream
+	cfStream := m.newStream(ar, 0, seed)
+	fStream := m.newStream(ar, 1, seed^0x5e9c3779b97f4a7d) // independent stream
 	var st stats.StreamingWelch
 	minDraws := min(earlyStopMinSamples, n)
 	decisive := false

@@ -7,9 +7,15 @@
 // chain vector at a time with the helpers in internal/mat.
 //
 // Two arithmetic widths share the plan. The float64 path reproduces the
-// original per-sample sampler bit-for-bit: math/rand noise streams consumed
-// in the same order, and the term arithmetic c·(x−mean)/std applied in
-// Ridge.Predict's exact operation order (mat.AccumTerm).
+// original per-sample sampler bit-for-bit: math/rand's noise streams
+// consumed in the same order, and the term arithmetic c·(x−mean)/std
+// applied in Ridge.Predict's exact operation order (mat.AccumTerm). The
+// streams come from stats.Rand64, a concrete copy of math/rand's generator
+// and ziggurat that returns rand.New(rand.NewSource(seed))'s draws bit for
+// bit: a noisy step adds a whole vector of draws in one call, and each
+// candidate test reseeds its arena's generators in place instead of
+// allocating new ones. On amd64 AccumTerm divides two chains per SSE2
+// instruction, with the scalar loop's roundings.
 //
 // The float64 path also keeps a slot as one scalar for as long as every
 // chain holds the same value there: its start value, a counterfactual
@@ -33,7 +39,6 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 
 	"murphy/internal/mat"
@@ -184,19 +189,23 @@ func (m *Model) compilePlan(path []telemetry.EntityID, symSlot int32) *pathPlan 
 
 // noiseStream is one sampling stream's noise source; exactly one field is
 // non-nil.
-// The float64 kernel keeps *rand.Rand so its draw stream is bit-identical
-// to the original sampler's; the float32 kernel uses the ziggurat source.
+// The float64 kernel draws from math/rand's stream (stats.Rand64) so its
+// draws are bit-identical to the original sampler's; the float32 kernel
+// uses the ziggurat source.
 type noiseStream struct {
-	r *rand.Rand
+	r *stats.Rand64
 	z *stats.NormSource
 }
 
-// newStream seeds one noise stream at the configured precision.
-func (m *Model) newStream(seed int64) noiseStream {
+// newStream seeds stream k (0 or 1) of a candidate test at the configured
+// precision. A float64 stream is the arena's generator k, reseeded in place.
+func (m *Model) newStream(ar *arena, k int, seed int64) noiseStream {
 	if m.cfg.Sampler.Precision == PrecisionFloat32 {
 		return noiseStream{z: stats.NewNormSource(seed)}
 	}
-	return noiseStream{r: rand.New(rand.NewSource(seed))}
+	r := &ar.rng[k]
+	r.Seed(seed)
+	return noiseStream{r: r}
 }
 
 // runPass runs one resampling pass of n draws — every chain vector through
@@ -218,7 +227,7 @@ func (m *Model) runPass(ctx context.Context, plan *pathPlan, ov *overrides, ns n
 	return m.runPass64(ctx, plan, ov, ns.r, ar, n)
 }
 
-func (m *Model) runPass64(ctx context.Context, plan *pathPlan, ov *overrides, rng *rand.Rand, ar *arena, n int) ([]float64, error) {
+func (m *Model) runPass64(ctx context.Context, plan *pathPlan, ov *overrides, rng *stats.Rand64, ar *arena, n int) ([]float64, error) {
 	base := m.current
 	vals, scal, isVec := ar.slots64(len(base))
 	// vector marks slot s as holding one value per chain and returns its
@@ -304,9 +313,7 @@ func (m *Model) runPass64(ctx context.Context, plan *pathPlan, ov *overrides, rn
 				// Batched after the fused accumulation: predictions consume
 				// no randomness, so draw i still lands on sample i — the
 				// same stream assignment as the per-sample loop.
-				for i := range out {
-					out[i] += rng.NormFloat64() * st.noise
-				}
+				rng.AddNormScaled(out, st.noise)
 			}
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"murphy/internal/microsim"
 	"murphy/internal/obs"
 	"murphy/internal/regress"
+	"murphy/internal/stats"
 	"murphy/internal/telemetry"
 )
 
@@ -144,7 +145,10 @@ func (p termModel) Fit([][]float64, []float64) error { return nil }
 func (p termModel) ResidualStd() float64             { return p.st.noise }
 
 // eagerPass64 is the float64 kernel without scalar slots: every touched slot
-// is filled into a chain vector up front and every term runs per chain.
+// is filled into a chain vector up front and every term runs per chain. It
+// draws from math/rand itself and writes the term arithmetic as a plain Go
+// loop, so the kernel is held to the stdlib stream and to scalar Go
+// arithmetic rather than to its own stats.Rand64 and mat.AccumTerm.
 func eagerPass64(m *Model, plan *pathPlan, ov *overrides, rng *rand.Rand, n int) []float64 {
 	vals := make([][]float64, len(m.current))
 	for _, s := range plan.touched {
@@ -175,7 +179,9 @@ func eagerPass64(m *Model, plan *pathPlan, ov *overrides, rng *rand.Rand, n int)
 			}
 			mat.Fill(out, st.intercept)
 			for j := range st.coef {
-				mat.AccumTerm(out, vals[st.feats[j]], st.coef[j], st.mean[j], st.std[j])
+				for i, x := range vals[st.feats[j]] {
+					out[i] += st.coef[j] * (x - st.mean[j]) / st.std[j]
+				}
 			}
 			if st.noise > 0 {
 				for i := range out {
@@ -244,7 +250,7 @@ func TestKernelScalarSlotsMatchEagerFill(t *testing.T) {
 		for _, n := range []int{64, 37} {
 			seed := rng.Int63()
 			want := eagerPass64(m, plan, ov, rand.New(rand.NewSource(seed)), n)
-			got, err := m.runPass64(context.Background(), plan, ov, rand.New(rand.NewSource(seed)), ar, n)
+			got, err := m.runPass64(context.Background(), plan, ov, stats.NewRand64(seed), ar, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,5 +263,31 @@ func TestKernelScalarSlotsMatchEagerFill(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCandidateTestAllocs bounds the allocations of a warm fixed-budget
+// candidate test. The pooled arena keeps the chain vectors and the noise
+// generator across tests, reseeding the generator in place, so what a test
+// still allocates is its plan, path and override tables: 11 allocations for
+// this candidate. A generator per stream (*rand.Rand plus its 4.9 KB
+// source) adds two.
+func TestCandidateTestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled arenas at random")
+	}
+	const maxAllocs = 11
+	inc := kernelIncidents(t)[0]
+	cfg := DefaultConfig()
+	cfg.Samples = 1000
+	m, err := TrainOpt(context.Background(), inc.db, inc.g, cfg, TrainOpts{Now: inc.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := m.Candidates(inc.sym.Entity)[0]
+	m.EvaluateCandidate(a, inc.sym) // warm: the arena grows its vectors
+	allocs := testing.AllocsPerRun(50, func() { m.EvaluateCandidate(a, inc.sym) })
+	if allocs > maxAllocs {
+		t.Fatalf("a warm candidate test of %s allocates %.0f times, want at most %d", a, allocs, maxAllocs)
 	}
 }

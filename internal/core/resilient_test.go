@@ -116,9 +116,12 @@ func TestDiagnoseContextDeadlinePartial(t *testing.T) {
 	}
 	// Heavy sampling so full inference takes visibly longer than the
 	// deadline; the ctx checks inside the Gibbs loop must cut it short.
+	// (At 8 rounds a 4-worker diagnosis finished in ~34 ms on a 2-vCPU
+	// x86-64 container, too close to the 30 ms deadline; 32 rounds take
+	// ~110 ms.)
 	cfg := testConfig()
 	cfg.Samples = 60000
-	cfg.GibbsRounds = 8
+	cfg.GibbsRounds = 32
 	sym := telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {

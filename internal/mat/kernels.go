@@ -25,10 +25,21 @@ func Fill32(dst []float32, v float32) {
 // exactly regress.Ridge.Predict's term evaluation, so applying the terms
 // feature-by-feature over the batch stays bit-identical to the original
 // sample-by-sample prediction loop.
+//
+// On amd64 the loop runs two chains per packed SSE2 instruction
+// (kernels_amd64.s): each lane rounds exactly like the scalar operation, so
+// the packed loop gives accumTermGo's bits.
 func AccumTerm(dst, src []float64, c, mean, std float64) {
 	if len(src) > len(dst) {
 		src = src[:len(dst)]
 	}
+	accumTerm(dst[:len(src)], src, c, mean, std)
+}
+
+// accumTermGo is AccumTerm's portable loop over equal-length vectors: the
+// body on architectures without an assembly one, and the reference the
+// amd64 loop is tested against.
+func accumTermGo(dst, src []float64, c, mean, std float64) {
 	dst = dst[:len(src)]
 	for i, x := range src {
 		dst[i] += c * (x - mean) / std

@@ -131,6 +131,9 @@ type SoakResult struct {
 	IngestOK       int `json:"ingest_ok"`
 	IngestShed     int `json:"ingest_shed"` // 429/503
 	IngestPoints   int `json:"ingest_points"`
+	// IngestRejected counts the points accepted batches listed in
+	// `rejected`; the hammer posts only points the daemon should take.
+	IngestRejected int `json:"ingest_rejected"`
 
 	// Diagnosis-side counts.
 	DiagnoseRequests int `json:"diagnose_requests"`
@@ -179,13 +182,17 @@ type SoakResult struct {
 
 // Violations checks the degradation ladder and returns one line per breach
 // (empty = the drill passed): every response from a known-good status set,
-// sheds carrying Retry-After, queue depth bounded by capacity, goroutines
-// reclaimed after drain, readiness flipping around drain, and the final
-// generous diagnosis still ranking the planted cause.
+// no ingested point rejected, sheds carrying Retry-After, queue depth
+// bounded by capacity, goroutines reclaimed after drain, readiness flipping
+// around drain, and the final generous diagnosis still ranking the planted
+// cause.
 func (r *SoakResult) Violations() []string {
 	var v []string
 	for st, n := range r.UnexpectedStatus {
 		v = append(v, fmt.Sprintf("%d responses with unexpected status %s", n, st))
+	}
+	if r.IngestRejected > 0 {
+		v = append(v, fmt.Sprintf("%d ingested points rejected", r.IngestRejected))
 	}
 	if r.ShedsMissingRetry > 0 {
 		v = append(v, fmt.Sprintf("%d shed responses missing Retry-After", r.ShedsMissingRetry))
@@ -232,7 +239,7 @@ func (r *SoakResult) String() string {
 	fmt.Fprintf(&b, "chaos soak: %s at %gx overload, queue=%d workers=%d chaos(fault=%.2f lat=%.2f corrupt=%.2f)\n",
 		r.Opts.Duration, r.Opts.OverloadFactor, r.QueueCap, r.Opts.Workers,
 		r.Opts.Chaos.FaultRate, r.Opts.Chaos.LatencyRate, r.Opts.Chaos.CorruptRate)
-	fmt.Fprintf(&b, "  ingest    %6d req  %6d ok  %6d shed  %8d points\n", r.IngestRequests, r.IngestOK, r.IngestShed, r.IngestPoints)
+	fmt.Fprintf(&b, "  ingest    %6d req  %6d ok  %6d shed  %8d points  %d rejected\n", r.IngestRequests, r.IngestOK, r.IngestShed, r.IngestPoints, r.IngestRejected)
 	fmt.Fprintf(&b, "  diagnose  %6d req  %6d ok  %6d shed  (%d full, %d partial)\n", r.DiagnoseRequests, r.DiagnoseOK, r.DiagnoseShed, r.FullReports, r.PartialReports)
 	fmt.Fprintf(&b, "  reads     %6d req  %6d ok  %6d shed  (burst %d vs %d slots)\n", r.ReadRequests, r.ReadOK, r.ReadShed, r.ReadBurst, r.ReadConcurrency)
 	fmt.Fprintf(&b, "  latency   p50=%.0fms p99=%.0fms  queue depth max %d/%d  goroutine delta %+d\n",
@@ -348,7 +355,11 @@ func RunSoak(opts SoakOptions) (*SoakResult, error) {
 	// source slice across all entities, small jitter) so the appended
 	// telemetry keeps the cross-entity correlations instead of drowning the
 	// incident in white noise; an atomic slice counter keeps concurrent
-	// workers from colliding on a slice.
+	// workers from colliding on a slice. A shed batch is posted again at
+	// its slice until the daemon takes it, so the database grows without
+	// holes and the writers stay within IngestWorkers slices of the newest:
+	// after the overload phase a worker takes no new slice but finishes the
+	// one it holds.
 	ents := db.Entities()
 	if len(ents) > 8 {
 		ents = ents[:8]
@@ -398,21 +409,28 @@ func RunSoak(opts SoakOptions) (*SoakResult, error) {
 						Entity: sr.id, Metric: sr.metric, Value: v * (1 + 0.01*(rng.Float64()-0.5)),
 					})
 				}
-				code, _, pts := postJSON(client, base+"/ingest", batch)
-				mu.Lock()
-				res.IngestRequests++
-				switch {
-				case code == http.StatusOK:
-					res.IngestOK++
-					res.IngestPoints += pts
-				case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
-					res.IngestShed++
-				default:
-					if !okStatus(code) {
-						res.UnexpectedStatus[fmt.Sprintf("ingest:%d", code)]++
+				for shed := true; shed; {
+					code, body := postJSON(client, base+"/ingest", batch)
+					shed = code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable
+					mu.Lock()
+					res.IngestRequests++
+					switch {
+					case code == http.StatusOK:
+						res.IngestOK++
+						var ir IngestResult
+						if json.Unmarshal(body, &ir) == nil {
+							res.IngestPoints += ir.Accepted
+							res.IngestRejected += len(ir.Rejected)
+						}
+					case shed:
+						res.IngestShed++
+					default:
+						if !okStatus(code) {
+							res.UnexpectedStatus[fmt.Sprintf("ingest:%d", code)]++
+						}
 					}
+					mu.Unlock()
 				}
-				mu.Unlock()
 			}
 		}(w)
 	}
@@ -444,7 +462,7 @@ func RunSoak(opts SoakOptions) (*SoakResult, error) {
 						DeadlineMs: int(opts.DiagnoseDeadline / time.Millisecond),
 					}
 					t0 := time.Now()
-					code, body, _ := postJSON(client, base+"/diagnose", req)
+					code, body := postJSON(client, base+"/diagnose", req)
 					ms := float64(time.Since(t0)) / float64(time.Millisecond)
 					mu.Lock()
 					defer mu.Unlock()
@@ -555,7 +573,7 @@ func RunSoak(opts SoakOptions) (*SoakResult, error) {
 	// Final-accuracy probe: after the overload phase, one generous-deadline
 	// diagnosis must still rank the planted cause near the top.
 	finalReq := DiagnoseRequest{Symptom: sc.Symptom, DeadlineMs: 60000}
-	code, body, _ := postJSON(client, base+"/diagnose", finalReq)
+	code, body := postJSON(client, base+"/diagnose", finalReq)
 	if code == http.StatusOK {
 		var rec ReportRecord
 		if json.Unmarshal(body, &rec) == nil && rec.Report != nil {
@@ -650,27 +668,20 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[idx]
 }
 
-// postJSON posts v and returns (status, body, accepted-points). A transport
-// error returns status 0, which the callers count as unexpected.
-func postJSON(client *http.Client, url string, v any) (int, []byte, int) {
+// postJSON posts v and returns (status, body). A transport error returns
+// status 0, which the callers count as unexpected.
+func postJSON(client *http.Client, url string, v any) (int, []byte) {
 	buf, err := json.Marshal(v)
 	if err != nil {
-		return 0, nil, 0
+		return 0, nil
 	}
 	resp, err := client.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {
-		return 0, nil, 0
+		return 0, nil
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	pts := 0
-	if resp.StatusCode == http.StatusOK {
-		var ir IngestResult
-		if json.Unmarshal(body, &ir) == nil {
-			pts = ir.Accepted
-		}
-	}
-	return resp.StatusCode, body, pts
+	return resp.StatusCode, body
 }
 
 // retryAfterPresent checks the shed body's retry_after_s field (the header

@@ -1,9 +1,11 @@
 // Fast normal deviates for the float32 sampling kernel: a splitmix64
 // counter generator feeding a 128-layer Marsaglia–Tsang ziggurat. The
-// float64 Gibbs kernel keeps math/rand's generator for bit-compatibility
-// with the original sampler; the float32 fast path trades that stream for
-// this one, which draws a standard normal in a handful of integer ops plus
-// one multiply in the ~98% common case — several times faster per draw.
+// float64 Gibbs kernel keeps math/rand's stream for bit-compatibility with
+// the original sampler, drawn from Rand64 (rand64.go), a concrete copy of
+// math/rand's generator and ziggurat; the float32 fast path trades that
+// stream for this one, which draws a standard normal in a handful of
+// integer ops plus one multiply in the ~98% common case — several times
+// faster per draw.
 
 package stats
 
@@ -60,7 +62,7 @@ func init() {
 // splitmix64 sequence (see SplitMix64) driving the ziggurat tables above.
 // The zero value is a valid stream seeded at 0; use NewNormSource to seed.
 // Not safe for concurrent use: every sampling stream owns its own, like
-// *rand.Rand in the float64 kernel.
+// Rand64 in the float64 kernel.
 type NormSource struct {
 	state uint64
 }
