@@ -131,8 +131,9 @@ type SoakResult struct {
 	IngestOK       int `json:"ingest_ok"`
 	IngestShed     int `json:"ingest_shed"` // 429/503
 	IngestPoints   int `json:"ingest_points"`
-	// IngestRejected counts the points accepted batches listed in
-	// `rejected`; the hammer posts only points the daemon should take.
+	// IngestRejected counts the points that answered batches listed in
+	// `rejected`. The hammer posts only points the daemon should take, so
+	// any is a violation.
 	IngestRejected int `json:"ingest_rejected"`
 
 	// Diagnosis-side counts.

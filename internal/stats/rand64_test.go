@@ -42,12 +42,13 @@ func TestRand64MatchesMathRand(t *testing.T) {
 	var got, want []float64
 	tails, wedges := 0, 0
 	for _, seed := range rand64Seeds {
-		r := NewRand64(seed)
+		var r Rand64
+		r.Seed(seed)
 		ref := rand.New(rand.NewSource(seed))
 		draws := 0
 		for cycle := 0; draws < perSeed; cycle++ {
 			for k := 0; k < 500; k++ {
-				j := nextZigDraw(r)
+				j := nextZigDraw(&r)
 				if i := j & 0x7F; absInt32(j) >= kn[i] {
 					if i == 0 {
 						tails++
@@ -79,11 +80,11 @@ func TestRand64MatchesMathRand(t *testing.T) {
 			}
 			draws += n
 		}
-		if g, w := r.Int63(), ref.Int63(); g != w {
-			t.Fatalf("seed %d: streams out of step after the normals: Int63 %d, math/rand %d", seed, g, w)
+		if g, w := r.int63(), ref.Int63(); g != w {
+			t.Fatalf("seed %d: streams out of step after the normals: int63 %d, math/rand %d", seed, g, w)
 		}
-		if g, w := r.Float64(), ref.Float64(); g != w {
-			t.Fatalf("seed %d: Float64 %v, math/rand %v", seed, g, w)
+		if g, w := r.float64(), ref.Float64(); g != w {
+			t.Fatalf("seed %d: float64 %v, math/rand %v", seed, g, w)
 		}
 	}
 	t.Logf("single draws through the base-strip tail: %d, through a wedge: %d", tails, wedges)
@@ -95,14 +96,16 @@ func TestRand64MatchesMathRand(t *testing.T) {
 // TestRand64ReseedInPlace: a used generator reseeded in place equals a
 // fresh one, state and stream.
 func TestRand64ReseedInPlace(t *testing.T) {
-	r := NewRand64(3)
+	var r, fresh Rand64
+	r.Seed(3)
 	buf := make([]float64, 777)
 	for _, seed := range rand64Seeds {
 		r.AddNormScaled(buf, 1)
 		r.NormFloat64()
 		r.Seed(seed)
-		fresh := NewRand64(seed)
-		if *r != *fresh {
+		fresh = Rand64{}
+		fresh.Seed(seed)
+		if r != fresh {
 			t.Fatalf("seed %d: reseeded state differs from a fresh generator's", seed)
 		}
 		ref := rand.New(rand.NewSource(seed))
@@ -120,7 +123,8 @@ func TestRand64ReseedInPlace(t *testing.T) {
 func BenchmarkRand64Noise(b *testing.B) {
 	dst := make([]float64, 1000)
 	b.Run("AddNormScaled", func(b *testing.B) {
-		r := NewRand64(1)
+		var r Rand64
+		r.Seed(1)
 		for i := 0; i < b.N; i++ {
 			r.AddNormScaled(dst, 0.5)
 		}
