@@ -23,6 +23,7 @@ import (
 	"murphy/internal/harness"
 	"murphy/internal/microsim"
 	"murphy/internal/obs"
+	"murphy/internal/stats"
 	"murphy/internal/telemetry"
 )
 
@@ -156,11 +157,10 @@ func BenchmarkFig8a_MetricPredictionModels(b *testing.B) {
 		}
 		last = res
 	}
-	med := last.MedianMASE()
-	b.ReportMetric(med["linear regression"], "ridge-median-mase")
-	b.ReportMetric(med["GMM"], "gmm-median-mase")
-	b.ReportMetric(med["neural network"], "nn-median-mase")
-	b.ReportMetric(med["SVM"], "svm-median-mase")
+	b.ReportMetric(stats.Median(last.MASE["linear regression"]), "ridge-median-mase")
+	b.ReportMetric(stats.Median(last.MASE["GMM"]), "gmm-median-mase")
+	b.ReportMetric(stats.Median(last.MASE["neural network"]), "nn-median-mase")
+	b.ReportMetric(stats.Median(last.MASE["SVM"]), "svm-median-mase")
 	b.Log("\n" + last.String())
 }
 
@@ -430,33 +430,6 @@ func BenchmarkAblationFactorModel(b *testing.B) {
 			}
 		})
 	}
-}
-
-// Combined offline+online training (§7 "Leveraging offline training").
-func BenchmarkAblationCombinedTraining(b *testing.B) {
-	sc, err := microsim.Contention(microsim.DefaultContentionOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := graph.Build(sc.Result.DB, []telemetry.EntityID{sc.Symptom.Entity}, -1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := benchConfig()
-	b.Run("online-only", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Train(sc.Result.DB, g, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("combined", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.TrainCombined(sc.Result.DB, g, cfg, sc.FaultStart-1, 200, 0.7); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // ---------------------------------------------------------------------------

@@ -271,23 +271,6 @@ func TestDiagnoseDeterministic(t *testing.T) {
 	}
 }
 
-func TestPredictMetric(t *testing.T) {
-	_, m := trainChain(t)
-	// Backend CPU is ~1.2*frontCPU + 3; prediction from current state should
-	// be close to the current value.
-	pred, ok := m.PredictMetric("back", telemetry.MetricCPU)
-	if !ok {
-		t.Fatal("factor should exist")
-	}
-	cur := m.CurrentValue("back", telemetry.MetricCPU)
-	if math.Abs(pred-cur) > 10 {
-		t.Fatalf("prediction %v too far from current %v", pred, cur)
-	}
-	if _, ok := m.PredictMetric("back", "nope"); ok {
-		t.Fatal("unknown metric should report !ok")
-	}
-}
-
 func TestLowSymptomDirection(t *testing.T) {
 	// Invert the scenario: backend "throughput" collapses when client RPS
 	// spikes (e.g. starvation). A Low symptom should still find the client.

@@ -43,66 +43,6 @@ func TestDiagnoseParallelErrors(t *testing.T) {
 	}
 }
 
-func TestTrainCombined(t *testing.T) {
-	db := chainDB(t, 400, 5, 21)
-	g, err := graph.Build(db, []telemetry.EntityID{"back"}, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig()
-	// Offline half trains on [?, 300) — before the incident at 395+.
-	m, err := TrainCombined(db, g, cfg, 299, 280, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diag, err := m.Diagnose(telemetry.Symptom{Entity: "back", Metric: telemetry.MetricCPU, High: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, c := range diag.Causes {
-		if c.Entity == "client" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("combined model should still find the client: %v", diag.Ranked())
-	}
-}
-
-func TestTrainCombinedErrors(t *testing.T) {
-	db := chainDB(t, 400, 5, 22)
-	g, _ := graph.Build(db, []telemetry.EntityID{"back"}, -1)
-	cfg := testConfig()
-	if _, err := TrainCombined(db, g, cfg, 299, 280, 1.5); err == nil {
-		t.Fatal("weight out of range should error")
-	}
-	if _, err := TrainCombined(db, g, cfg, -5, 280, 0.5); err == nil {
-		t.Fatal("bad offline endpoint should error")
-	}
-}
-
-func TestCombinedPredictorBlends(t *testing.T) {
-	off := &constPredictor{v: 10, resid: 1}
-	on := &constPredictor{v: 20, resid: 3}
-	c := &combinedPredictor{offline: off, online: on, wOnline: 0.25}
-	if got := c.Predict(nil); got != 0.25*20+0.75*10 {
-		t.Fatalf("blend = %v", got)
-	}
-	if c.ResidualStd() != 3 {
-		t.Fatal("residual should be the conservative max")
-	}
-	if c.Fit(nil, nil) == nil {
-		t.Fatal("combined predictor must refuse Fit")
-	}
-}
-
-type constPredictor struct{ v, resid float64 }
-
-func (p *constPredictor) Fit([][]float64, []float64) error { return nil }
-func (p *constPredictor) Predict([]float64) float64        { return p.v }
-func (p *constPredictor) ResidualStd() float64             { return p.resid }
-
 func TestRebind(t *testing.T) {
 	db := chainDB(t, 300, 5, 30)
 	g, err := graph.Build(db, []telemetry.EntityID{"back"}, -1)
@@ -185,9 +125,6 @@ func TestDiagnoseTimeout(t *testing.T) {
 
 func TestModelAccessors(t *testing.T) {
 	_, m := trainChain(t)
-	if m.Graph() == nil {
-		t.Fatal("Graph accessor")
-	}
 	if m.CurrentValue("back", telemetry.MetricCPU) <= 0 {
 		t.Fatal("CurrentValue should reflect the incident")
 	}

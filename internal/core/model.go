@@ -278,9 +278,6 @@ func (m *Model) Rebind(now int) (*Model, error) {
 	return &nm, nil
 }
 
-// Graph returns the relationship graph the model was trained on.
-func (m *Model) Graph() *graph.Graph { return m.g }
-
 // Config returns the sanitized configuration in effect.
 func (m *Model) Config() Config { return m.cfg }
 
@@ -371,18 +368,6 @@ func (m *Model) MetricZ(id telemetry.EntityID, metric string) float64 {
 		return 0
 	}
 	return (m.current[s] - f.hmean) / f.hstd
-}
-
-// PredictMetric returns the factor's mean prediction for (id, metric) given
-// the current values of its selected features. It is exported for the metric
-// prediction micro-benchmarks (Fig 8a) and the cyclic-effects experiment
-// (Fig 8b / Appendix A.2).
-func (m *Model) PredictMetric(id telemetry.EntityID, metric string) (float64, bool) {
-	f, _ := m.factorOf(id, metric)
-	if f == nil {
-		return 0, false
-	}
-	return f.model.Predict(featureVector(nil, f, m.current)), true
 }
 
 // featureVector assembles a factor's input from a slot-indexed state into

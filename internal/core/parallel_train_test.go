@@ -112,13 +112,24 @@ func TestRowMajorTrainerMatchesColumnFit(t *testing.T) {
 			if !ok || !slices.Equal(wv.Features, gv.Features) {
 				t.Fatalf("%s/%s: features %v vs %v (trained %v)", id, name, wv.Features, gv.Features, ok)
 			}
-			wp, _ := want.PredictMetric(id, name)
-			gp, _ := got.PredictMetric(id, name)
+			wp := predictCurrent(want, id, name)
+			gp := predictCurrent(got, id, name)
 			if math.Float64bits(wp) != math.Float64bits(gp) {
 				t.Fatalf("%s/%s: prediction %v vs %v", id, name, wp, gp)
 			}
 		}
 	}
+}
+
+// predictCurrent returns the (id, metric) factor's mean prediction from the
+// model's current state, 0 without such a factor. The row-major trainer
+// hides LinearTerms, so FactorView cannot stand in for it.
+func predictCurrent(m *Model, id telemetry.EntityID, metric string) float64 {
+	f, _ := m.factorOf(id, metric)
+	if f == nil {
+		return 0
+	}
+	return f.model.Predict(featureVector(nil, f, m.current))
 }
 
 // cancelAfterTrainer wraps the ridge trainer so the shared context is

@@ -3,6 +3,7 @@ package degrade
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"murphy/internal/telemetry"
@@ -41,10 +42,10 @@ func TestMissingEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.HasEdge(pair[0], pair[1]) || c.HasEdge(pair[1], pair[0]) {
+	if slices.Contains(c.OutNeighbors(pair[0]), pair[1]) || slices.Contains(c.OutNeighbors(pair[1]), pair[0]) {
 		t.Fatal("edge should be gone in both directions")
 	}
-	if !db.HasEdge(pair[0], pair[1]) {
+	if !slices.Contains(db.OutNeighbors(pair[0]), pair[1]) {
 		t.Fatal("original must be untouched")
 	}
 	if pair[0] == "a" || pair[1] == "a" {

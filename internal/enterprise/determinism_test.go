@@ -18,7 +18,7 @@ func genSnapshot(t *testing.T, seed int64) []byte {
 	}
 	hook := window(50, 70, func(e *Env, st *StepState) {
 		st.ScaleDemand(0, 4)
-		st.AddVMCPU(e.WebVM(1), 0.4)
+		st.extraVMCPU[e.WebVM(1)] += 0.4
 	})
 	if err := env.Run(hook); err != nil {
 		t.Fatal(err)

@@ -332,11 +332,3 @@ func (st *StepState) ScaleDemand(appIx int, factor float64) {
 		st.demand[appIx] *= factor
 	}
 }
-
-// AddVMCPU adds extra CPU load to a VM this slice (a stress or bug).
-func (st *StepState) AddVMCPU(id telemetry.EntityID, load float64) {
-	st.extraVMCPU[id] += load
-}
-
-// SetDown marks an entity non-functional this slice.
-func (st *StepState) SetDown(id telemetry.EntityID) { st.down[id] = true }

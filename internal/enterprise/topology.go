@@ -115,17 +115,6 @@ func (e *Env) Client(appIx int) telemetry.EntityID { return e.apps[appIx].client
 // ClientFlow returns the client→web flow of app i.
 func (e *Env) ClientFlow(appIx int) telemetry.EntityID { return e.apps[appIx].clientFlow }
 
-// Flows returns all flow entities of app i: the client flow plus the
-// inter-tier flows, in topology order.
-func (e *Env) Flows(appIx int) []telemetry.EntityID {
-	a := e.apps[appIx]
-	out := []telemetry.EntityID{a.clientFlow}
-	for _, fl := range a.flows {
-		out = append(out, fl.id)
-	}
-	return out
-}
-
 // FrontendFlows returns the flows of app i that send requests into the web
 // (front-end) tier — the flow population Appendix A.2 draws its perturbed
 // top-5 from. In this topology that is the client flow; environments with

@@ -203,61 +203,6 @@ func (c Chain) Render(db *telemetry.DB) string {
 	return b.String()
 }
 
-// Sentences renders the chain as the prose explanation of the paper's
-// Figure 2 output ("Entity A (crawler machine) sent high requests to Entity
-// B (front-end). … Entity C (back-end) faced high load and CPU usage."):
-// one sentence per hop, verb chosen by the cause's label, plus a closing
-// sentence describing the final entity's state.
-func (c Chain) Sentences(db *telemetry.DB) []string {
-	if len(c.Steps) == 0 {
-		return nil
-	}
-	name := func(id telemetry.EntityID) string {
-		if db != nil {
-			if e := db.Entity(id); e != nil {
-				return fmt.Sprintf("%s (%s)", e.Name, e.Type)
-			}
-		}
-		return string(id)
-	}
-	verb := func(l Label) string {
-		switch l {
-		case HeavyHitter:
-			return "sent high load to"
-		case HighDropRate:
-			return "dropped traffic toward"
-		case Degraded:
-			return "slowed down"
-		case NonFunctional:
-			return "stopped serving"
-		default:
-			return "affected"
-		}
-	}
-	state := func(l Label) string {
-		switch l {
-		case HeavyHitter:
-			return "faced high load"
-		case HighDropRate:
-			return "experienced a high drop rate"
-		case Degraded:
-			return "suffered degraded performance"
-		case NonFunctional:
-			return "became non-functional"
-		default:
-			return "was affected"
-		}
-	}
-	var out []string
-	for i := 0; i+1 < len(c.Steps); i++ {
-		a, b := c.Steps[i], c.Steps[i+1]
-		out = append(out, fmt.Sprintf("Entity %s %s entity %s.", name(a.Entity), verb(a.Label), name(b.Entity)))
-	}
-	last := c.Steps[len(c.Steps)-1]
-	out = append(out, fmt.Sprintf("Entity %s %s.", name(last.Entity), state(last.Label)))
-	return out
-}
-
 // Explain traces a causal chain from the root cause to the symptom entity
 // along relationship-graph edges such that every hop respects the label
 // state machine and no hop passes through an Okay-labeled entity (other than

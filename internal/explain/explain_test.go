@@ -237,31 +237,3 @@ func TestHighDropRateLabel(t *testing.T) {
 		t.Fatalf("label = %v, want high drop rate", got)
 	}
 }
-
-func TestChainSentences(t *testing.T) {
-	db, g, m := crawlerDB(t)
-	lb := NewLabeler(m, db, DefaultThresholds())
-	ch, ok := Explain(lb, g, "flow1", "back")
-	if !ok {
-		t.Fatal("expected a chain")
-	}
-	sents := ch.Sentences(db)
-	if len(sents) != len(ch.Steps) {
-		t.Fatalf("want %d sentences (hops + closing state), got %d", len(ch.Steps), len(sents))
-	}
-	if !strings.Contains(sents[0], "sent high load to") {
-		t.Fatalf("heavy hitter verb missing: %q", sents[0])
-	}
-	last := sents[len(sents)-1]
-	if !strings.Contains(last, "faced high load") {
-		t.Fatalf("closing state sentence wrong: %q", last)
-	}
-	// Without a DB the raw IDs are used.
-	raw := ch.Sentences(nil)
-	if !strings.Contains(raw[0], "flow1") {
-		t.Fatalf("nil-db rendering should use IDs: %q", raw[0])
-	}
-	if (Chain{}).Sentences(db) != nil {
-		t.Fatal("empty chain should render no sentences")
-	}
-}

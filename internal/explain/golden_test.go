@@ -4,7 +4,6 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"murphy/internal/core"
@@ -15,9 +14,9 @@ import (
 
 // TestExplainCascadeGolden pins the full explanation chain produced on a
 // fuzzed cascade scenario: the chain from the injected root cause to the
-// client-latency symptom, both in arrow form and as prose sentences. Any
-// change to labeling thresholds, the state machine, or chain tracing shows up
-// as a golden diff. Regenerate with UPDATE_GOLDEN=1.
+// client-latency symptom, in arrow form. Any change to labeling thresholds,
+// the state machine, or chain tracing shows up as a golden diff. Regenerate
+// with UPDATE_GOLDEN=1.
 func TestExplainCascadeGolden(t *testing.T) {
 	// Case 2 of the fixed-seed cascade family: a deep chain whose every hop
 	// carries a non-Okay label, so the full path from the faulted container to
@@ -41,14 +40,7 @@ func TestExplainCascadeGolden(t *testing.T) {
 	if !ok {
 		t.Fatalf("no explanation chain from fuzzed truth %s to symptom %s", c.Truth, c.Symptom.Entity)
 	}
-	var b strings.Builder
-	b.WriteString(ch.Render(c.DB))
-	b.WriteString("\n")
-	for _, s := range ch.Sentences(c.DB) {
-		b.WriteString(s)
-		b.WriteString("\n")
-	}
-	got := b.String()
+	got := ch.Render(c.DB) + "\n"
 
 	if os.Getenv("UPDATE_GOLDEN") == "1" {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {

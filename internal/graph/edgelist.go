@@ -65,22 +65,6 @@ func ParseEdgeList(r io.Reader) ([]Edge, error) {
 	return edges, nil
 }
 
-// FormatEdgeList renders edges in the ParseEdgeList format, one per line.
-// ParseEdgeList(FormatEdgeList(edges)) round-trips exactly for any edge list
-// whose IDs are valid (non-empty, whitespace- and '#'-free).
-func FormatEdgeList(w io.Writer, edges []Edge) error {
-	for _, e := range edges {
-		conn := "--"
-		if e.Directed {
-			conn = "->"
-		}
-		if _, err := fmt.Fprintf(w, "%s %s %s\n", e.From, conn, e.To); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ApplyEdgeList records the parsed edges as associations in the database.
 // Edges naming unknown entities are reported, not silently dropped.
 func ApplyEdgeList(db *telemetry.DB, edges []Edge) error {

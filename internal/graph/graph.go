@@ -251,28 +251,11 @@ func (g *Graph) bfsDist(src int, forward bool) []int {
 	return dist
 }
 
-// ShortestPathSubgraph returns the nodes lying on at least one shortest
-// directed path from a to d, ordered by increasing distance from a (the
-// resampling order of §4.2, with ties broken by node index for determinism).
-// It returns nil when d is unreachable from a. Both endpoints are included.
-func (g *Graph) ShortestPathSubgraph(a, d telemetry.EntityID) []telemetry.EntityID {
-	ai, ok := g.index[a]
-	if !ok {
-		return nil
-	}
-	di, ok := g.index[d]
-	if !ok {
-		return nil
-	}
-	if ai == di {
-		return []telemetry.EntityID{a}
-	}
-	return g.shortestPathWith(ai, di, g.bfsDist(di, false))
-}
-
-// shortestPathWith is the shared core of ShortestPathSubgraph: it takes the
-// reverse-BFS distance field toD (distance of every node to di), which a
-// SubgraphCache computes once per symptom and reuses across candidates.
+// shortestPathWith returns the nodes lying on at least one shortest directed
+// path from node ai to node di, or nil when di is unreachable from ai. toD is
+// the reverse-BFS distance field toward di (every node's distance to di),
+// which SubgraphCache.ShortestPathSubgraph computes once per symptom and
+// reuses across candidates.
 func (g *Graph) shortestPathWith(ai, di int, toD []int) []telemetry.EntityID {
 	fromA := g.bfsDist(ai, true)
 	total := fromA[di]
@@ -297,19 +280,6 @@ func (g *Graph) shortestPathWith(ai, di int, toD []int) []telemetry.EntityID {
 		out[i] = g.ids[n.idx]
 	}
 	return out
-}
-
-// Distance returns the directed BFS distance from a to d, or -1.
-func (g *Graph) Distance(a, d telemetry.EntityID) int {
-	ai, ok := g.index[a]
-	if !ok {
-		return -1
-	}
-	di, ok := g.index[d]
-	if !ok {
-		return -1
-	}
-	return g.bfsDist(ai, true)[di]
 }
 
 // AnomalyFn reports whether an entity currently looks anomalous enough to

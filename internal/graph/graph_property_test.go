@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,7 +34,7 @@ func randomGraph(t testing.TB, seed int64, n int, density float64) *Graph {
 	}
 	// Always connect sequentially so the graph is one component.
 	for i := 1; i < n; i++ {
-		if !db.HasEdge(ids[i-1], ids[i]) {
+		if !slices.Contains(db.OutNeighbors(ids[i-1]), ids[i]) {
 			if err := db.Associate(ids[i-1], ids[i], telemetry.Bidirectional); err != nil {
 				t.Fatal(err)
 			}
@@ -46,9 +47,24 @@ func randomGraph(t testing.TB, seed int64, n int, density float64) *Graph {
 	return g
 }
 
+// distance returns the directed BFS distance from a to d, or -1: the oracle
+// of the shortest-path property.
+func distance(g *Graph, a, d telemetry.EntityID) int {
+	ai, ok := g.index[a]
+	if !ok {
+		return -1
+	}
+	di, ok := g.index[d]
+	if !ok {
+		return -1
+	}
+	return g.bfsDist(ai, true)[di]
+}
+
 // Property: every node of a shortest-path subgraph lies on a shortest path —
 // dist(a,v) + dist(v,d) == dist(a,d) — and the sequence is ordered by
-// distance from a with both endpoints present.
+// distance from a with both endpoints present. A second request for the same
+// (a, d) is a memo hit that returns the first answer.
 func TestShortestPathSubgraphProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -56,8 +72,18 @@ func TestShortestPathSubgraphProperty(t *testing.T) {
 		g := randomGraph(t, seed, n, 0.2)
 		a := g.ID(rng.Intn(g.Len()))
 		d := g.ID(rng.Intn(g.Len()))
-		sp := g.ShortestPathSubgraph(a, d)
-		total := g.Distance(a, d)
+		c := NewSubgraphCache(g)
+		hits := 0
+		c.SetHook(func(hit bool) {
+			if hit {
+				hits++
+			}
+		})
+		sp := c.ShortestPathSubgraph(a, d)
+		if again := c.ShortestPathSubgraph(a, d); !slices.Equal(again, sp) || (a != d && hits != 1) {
+			return false
+		}
+		total := distance(g, a, d)
 		if total == -1 {
 			return sp == nil
 		}
@@ -66,8 +92,8 @@ func TestShortestPathSubgraphProperty(t *testing.T) {
 		}
 		prev := -1
 		for _, v := range sp {
-			da := g.Distance(a, v)
-			dd := g.Distance(v, d)
+			da := distance(g, a, v)
+			dd := distance(g, v, d)
 			if da == -1 || dd == -1 || da+dd != total {
 				return false
 			}

@@ -155,7 +155,7 @@ func TestShortestPathSubgraph(t *testing.T) {
 		{"n0", "n4"}, {"n4", "n5"}, {"n5", "n3"},
 	})
 	g, _ := Build(db, []telemetry.EntityID{"n0"}, -1)
-	sp := g.ShortestPathSubgraph("n0", "n3")
+	sp := NewSubgraphCache(g).ShortestPathSubgraph("n0", "n3")
 	if len(sp) != 4 {
 		t.Fatalf("subgraph = %v, want n0,n1,n2,n3", sp)
 	}
@@ -172,32 +172,19 @@ func TestShortestPathSubgraph(t *testing.T) {
 func TestShortestPathSubgraphEdgeCases(t *testing.T) {
 	db := buildDB(t, 3, nil, [][2]string{{"n0", "n1"}})
 	g, _ := Build(db, []telemetry.EntityID{"n0", "n1", "n2"}, -1)
-	if sp := g.ShortestPathSubgraph("n1", "n0"); sp != nil {
+	c := NewSubgraphCache(g)
+	if sp := c.ShortestPathSubgraph("n1", "n0"); sp != nil {
 		t.Fatalf("unreachable should be nil, got %v", sp)
 	}
-	sp := g.ShortestPathSubgraph("n0", "n0")
+	sp := c.ShortestPathSubgraph("n0", "n0")
 	if len(sp) != 1 || sp[0] != "n0" {
 		t.Fatalf("self path = %v", sp)
 	}
-	if g.ShortestPathSubgraph("ghost", "n0") != nil {
+	if c.ShortestPathSubgraph("ghost", "n0") != nil {
 		t.Fatal("unknown source should be nil")
 	}
-	if g.ShortestPathSubgraph("n0", "ghost") != nil {
+	if c.ShortestPathSubgraph("n0", "ghost") != nil {
 		t.Fatal("unknown target should be nil")
-	}
-}
-
-func TestDistance(t *testing.T) {
-	db := buildDB(t, 3, nil, [][2]string{{"n0", "n1"}, {"n1", "n2"}})
-	g, _ := Build(db, []telemetry.EntityID{"n0"}, -1)
-	if g.Distance("n0", "n2") != 2 {
-		t.Fatalf("Distance = %d", g.Distance("n0", "n2"))
-	}
-	if g.Distance("n2", "n0") != -1 {
-		t.Fatal("reverse distance should be -1")
-	}
-	if g.Distance("ghost", "n0") != -1 || g.Distance("n0", "ghost") != -1 {
-		t.Fatal("unknown endpoints should be -1")
 	}
 }
 

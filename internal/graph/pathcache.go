@@ -6,11 +6,11 @@ import (
 	"murphy/internal/telemetry"
 )
 
-// SubgraphCache memoizes ShortestPathSubgraph results for one (immutable)
-// graph. A diagnosis evaluates every candidate against the same symptom, so
-// the reverse BFS from the symptom is computed once and shared, and the
-// per-(candidate, symptom) subgraph is computed at most once even when the
-// same model serves many Diagnose calls.
+// SubgraphCache computes and memoizes the shortest-path subgraphs of one
+// (immutable) graph. A diagnosis evaluates every candidate against the same
+// symptom, so the reverse BFS from the symptom is computed once and shared,
+// and the per-(candidate, symptom) subgraph is computed at most once even
+// when the same model serves many Diagnose calls.
 //
 // The cache is safe for concurrent use (a diagnosis's pooled candidate
 // evaluations share one).
@@ -44,8 +44,11 @@ func NewSubgraphCache(g *Graph) *SubgraphCache {
 	}
 }
 
-// ShortestPathSubgraph is Graph.ShortestPathSubgraph with memoization keyed
-// by (candidate, symptom).
+// ShortestPathSubgraph returns the nodes lying on at least one shortest
+// directed path from a to d, ordered by increasing distance from a (the
+// resampling order of §4.2, with ties broken by node index for determinism).
+// Both endpoints are included. It returns nil when d is unreachable from a or
+// either is not in the graph. Results are memoized by (candidate, symptom).
 func (c *SubgraphCache) ShortestPathSubgraph(a, d telemetry.EntityID) []telemetry.EntityID {
 	ai, ok := c.g.index[a]
 	if !ok {
@@ -103,11 +106,4 @@ func (c *SubgraphCache) ReverseDistances(d telemetry.EntityID) []int {
 	c.rev[di] = toD
 	c.mu.Unlock()
 	return toD
-}
-
-// Len returns the number of memoized (candidate, symptom) entries.
-func (c *SubgraphCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.paths)
 }

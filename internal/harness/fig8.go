@@ -168,15 +168,6 @@ func RunFig8a(opts Fig8aOptions) (*Fig8aResult, error) {
 	return res, nil
 }
 
-// MedianMASE returns each model's median per-entity error.
-func (r *Fig8aResult) MedianMASE() map[string]float64 {
-	out := map[string]float64{}
-	for name, ms := range r.MASE {
-		out[name] = stats.Median(ms)
-	}
-	return out
-}
-
 // String prints the CDF summary (quartiles) per model.
 func (r *Fig8aResult) String() string {
 	var b strings.Builder

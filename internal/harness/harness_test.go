@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"murphy/internal/stats"
 )
 
 // The harness tests run each experiment at reduced scale (same code path as
@@ -216,7 +218,10 @@ func TestFig8aShape(t *testing.T) {
 	if res.Entities < 20 {
 		t.Fatalf("entities scored = %d, want plenty", res.Entities)
 	}
-	med := res.MedianMASE()
+	med := map[string]float64{}
+	for name, ms := range res.MASE {
+		med[name] = stats.Median(ms)
+	}
 	// The headline of Fig 8a: ridge dominates the alternatives.
 	if med["linear regression"] >= med["GMM"] {
 		t.Fatalf("ridge median %v should beat GMM %v", med["linear regression"], med["GMM"])

@@ -31,22 +31,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, errors.New("mat: empty input")
-	}
-	c := len(rows[0])
-	m := NewDense(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("mat: ragged row %d: len %d != %d", i, len(row), c)
-		}
-		copy(m.data[i*c:(i+1)*c], row)
-	}
-	return m, nil
-}
-
 // Dims returns the (rows, cols) of the matrix.
 func (m *Dense) Dims() (int, int) { return m.rows, m.cols }
 
@@ -55,13 +39,6 @@ func (m *Dense) At(i, j int) float64 { return m.data[i*m.cols+j] }
 
 // Set assigns the element at row i, column j.
 func (m *Dense) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
-
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
 
 // Clone returns a deep copy of the matrix.
 func (m *Dense) Clone() *Dense {
@@ -79,28 +56,6 @@ func (m *Dense) T() *Dense {
 		}
 	}
 	return t
-}
-
-// Mul returns the matrix product m*n.
-func (m *Dense) Mul(n *Dense) (*Dense, error) {
-	if m.cols != n.rows {
-		return nil, fmt.Errorf("mat: dimension mismatch %dx%d * %dx%d", m.rows, m.cols, n.rows, n.cols)
-	}
-	out := NewDense(m.rows, n.cols)
-	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		oi := out.data[i*out.cols : (i+1)*out.cols]
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			nk := n.data[k*n.cols : (k+1)*n.cols]
-			for j, nkj := range nk {
-				oi[j] += mik * nkj
-			}
-		}
-	}
-	return out, nil
 }
 
 // MulVec returns the matrix-vector product m*x.

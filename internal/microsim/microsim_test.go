@@ -90,7 +90,7 @@ func TestSimProducesEntitiesAndMetrics(t *testing.T) {
 	if res.DB.Len() != 50 {
 		t.Fatalf("timeline = %d", res.DB.Len())
 	}
-	lat := res.ServiceLatency("frontend")
+	lat := res.DB.Series(res.ServiceEntity["frontend"], telemetry.MetricLatency).Values()
 	if len(lat) != 50 {
 		t.Fatalf("latency points = %d", len(lat))
 	}
@@ -137,7 +137,7 @@ func TestCPUFaultRaisesLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := res.ServiceLatency("frontend")
+	lat := res.DB.Series(res.ServiceEntity["frontend"], telemetry.MetricLatency).Values()
 	before := stats.Mean(lat[40:80])
 	during := stats.Mean(lat[80:])
 	if during < before*1.3 {

@@ -99,16 +99,6 @@ type Result struct {
 	FlowEntity      map[string]telemetry.EntityID
 }
 
-// ServiceLatency returns the recorded latency series values of a service.
-func (r *Result) ServiceLatency(name string) []float64 {
-	id := r.ServiceEntity[name]
-	s := r.DB.Series(id, telemetry.MetricLatency)
-	if s == nil {
-		return nil
-	}
-	return s.Values()
-}
-
 // Run executes the emulation. The relationship graph it writes follows the
 // monitoring platform's loose association rules: client↔flow↔entrypoint
 // service; caller↔callee services; service↔its container; container↔its

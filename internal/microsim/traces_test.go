@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"murphy/internal/telemetry"
 	"murphy/internal/tracing"
 )
 
@@ -41,8 +42,8 @@ func TestEmitTracesStructure(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if tr.RootService() != "frontend" {
-			t.Fatalf("root service = %s", tr.RootService())
+		if root := tr.Spans[0].Service; root != "frontend" {
+			t.Fatalf("root service = %s", root)
 		}
 		// One span per service reached through the call tree per call.
 		if len(tr.Spans) != 9 { // frontend + search,recommendation,user,reservation + geo,rate,profile(x2)
@@ -54,7 +55,7 @@ func TestEmitTracesStructure(t *testing.T) {
 
 func TestEmitTracesCallGraphMatchesTopology(t *testing.T) {
 	sim, _, store, _ := emittedStore(t, 1)
-	edges := store.CallGraph()
+	edges := callEdges(store)
 	want := map[[2]string]bool{}
 	for name, def := range sim.Topo.Services {
 		for _, c := range def.Children {
@@ -62,33 +63,65 @@ func TestEmitTracesCallGraphMatchesTopology(t *testing.T) {
 		}
 	}
 	// Only edges reachable from the entry appear.
-	for _, e := range edges {
-		if !want[[2]string{e.Caller, e.Callee}] {
+	for e := range edges {
+		if !want[e] {
 			t.Fatalf("extracted edge %v not in topology", e)
 		}
 	}
 	// All edges in frontend's call tree must appear.
 	mult := sim.Topo.callMultipliers("frontend")
 	for pair := range want {
-		if mult[pair[0]] > 0 {
-			found := false
-			for _, e := range edges {
-				if e.Caller == pair[0] && e.Callee == pair[1] {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("edge %v missing from extraction", pair)
+		if mult[pair[0]] > 0 && !edges[pair] {
+			t.Fatalf("edge %v missing from extraction", pair)
+		}
+	}
+}
+
+// callEdges returns the caller→callee service pairs of the stored traces:
+// each span's parent service and its own, when the two differ.
+func callEdges(store *tracing.Store) map[[2]string]bool {
+	edges := map[[2]string]bool{}
+	for _, tr := range store.Traces() {
+		service := make(map[tracing.SpanID]string, len(tr.Spans))
+		for _, s := range tr.Spans {
+			service[s.ID] = s.Service
+		}
+		for _, s := range tr.Spans[1:] {
+			if caller := service[s.Parent]; caller != s.Service {
+				edges[[2]string{caller, s.Service}] = true
 			}
 		}
 	}
+	return edges
+}
+
+// tracedLatency returns a service's mean span duration in ms for each of the
+// first slices slices of the stored traces, NaN for a slice without one.
+func tracedLatency(store *tracing.Store, service string, slices int) []float64 {
+	sum := make([]float64, slices)
+	n := make([]float64, slices)
+	for _, tr := range store.Traces() {
+		if tr.Slice < 0 || tr.Slice >= slices {
+			continue
+		}
+		for _, s := range tr.Spans {
+			if s.Service == service {
+				sum[tr.Slice] += float64(s.DurationUS) / 1000
+				n[tr.Slice]++
+			}
+		}
+	}
+	for i := range sum {
+		sum[i] /= n[i] // 0/0 is NaN
+	}
+	return sum
 }
 
 func TestEmitTracesLatencyMatchesTelemetry(t *testing.T) {
 	_, res, store, _ := emittedStore(t, 1)
 	// The root span duration should track the recorded frontend latency.
-	recorded := res.ServiceLatency("frontend")
-	traced := store.ServiceLatency("frontend", 30)
+	recorded := res.DB.Series(res.ServiceEntity["frontend"], telemetry.MetricLatency).Values()
+	traced := tracedLatency(store, "frontend", 30)
 	for slice := 5; slice < 10; slice++ {
 		if math.IsNaN(traced[slice]) {
 			t.Fatal("traced latency missing")

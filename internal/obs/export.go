@@ -50,13 +50,6 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// ExpvarPublish publishes the recorder's live snapshot as an expvar variable
-// (visible on /debug/vars). Publishing the same name twice panics, per
-// expvar semantics — publish once per process.
-func (r *Recorder) ExpvarPublish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-}
-
 // Handler serves the Prometheus text exposition of the recorder.
 func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {

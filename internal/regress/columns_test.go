@@ -34,7 +34,8 @@ func fitPair(t *testing.T, lambda float64, cols [][]float64, y []float64) (*Ridg
 // residual std, and predictions on probe vectors.
 func assertSameRidge(t *testing.T, label string, a, b *Ridge, probes [][]float64) {
 	t.Helper()
-	ca, cb := a.Coefficients(), b.Coefficients()
+	ca, _, _, _, _ := a.LinearTerms()
+	cb, _, _, _, _ := b.LinearTerms()
 	if len(ca) != len(cb) {
 		t.Fatalf("%s: %d coefficients vs %d", label, len(ca), len(cb))
 	}

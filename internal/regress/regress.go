@@ -280,13 +280,6 @@ func (r *Ridge) FitColumns(cols [][]float64, y []float64) error {
 // ResidualStd returns the training residual standard deviation.
 func (r *Ridge) ResidualStd() float64 { return r.resid }
 
-// Coefficients returns the learned weights on standardized features.
-func (r *Ridge) Coefficients() []float64 {
-	out := make([]float64, len(r.coef))
-	copy(out, r.coef)
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Gaussian mixture model
 

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"time"
@@ -207,15 +206,4 @@ func (b *Breaker) trip() {
 	b.failures = 0
 	b.successes = 0
 	b.probes = 0
-}
-
-// Do runs op under the breaker: fails fast with ErrOpen when open,
-// otherwise records the outcome.
-func (b *Breaker) Do(ctx context.Context, op func(context.Context) error) error {
-	if err := b.Allow(); err != nil {
-		return err
-	}
-	err := op(ctx)
-	b.Record(err)
-	return err
 }

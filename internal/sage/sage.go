@@ -65,10 +65,10 @@ type Model struct {
 }
 
 // Train fits Sage on the dependency DAG g. Edges must point from cause to
-// effect (caller RPS/load propagates to callee; callee latency propagates to
-// caller is modeled by the reverse edge the call-graph extractor emits for
-// latency aggregation — the graph supplied here is whatever DAG the
-// environment can honestly provide). Returns ErrCyclic for non-DAG input.
+// effect: a slow callee slows its caller, so latency edges run callee →
+// caller, as in microsim.VictimCallDAG, the DAG the §6 experiments supply.
+// The graph is whatever DAG the environment can honestly provide. Returns
+// ErrCyclic for non-DAG input.
 func Train(db *telemetry.DB, g *graph.Graph, cfg Config) (*Model, error) {
 	if !g.IsDAG() {
 		return nil, ErrCyclic

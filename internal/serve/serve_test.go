@@ -179,7 +179,13 @@ func TestIngestAppendsAndProbesReport(t *testing.T) {
 	if !db.HasEntity("ingest-vm") {
 		t.Fatal("ingest did not register the announced entity")
 	}
-	if evs := db.EventsFor("ingest-vm"); len(evs) != 1 || evs[0].Slice != before {
+	var evs []telemetry.Event
+	for _, ev := range db.EventsSince(0) {
+		if ev.Entity == "ingest-vm" {
+			evs = append(evs, ev)
+		}
+	}
+	if len(evs) != 1 || evs[0].Slice != before {
 		t.Fatalf("events for ingest-vm = %v, want one at slice %d", evs, before)
 	}
 	if w := get(mux, "/statusz"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"state": "ready"`) {

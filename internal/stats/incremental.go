@@ -99,16 +99,6 @@ func (m *WindowMoments) Std() float64 {
 	return math.Sqrt(m.CenteredSumSq() / float64(m.N-1))
 }
 
-// Drift returns |S1/N|, how far the current mean has wandered from the
-// anchor. The incremental trainer recenters once this exceeds a fraction of
-// the window spread, bounding the cancellation error of CenteredSumSq.
-func (m *WindowMoments) Drift() float64 {
-	if m.N == 0 {
-		return 0
-	}
-	return math.Abs(m.S1 / float64(m.N))
-}
-
 // Recenter re-anchors Shift at the current mean using the exact correction
 // and returns the applied delta d = S1/N (zero when the window is empty).
 // Callers holding cross-term statistics taken against the old anchor must
@@ -144,9 +134,6 @@ func NewSortedWindow(xs []float64) *SortedWindow {
 	sort.Float64s(s)
 	return &SortedWindow{vals: s}
 }
-
-// Len returns the number of values in the window.
-func (w *SortedWindow) Len() int { return len(w.vals) }
 
 // Insert adds x, keeping the ascending order.
 func (w *SortedWindow) Insert(x float64) {
@@ -219,10 +206,6 @@ func (w *SortedWindow) MAD() float64 {
 	return dev
 }
 
-// Values returns the ascending values (the window's own backing array; treat
-// as read-only).
-func (w *SortedWindow) Values() []float64 { return w.vals }
-
 // DriftTracker accumulates one-step-ahead (prediction, actual) pairs of a
 // trained factor as the window slides, and scores the model's staleness as
 // the MASE of those predictions against the lag-1 naive forecast error of
@@ -256,9 +239,6 @@ func (d *DriftTracker) Push(pred, actual float64) {
 		d.n++
 	}
 }
-
-// Len returns the number of recorded pairs.
-func (d *DriftTracker) Len() int { return d.n }
 
 // Reset forgets all recorded pairs (called after a refit: the new model's
 // staleness starts from scratch).

@@ -53,10 +53,10 @@ func TestStreamingWelchFloat32Rounding(t *testing.T) {
 					maxAbs = v
 				}
 			}
-			if sd := w64.A.StdDev(); sd < minSD {
+			if sd := math.Sqrt(w64.A.Variance()); sd < minSD {
 				minSD = sd
 			}
-			if sd := w64.B.StdDev(); sd < minSD {
+			if sd := math.Sqrt(w64.B.Variance()); sd < minSD {
 				minSD = sd
 			}
 			r64, err := w64.Test(TwoSided)

@@ -65,17 +65,6 @@ func MeanStd(xs []float64) (mean, std float64) {
 	return mean, math.Sqrt(s / float64(n-1))
 }
 
-// Min returns the smallest element of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element of xs, or -Inf for an empty slice.
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)
@@ -410,15 +399,6 @@ func NewECDF(xs []float64) *ECDF {
 	return &ECDF{sorted: s}
 }
 
-// At returns the fraction of the sample that is <= x.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
 // Quantile returns the q-th sample quantile, q in [0, 1], by nearest-rank.
 func (e *ECDF) Quantile(q float64) float64 {
 	n := len(e.sorted)
@@ -437,9 +417,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	}
 	return e.sorted[i]
 }
-
-// Len returns the sample size underlying the ECDF.
-func (e *ECDF) Len() int { return len(e.sorted) }
 
 // Quantile returns the q-th quantile of xs by nearest rank without building
 // an ECDF. xs is not modified.
@@ -462,33 +439,6 @@ func MAD(xs []float64) float64 {
 		dev[i] = math.Abs(x - m)
 	}
 	return Median(dev)
-}
-
-// RobustZ returns a robust z-score of x against hist: deviation from the
-// median scaled by 1.4826*MAD (the normal-consistent MAD factor). When MAD
-// is zero it falls back to the classic ZScore, and its magnitude is capped
-// at 1e6 so a zero-variance history cannot produce infinities in rankings.
-func RobustZ(x float64, hist []float64) float64 {
-	if len(hist) == 0 {
-		return 0
-	}
-	med := Median(hist)
-	scale := 1.4826 * MAD(hist)
-	var z float64
-	if scale == 0 {
-		z = ZScore(x, hist)
-	} else {
-		z = (x - med) / scale
-	}
-	switch {
-	case z > 1e6 || math.IsInf(z, 1):
-		return 1e6
-	case z < -1e6 || math.IsInf(z, -1):
-		return -1e6
-	case math.IsNaN(z):
-		return 0
-	}
-	return z
 }
 
 // ZScore returns how many standard deviations x lies from the mean of the

@@ -41,9 +41,6 @@ func (r *RunningMoments) Variance() float64 {
 	return r.m2 / float64(r.n-1)
 }
 
-// StdDev returns the running unbiased sample standard deviation.
-func (r *RunningMoments) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
 // StreamingWelch is an incremental two-sample Welch t-test: observations are
 // fed one (or a batch) at a time into either sample and the test can be
 // evaluated after any prefix. It computes the same statistic as WelchTTest
@@ -92,9 +89,6 @@ func (s *StreamingWelch) Test(alt Alternative) (TTestResult, error) {
 	}
 	return TTestResult{T: t, DF: df, P: p}, nil
 }
-
-// MeanDiff returns mean(A) - mean(B) over the observations seen so far.
-func (s *StreamingWelch) MeanDiff() float64 { return s.A.mean - s.B.mean }
 
 // Decisive reports whether the significance verdict at level alpha is
 // already decided with zMargin standard deviations to spare: the verdict is

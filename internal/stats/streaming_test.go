@@ -95,7 +95,7 @@ func TestStreamingWelchKnownFixture(t *testing.T) {
 	if res.P < 0.10 || res.P > 0.12 {
 		t.Errorf("p = %g outside the known [0.10, 0.12] bracket", res.P)
 	}
-	if d := st.MeanDiff(); math.Abs(d-(-3)) > 1e-12 {
+	if d := st.A.Mean() - st.B.Mean(); math.Abs(d-(-3)) > 1e-12 {
 		t.Errorf("mean diff = %g, want -3", d)
 	}
 }

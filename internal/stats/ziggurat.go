@@ -96,9 +96,6 @@ func (s *NormSource) next() uint64 {
 	return z
 }
 
-// Uint64 returns the next raw 64-bit draw of the underlying stream.
-func (s *NormSource) Uint64() uint64 { return s.next() }
-
 // uniform returns a draw in (0, 1] — never exactly 0, so callers can take
 // its log.
 func (s *NormSource) uniform() float64 {

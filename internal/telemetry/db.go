@@ -125,18 +125,6 @@ func (db *DB) NumEntities() int {
 	return len(db.entities)
 }
 
-// Apps returns the sorted list of application names with members.
-func (db *DB) Apps() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.apps))
-	for a := range db.apps {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AppMembers returns the entities tagged as members of app, in insertion
 // order. The slice is shared; treat it as read-only.
 func (db *DB) AppMembers(app string) []EntityID {
@@ -247,14 +235,6 @@ func (db *DB) OutNeighbors(id EntityID) []EntityID {
 	return sortedKeys(db.out[id])
 }
 
-// InNeighbors returns the entities that may influence id, sorted. These are
-// the in_nbrs(v) of the MRF factor definition.
-func (db *DB) InNeighbors(id EntityID) []EntityID {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return sortedKeys(db.in[id])
-}
-
 // Neighbors returns the union of in- and out-neighbors, sorted: the loose
 // "neighborhood" used to grow the relationship graph.
 func (db *DB) Neighbors(id EntityID) []EntityID {
@@ -268,13 +248,6 @@ func (db *DB) Neighbors(id EntityID) []EntityID {
 		set[nb] = true
 	}
 	return sortedKeys(set)
-}
-
-// HasEdge reports whether the directed influence edge from→to exists.
-func (db *DB) HasEdge(from, to EntityID) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.out[from][to]
 }
 
 func sortedKeys(m map[EntityID]bool) []EntityID {
@@ -446,10 +419,9 @@ type snapshot struct {
 	Events          []Event                           `json:"events,omitempty"`
 }
 
-// WriteJSON serializes the database (NaN encoded as null via pointer trick is
-// avoided by writing missing values as -1e308 sentinel-free: we emit NaN as
-// the JSON string "NaN" inside a float slice is invalid, so missing points
-// are dropped to 0 on export — exported snapshots are always fully observed).
+// WriteJSON serializes the database as JSON. JSON has no NaN, so a missing
+// point is written as 0: gaps do not survive a WriteJSON/ReadJSON round trip
+// and read back as observed zeros.
 func (db *DB) WriteJSON(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

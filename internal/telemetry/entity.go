@@ -57,23 +57,6 @@ const (
 	MetricUp         = "up"
 )
 
-// MetricCatalog lists the metrics each entity type usually reports, per the
-// platform described in §2.1.
-var MetricCatalog = map[EntityType][]string{
-	TypeVM:         {MetricCPU, MetricMem, MetricNetTx, MetricNetRx, MetricPktDrops, MetricDiskRead, MetricDiskWrite},
-	TypeHost:       {MetricCPU, MetricMem, MetricNetTx, MetricNetRx, MetricPktDrops, MetricDiskRead, MetricDiskWrite},
-	TypeContainer:  {MetricCPU, MetricMem, MetricDiskUtil, MetricNetTx, MetricNetRx},
-	TypeNode:       {MetricCPU, MetricMem, MetricDiskUtil, MetricNetTx, MetricNetRx},
-	TypeService:    {MetricLatency, MetricRPS, MetricErrorRate},
-	TypeClient:     {MetricLatency, MetricRPS},
-	TypeVirtualNIC: {MetricNetTx, MetricNetRx, MetricPktDrops},
-	TypePhysNIC:    {MetricNetTx, MetricNetRx, MetricPktDrops, MetricLatency, MetricBufferUtil},
-	TypeFlow:       {MetricSessions, MetricThroughput, MetricRTT, MetricLoss, MetricRetransmit},
-	TypeSwitch:     {MetricNetTx, MetricNetRx, MetricPktDrops},
-	TypeSwitchPort: {MetricNetTx, MetricPktDrops, MetricLatency, MetricBufferUtil},
-	TypeDatastore:  {MetricSpaceUtil, MetricDiskRead, MetricDiskWrite},
-}
-
 // Entity is one monitored object with its identifying metadata.
 type Entity struct {
 	ID   EntityID

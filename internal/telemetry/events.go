@@ -67,17 +67,3 @@ func (db *DB) EventsSince(since int) []Event {
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Slice < out[j].Slice })
 	return out
 }
-
-// EventsFor returns all events touching one entity, ordered by slice.
-func (db *DB) EventsFor(id EntityID) []Event {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out []Event
-	for _, ev := range db.events {
-		if ev.Entity == id {
-			out = append(out, ev)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Slice < out[j].Slice })
-	return out
-}

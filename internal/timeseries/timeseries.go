@@ -5,10 +5,7 @@
 // dense slice of values on that shared grid, with NaN marking missing points.
 package timeseries
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // Missing is the sentinel for an absent observation.
 var Missing = math.NaN()
@@ -28,15 +25,6 @@ func New() *Series { return &Series{} }
 
 // FromValues builds a series that takes ownership of vals.
 func FromValues(vals []float64) *Series { return &Series{vals: vals} }
-
-// Constant returns a series of n copies of v.
-func Constant(v float64, n int) *Series {
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = v
-	}
-	return &Series{vals: vals}
-}
 
 // Len returns the number of time slices in the series.
 func (s *Series) Len() int { return len(s.vals) }
@@ -60,9 +48,6 @@ func (s *Series) Set(t int, v float64) {
 	}
 	s.vals[t] = v
 }
-
-// Append adds v as the next time slice.
-func (s *Series) Append(v float64) { s.vals = append(s.vals, v) }
 
 // Values returns the underlying storage. Callers must treat it as read-only.
 func (s *Series) Values() []float64 { return s.vals }
@@ -89,100 +74,4 @@ func (s *Series) Window(lo, hi int) []float64 {
 	out := make([]float64, hi-lo)
 	copy(out, s.vals[lo:hi])
 	return out
-}
-
-// WindowFilled is Window with missing points replaced by def. Murphy uses a
-// default placeholder (e.g. 0% CPU) for newly created entities that lack
-// history (§4.2 edge cases).
-func (s *Series) WindowFilled(lo, hi int, def float64) []float64 {
-	out := s.Window(lo, hi)
-	for i, v := range out {
-		if IsMissing(v) {
-			out[i] = def
-		}
-	}
-	return out
-}
-
-// Last returns the most recent non-missing value and its index, or
-// (Missing, -1) when the series has no observations.
-func (s *Series) Last() (float64, int) {
-	for i := len(s.vals) - 1; i >= 0; i-- {
-		if !IsMissing(s.vals[i]) {
-			return s.vals[i], i
-		}
-	}
-	return Missing, -1
-}
-
-// FillMissing replaces every missing point with def, in place.
-func (s *Series) FillMissing(def float64) {
-	for i, v := range s.vals {
-		if IsMissing(v) {
-			s.vals[i] = def
-		}
-	}
-}
-
-// Truncate shortens the series to at most n slices.
-func (s *Series) Truncate(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n < len(s.vals) {
-		s.vals = s.vals[:n]
-	}
-}
-
-// Aggregate downsamples the series by averaging consecutive groups of factor
-// slices (the paper's platform aggregates day-old data into longer
-// intervals). Missing values inside a group are skipped; a group with no
-// observations aggregates to Missing. It returns an error for factor < 1.
-func (s *Series) Aggregate(factor int) (*Series, error) {
-	if factor < 1 {
-		return nil, errors.New("timeseries: aggregation factor must be >= 1")
-	}
-	if factor == 1 {
-		return s.Clone(), nil
-	}
-	n := (len(s.vals) + factor - 1) / factor
-	out := make([]float64, 0, n)
-	for i := 0; i < len(s.vals); i += factor {
-		hi := i + factor
-		if hi > len(s.vals) {
-			hi = len(s.vals)
-		}
-		sum, cnt := 0.0, 0
-		for _, v := range s.vals[i:hi] {
-			if !IsMissing(v) {
-				sum += v
-				cnt++
-			}
-		}
-		if cnt == 0 {
-			out = append(out, Missing)
-		} else {
-			out = append(out, sum/float64(cnt))
-		}
-	}
-	return &Series{vals: out}, nil
-}
-
-// MissingCount returns the number of missing observations.
-func (s *Series) MissingCount() int {
-	n := 0
-	for _, v := range s.vals {
-		if IsMissing(v) {
-			n++
-		}
-	}
-	return n
-}
-
-// Align trims or pads (with Missing) the series to exactly n slices.
-func (s *Series) Align(n int) {
-	for len(s.vals) < n {
-		s.vals = append(s.vals, Missing)
-	}
-	s.vals = s.vals[:n]
 }

@@ -1,7 +1,6 @@
 package timeseries
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,10 +11,10 @@ func TestBasicAccess(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatal("new series should be empty")
 	}
-	s.Append(1)
-	s.Append(2)
+	s.Set(0, 1)
+	s.Set(1, 2)
 	if s.Len() != 2 || s.At(0) != 1 || s.At(1) != 2 {
-		t.Fatal("append/at wrong")
+		t.Fatal("set/at wrong")
 	}
 	if !IsMissing(s.At(-1)) || !IsMissing(s.At(5)) {
 		t.Fatal("out-of-range access should be Missing")
@@ -41,18 +40,6 @@ func TestSetGrows(t *testing.T) {
 	}
 }
 
-func TestConstant(t *testing.T) {
-	s := Constant(2.5, 4)
-	if s.Len() != 4 {
-		t.Fatal("wrong length")
-	}
-	for i := 0; i < 4; i++ {
-		if s.At(i) != 2.5 {
-			t.Fatal("constant value wrong")
-		}
-	}
-}
-
 func TestWindowClipping(t *testing.T) {
 	s := FromValues([]float64{0, 1, 2, 3, 4})
 	w := s.Window(1, 3)
@@ -72,139 +59,12 @@ func TestWindowClipping(t *testing.T) {
 	}
 }
 
-func TestWindowFilled(t *testing.T) {
-	s := FromValues([]float64{1, Missing, 3})
-	w := s.WindowFilled(0, 3, -1)
-	if w[0] != 1 || w[1] != -1 || w[2] != 3 {
-		t.Fatalf("filled window = %v", w)
-	}
-}
-
-func TestLast(t *testing.T) {
-	s := FromValues([]float64{1, 2, Missing})
-	v, i := s.Last()
-	if v != 2 || i != 1 {
-		t.Fatalf("Last = %v @ %d", v, i)
-	}
-	v, i = New().Last()
-	if !IsMissing(v) || i != -1 {
-		t.Fatal("empty Last should be Missing, -1")
-	}
-	v, i = FromValues([]float64{Missing, Missing}).Last()
-	if !IsMissing(v) || i != -1 {
-		t.Fatal("all-missing Last should be Missing, -1")
-	}
-}
-
-func TestFillMissing(t *testing.T) {
-	s := FromValues([]float64{Missing, 1, Missing})
-	s.FillMissing(0)
-	if s.At(0) != 0 || s.At(2) != 0 || s.At(1) != 1 {
-		t.Fatal("FillMissing wrong")
-	}
-	if s.MissingCount() != 0 {
-		t.Fatal("MissingCount after fill should be 0")
-	}
-}
-
-func TestTruncateAndAlign(t *testing.T) {
-	s := FromValues([]float64{1, 2, 3, 4})
-	s.Truncate(2)
-	if s.Len() != 2 {
-		t.Fatal("Truncate failed")
-	}
-	s.Truncate(10) // no-op
-	if s.Len() != 2 {
-		t.Fatal("Truncate beyond length must be a no-op")
-	}
-	s.Truncate(-1)
-	if s.Len() != 0 {
-		t.Fatal("negative Truncate should empty the series")
-	}
-	s = FromValues([]float64{1})
-	s.Align(3)
-	if s.Len() != 3 || !IsMissing(s.At(2)) {
-		t.Fatal("Align pad failed")
-	}
-	s.Align(1)
-	if s.Len() != 1 {
-		t.Fatal("Align trim failed")
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	s := FromValues([]float64{1, 3, 5, 7, 9})
-	a, err := s.Aggregate(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 3 || a.At(0) != 2 || a.At(1) != 6 || a.At(2) != 9 {
-		t.Fatalf("aggregate = %v", a.Values())
-	}
-	if _, err := s.Aggregate(0); err == nil {
-		t.Fatal("factor 0 should error")
-	}
-	same, _ := s.Aggregate(1)
-	if same.Len() != s.Len() {
-		t.Fatal("factor-1 aggregate should be identity")
-	}
-	same.Set(0, 99)
-	if s.At(0) == 99 {
-		t.Fatal("factor-1 aggregate must be a copy")
-	}
-}
-
-func TestAggregateWithMissing(t *testing.T) {
-	s := FromValues([]float64{Missing, Missing, 4, 6})
-	a, err := s.Aggregate(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsMissing(a.At(0)) {
-		t.Fatal("all-missing group should aggregate to Missing")
-	}
-	if a.At(1) != 5 {
-		t.Fatalf("second group = %v", a.At(1))
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	s := FromValues([]float64{1, 2})
 	c := s.Clone()
 	c.Set(0, 100)
 	if s.At(0) == 100 {
 		t.Fatal("Clone must be deep")
-	}
-}
-
-// Property: aggregation preserves total length relationship and the mean of
-// a fully observed series (up to the ragged tail group).
-func TestAggregatePropertyMeanPreserved(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		factor := 1 + r.Intn(5)
-		n := factor * (1 + r.Intn(20)) // exact multiple: every group full
-		vals := make([]float64, n)
-		sum := 0.0
-		for i := range vals {
-			vals[i] = r.Float64() * 100
-			sum += vals[i]
-		}
-		a, err := FromValues(vals).Aggregate(factor)
-		if err != nil {
-			return false
-		}
-		if a.Len() != n/factor {
-			return false
-		}
-		asum := 0.0
-		for _, v := range a.Values() {
-			asum += v
-		}
-		return math.Abs(sum/float64(n)-asum/float64(a.Len())) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -215,7 +75,7 @@ func TestWindowProperty(t *testing.T) {
 		n := r.Intn(30)
 		s := New()
 		for i := 0; i < n; i++ {
-			s.Append(float64(i))
+			s.Set(i, float64(i))
 		}
 		lo, hi := r.Intn(40)-5, r.Intn(40)-5
 		w := s.Window(lo, hi)

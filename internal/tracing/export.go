@@ -1,11 +1,8 @@
 package tracing
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
-	"strconv"
 )
 
 // WriteJSON exports the sampled traces as a JSON array, the format of the
@@ -13,52 +10,4 @@ import (
 func (st *Store) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(st.traces)
-}
-
-// ReadJSON imports traces previously exported with WriteJSON into a fresh
-// store (no further sampling is applied).
-func ReadJSON(r io.Reader) (*Store, error) {
-	var traces []*Trace
-	if err := json.NewDecoder(r).Decode(&traces); err != nil {
-		return nil, fmt.Errorf("tracing: decode traces: %w", err)
-	}
-	st := NewStore(1)
-	for _, t := range traces {
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
-		st.traces = append(st.traces, t)
-		if t.TraceID >= st.nextID {
-			st.nextID = t.TraceID + 1
-		}
-	}
-	return st, nil
-}
-
-// WriteCSV exports one row per span: trace_id, slice, span_id, parent_id,
-// service, start_us, duration_us, error.
-func (st *Store) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"trace_id", "slice", "span_id", "parent_id", "service", "start_us", "duration_us", "error"}); err != nil {
-		return err
-	}
-	for _, t := range st.traces {
-		for _, s := range t.Spans {
-			rec := []string{
-				strconv.FormatInt(t.TraceID, 10),
-				strconv.Itoa(t.Slice),
-				strconv.Itoa(int(s.ID)),
-				strconv.Itoa(int(s.Parent)),
-				s.Service,
-				strconv.FormatInt(s.StartUS, 10),
-				strconv.FormatInt(s.DurationUS, 10),
-				strconv.FormatBool(s.Error),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -1,15 +1,12 @@
 // Package tracing is the Jaeger-like distributed-tracing substrate of the
-// microservice testbeds (§5.1.2): spans, traces, a probabilistic sampler, a
-// trace store with time-bucketed latency aggregation, and the call-graph
-// extractor that derives the causal DAG a scheme like Sage consumes. The
-// microsim emulator emits traces through a Collector; everything downstream
-// works only with the collected store, as a real deployment would with a
-// Jaeger backend.
+// microservice testbeds (§5.1.2): spans, traces, a probabilistic head
+// sampler, and a store that collects the sampled traces and exports them as
+// JSON. The microsim emulator emits traces into a Store, and
+// `murphygen -kind traces` writes them out.
 package tracing
 
 import (
 	"fmt"
-	"sort"
 
 	"murphy/internal/stats"
 )
@@ -38,22 +35,6 @@ type Trace struct {
 	Slice int
 	// Spans holds the tree; Spans[0] is the root.
 	Spans []Span
-}
-
-// RootService returns the entry service of the trace.
-func (t *Trace) RootService() string {
-	if len(t.Spans) == 0 {
-		return ""
-	}
-	return t.Spans[0].Service
-}
-
-// Duration returns the root span's duration in microseconds.
-func (t *Trace) Duration() int64 {
-	if len(t.Spans) == 0 {
-		return 0
-	}
-	return t.Spans[0].DurationUS
 }
 
 // Validate checks structural integrity: a single root, parents appearing
@@ -106,7 +87,7 @@ func (s Sampler) Keep(traceID int64) bool {
 	return float64(z%1e6)/1e6 < s.Rate
 }
 
-// Store collects sampled traces and serves aggregations.
+// Store collects sampled traces.
 type Store struct {
 	sampler Sampler
 	traces  []*Trace
@@ -141,110 +122,3 @@ func (st *Store) Dropped() int { return st.dropped }
 
 // Traces returns all sampled traces (shared; read-only).
 func (st *Store) Traces() []*Trace { return st.traces }
-
-// ServiceLatency returns per-slice mean latency (ms) of a service's spans,
-// aggregated over the 10-second intervals — the Jaeger-derived service
-// latency series of §5.1.2. Slices with no spans report NaN.
-func (st *Store) ServiceLatency(service string, slices int) []float64 {
-	sum := make([]float64, slices)
-	cnt := make([]int, slices)
-	for _, t := range st.traces {
-		if t.Slice < 0 || t.Slice >= slices {
-			continue
-		}
-		for _, s := range t.Spans {
-			if s.Service != service {
-				continue
-			}
-			sum[t.Slice] += float64(s.DurationUS) / 1000
-			cnt[t.Slice]++
-		}
-	}
-	out := make([]float64, slices)
-	for i := range out {
-		if cnt[i] == 0 {
-			out[i] = nan()
-		} else {
-			out[i] = sum[i] / float64(cnt[i])
-		}
-	}
-	return out
-}
-
-// LatencyPercentile returns the p-quantile of a service's span durations
-// (ms) across the whole store, or NaN when the service has no spans.
-func (st *Store) LatencyPercentile(service string, p float64) float64 {
-	var ds []float64
-	for _, t := range st.traces {
-		for _, s := range t.Spans {
-			if s.Service == service {
-				ds = append(ds, float64(s.DurationUS)/1000)
-			}
-		}
-	}
-	if len(ds) == 0 {
-		return nan()
-	}
-	return stats.Quantile(ds, p)
-}
-
-// CallEdge is one observed caller→callee pair with its call count.
-type CallEdge struct {
-	Caller, Callee string
-	Count          int
-}
-
-// CallGraph extracts the service call graph from the sampled traces: the
-// causal DAG Sage-style tools consume. Edges are sorted for determinism.
-func (st *Store) CallGraph() []CallEdge {
-	counts := map[[2]string]int{}
-	for _, t := range st.traces {
-		byID := make(map[SpanID]string, len(t.Spans))
-		for _, s := range t.Spans {
-			byID[s.ID] = s.Service
-		}
-		for _, s := range t.Spans {
-			if s.Parent == -1 {
-				continue
-			}
-			caller := byID[s.Parent]
-			if caller == s.Service {
-				continue // internal span, not an RPC
-			}
-			counts[[2]string{caller, s.Service}]++
-		}
-	}
-	out := make([]CallEdge, 0, len(counts))
-	for k, c := range counts {
-		out = append(out, CallEdge{Caller: k[0], Callee: k[1], Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Caller != out[j].Caller {
-			return out[i].Caller < out[j].Caller
-		}
-		return out[i].Callee < out[j].Callee
-	})
-	return out
-}
-
-// ErrorRate returns the fraction of a service's spans that failed, or 0
-// when it has none.
-func (st *Store) ErrorRate(service string) float64 {
-	total, errs := 0, 0
-	for _, t := range st.traces {
-		for _, s := range t.Spans {
-			if s.Service == service {
-				total++
-				if s.Error {
-					errs++
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(errs) / float64(total)
-}
-
-func nan() float64 { var z float64; return z / z }
