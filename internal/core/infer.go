@@ -248,6 +248,12 @@ func (m *Model) checkSymptom(symptom telemetry.Symptom) error {
 	if f, _ := m.factorOf(symptom.Entity, symptom.Metric); f == nil {
 		return fmt.Errorf("core: no telemetry for symptom metric %s/%s", symptom.Entity, symptom.Metric)
 	}
+	// Training fills a missing current value with its window's median, so a
+	// symptom without a value at the diagnosis slice would look normal and
+	// every candidate would fail its test without a word.
+	if math.IsNaN(m.db.At(symptom.Entity, symptom.Metric, m.now)) {
+		return fmt.Errorf("core: symptom metric %s/%s has no value at the diagnosis slice %d", symptom.Entity, symptom.Metric, m.now)
+	}
 	return nil
 }
 

@@ -80,12 +80,12 @@ type errorBody struct {
 	RetryAfter int    `json:"retry_after_s,omitempty"`
 }
 
+// writeJSON answers with v as compact JSON, so that a /diagnose answer is
+// its stored payload plus the encoder's newline.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, code int, msg string) {

@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"murphy"
+	"murphy/internal/microsim"
+	"murphy/internal/timeseries"
 )
 
 // TestKillAndRestartWarmTraining: when the daemon trains incrementally, the
@@ -15,7 +18,37 @@ import (
 // served from the recovered sufficient statistics, and the diagnosis itself
 // is unchanged from the pre-crash one.
 func TestKillAndRestartWarmTraining(t *testing.T) {
+	assertWarmRestart(t, newTestScenario(t))
+}
+
+// TestKillAndRestartWithGapsWarmTraining is the same drill over a database
+// with gaps, as a daemon's is once an ingest skips a series: every series
+// misses five slices inside the training window. The -state snapshot must
+// keep them missing, or the recovered database trains on zeros, the
+// restored factor store no longer matches it, and the diagnosis moves.
+func TestKillAndRestartWithGapsWarmTraining(t *testing.T) {
 	sc := newTestScenario(t)
+	db := sc.Result.DB
+	for _, id := range db.Entities() {
+		for _, name := range db.MetricNames(id) {
+			vals := slices.Clone(db.Series(id, name).Values())
+			for _, at := range []int{60, 70, 80, 90, 100} {
+				vals[at] = timeseries.Missing
+			}
+			if err := db.SetSeries(id, name, timeseries.FromValues(vals)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	assertWarmRestart(t, sc)
+}
+
+// assertWarmRestart diagnoses sc's symptom on an incrementally training
+// daemon, snapshots and kills it, recovers a second daemon from the
+// snapshot, and requires the second diagnosis to refit nothing and to
+// produce the same report, bit for bit.
+func assertWarmRestart(t *testing.T, sc *microsim.Scenario) {
+	t.Helper()
 	state := filepath.Join(t.TempDir(), "state.json")
 
 	// First life: anchor the factor store with one diagnosis, snapshot, then
@@ -99,6 +132,17 @@ func TestKillAndRestartWarmTraining(t *testing.T) {
 		if a.Entity != b.Entity || a.Score != b.Score {
 			t.Fatalf("cause %d diverged across restart: %+v vs %+v", i, a, b)
 		}
+	}
+	rep1, err := json.Marshal(rec1.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep2, err := json.Marshal(rec2.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rep1) != string(rep2) {
+		t.Fatalf("report diverged across restart:\n before %s\n  after %s", rep1, rep2)
 	}
 }
 

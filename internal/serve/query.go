@@ -167,23 +167,57 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "report store: "+err.Error())
 		return
 	}
-	page := &ReportPage{NextCursor: sp.NextCursor}
+	s.rec.Add(obs.CtrReportQueries, 1)
+	writeReportPage(w, sp)
+}
+
+// writeReportPage answers with one page, byte for byte what writeJSON
+// makes of its ReportPage, but with each record's stored payload spliced in
+// verbatim: payloads are json.Marshal output, already compact and
+// HTML-escaped, and an encoder would validate and copy every byte again.
+func writeReportPage(w http.ResponseWriter, sp *reportstore.Page) {
+	size := len(`{"reports":[],"count":,"next_cursor":""}`+"\n") + 20 + len(sp.NextCursor)
+	for _, rec := range sp.Records {
+		size += len(rec.Payload) + 1
+	}
+	buf := append(make([]byte, 0, size), `{"reports":`...)
+	n := 0
 	for _, rec := range sp.Records {
 		payload := rec.Payload
 		if len(payload) == 0 {
 			// A record without an embedded wire payload (not produced by
 			// this daemon) still serves its indexed fields.
-			buf, err := json.Marshal(rec)
+			b, err := json.Marshal(rec)
 			if err != nil {
 				continue
 			}
-			payload = buf
+			payload = b
 		}
-		page.Reports = append(page.Reports, payload)
+		if n == 0 {
+			buf = append(buf, '[')
+		} else {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, payload...)
+		n++
 	}
-	page.Count = len(page.Reports)
-	s.rec.Add(obs.CtrReportQueries, 1)
-	writeJSON(w, http.StatusOK, page)
+	if n == 0 {
+		buf = append(buf, "null"...)
+	} else {
+		buf = append(buf, ']')
+	}
+	buf = append(buf, `,"count":`...)
+	buf = strconv.AppendInt(buf, int64(n), 10)
+	if sp.NextCursor != "" {
+		// Cursors are base64url tokens, which a JSON string holds unescaped.
+		buf = append(buf, `,"next_cursor":"`...)
+		buf = append(buf, sp.NextCursor...)
+		buf = append(buf, '"')
+	}
+	buf = append(buf, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf)
 }
 
 // parseReportQuery validates a /reports query string into a store query.

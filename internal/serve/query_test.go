@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -338,6 +340,193 @@ func TestReportsPaginatesPersistedStore(t *testing.T) {
 		if want := int(n - tc.wantFirst + 1); len(got) != want || got[0] != tc.wantFirst || got[len(got)-1] != n {
 			t.Fatalf("GET %s returned seqs %v, want %d..%d", tc.path, got, tc.wantFirst, n)
 		}
+	}
+}
+
+// TestReportsServeStoredBytes pins the /reports splice over a store of real
+// diagnosis records and one bare record without a payload. For several
+// limit, cursor, entity and since queries, the body is byte for byte the
+// compact encoding of the page the store's records make; each served record
+// is the stored payload itself, the bare one json.Marshal of its record;
+// and the body decodes strictly into that page.
+func TestReportsServeStoredBytes(t *testing.T) {
+	sc := newTestScenario(t)
+	srv := newTestServer(t, sc, nil)
+	srv.Start()
+	mux := srv.Mux()
+	diagnose := func() {
+		t.Helper()
+		if w := post(t, mux, "/diagnose", DiagnoseRequest{Symptom: sc.Symptom}); w.Code != http.StatusOK {
+			t.Fatalf("diagnose = %d: %s", w.Code, w.Body.String())
+		}
+	}
+	diagnose()
+	diagnose()
+	bare := &reportstore.Record{At: time.Now().UTC(), Entity: "bare/vm", App: "imported", Causes: []string{"<a&b>"}}
+	if _, err := srv.store.Append(bare); err != nil {
+		t.Fatal(err)
+	}
+	diagnose()
+	bareJSON, err := json.Marshal(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ent := url.QueryEscape(string(sc.Symptom.Entity))
+	for _, path := range []string{
+		"/reports",
+		"/reports?limit=1",
+		"/reports?limit=2&cursor=" + reportstore.Cursor(2),
+		"/reports?entity=" + ent,
+		"/reports?entity=" + ent + "&limit=1&cursor=" + reportstore.Cursor(1),
+		"/reports?entity=bare/vm",
+		"/reports?since=2",
+		"/reports?since=4",
+		"/reports?entity=nobody",
+	} {
+		w := get(mux, path)
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, w.Code, w.Body.String())
+		}
+		u, err := url.Parse(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := parseReportQuery(u.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := srv.store.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ReportPage{NextCursor: sp.NextCursor}
+		for _, rec := range sp.Records {
+			switch {
+			case rec == bare:
+				want.Reports = append(want.Reports, bareJSON)
+			case len(rec.Payload) == 0:
+				t.Fatalf("record %d has no payload", rec.Seq)
+			default:
+				want.Reports = append(want.Reports, rec.Payload)
+			}
+		}
+		want.Count = len(want.Reports)
+		wantBody, err := json.Marshal(&want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Body.String(); got != string(wantBody)+"\n" {
+			t.Fatalf("GET %s:\n got %s\nwant %s", path, got, wantBody)
+		}
+		var page ReportPage
+		decodeStrict(t, w.Body.Bytes(), &page)
+		if !reflect.DeepEqual(page, want) {
+			t.Fatalf("GET %s decodes to %+v, want %+v", path, page, want)
+		}
+		if want.Count == 0 && w.Body.String() != `{"reports":null,"count":0}`+"\n" {
+			t.Fatalf("GET %s: empty page reads %s", path, w.Body.String())
+		}
+	}
+}
+
+// TestDiagnoseAckIsStoredPayload: a /diagnose 200 body is the persisted
+// payload plus a newline, and /reports serves that payload as the record of
+// the acknowledged seq.
+func TestDiagnoseAckIsStoredPayload(t *testing.T) {
+	sc := newTestScenario(t)
+	srv := newTestServer(t, sc, nil)
+	srv.Start()
+	mux := srv.Mux()
+	w := post(t, mux, "/diagnose", DiagnoseRequest{Symptom: sc.Symptom})
+	if w.Code != http.StatusOK {
+		t.Fatalf("diagnose = %d: %s", w.Code, w.Body.String())
+	}
+	var ack ReportRecord
+	if err := json.Unmarshal(w.Body.Bytes(), &ack); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := srv.store.Query(reportstore.Query{AfterSeq: int64(ack.Seq - 1), Limit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sp.Records) != 1 || sp.Records[0].Seq != int64(ack.Seq) {
+		t.Fatalf("store has no record of acknowledged seq %d", ack.Seq)
+	}
+	if got, want := w.Body.String(), string(sp.Records[0].Payload)+"\n"; got != want {
+		t.Fatalf("ack is not the stored payload:\n ack %s\n payload %s", got, want)
+	}
+	page := decodeRawPage(t, get(mux, fmt.Sprintf("/reports?since=%d&limit=1", ack.Seq-1)).Body.Bytes())
+	if len(page) != 1 || string(page[0])+"\n" != w.Body.String() {
+		t.Fatalf("/reports record of seq %d is not the ack:\n%s", ack.Seq, page)
+	}
+}
+
+// TestReportsDecodeDuringCompaction: pages served while concurrent appends
+// drive the store through retention compactions still decode strictly,
+// count their records, and list seqs in ascending order.
+func TestReportsDecodeDuringCompaction(t *testing.T) {
+	sc := newTestScenario(t)
+	srv := newTestServer(t, sc, func(c *Config) { c.ReportRetention = 8 })
+	srv.Start()
+	mux := srv.Mux()
+	done := make(chan struct{})
+	var appendErr error
+	go func() {
+		defer close(done)
+		for i := 1; i <= 60 && appendErr == nil; i++ {
+			rec := &reportstore.Record{At: time.Now().UTC(), Entity: "svc", Payload: json.RawMessage(fmt.Sprintf(`{"seq":%d}`, i))}
+			_, appendErr = srv.store.Append(rec)
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		w := get(mux, "/reports?limit=5")
+		if w.Code != http.StatusOK {
+			t.Fatalf("/reports = %d: %s", w.Code, w.Body.String())
+		}
+		var page ReportPage
+		decodeStrict(t, w.Body.Bytes(), &page)
+		if page.Count != len(page.Reports) {
+			t.Fatalf("page count %d but %d reports", page.Count, len(page.Reports))
+		}
+		last := 0
+		for _, raw := range page.Reports {
+			var p struct {
+				Seq int `json:"seq"`
+			}
+			if err := json.Unmarshal(raw, &p); err != nil {
+				t.Fatal(err)
+			}
+			if p.Seq <= last {
+				t.Fatalf("seq %d after %d", p.Seq, last)
+			}
+			last = p.Seq
+		}
+	}
+	if appendErr != nil {
+		t.Fatal(appendErr)
+	}
+	if st := srv.store.Stats(); st.Compactions == 0 {
+		t.Fatalf("no retention compaction ran: %+v", st)
+	}
+}
+
+// decodeStrict decodes body into v, rejecting unknown fields and trailing
+// data.
+func decodeStrict(t *testing.T, body []byte, v any) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		t.Fatalf("strict decode into %T: %v\n%s", v, err, body)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		t.Fatalf("trailing data after %T: %s", v, body)
 	}
 }
 

@@ -188,8 +188,12 @@ func TestIngestAppendsAndProbesReport(t *testing.T) {
 	if len(evs) != 1 || evs[0].Slice != before {
 		t.Fatalf("events for ingest-vm = %v, want one at slice %d", evs, before)
 	}
-	if w := get(mux, "/statusz"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"state": "ready"`) {
-		t.Fatalf("/statusz = %d: %s", w.Code, w.Body.String())
+	w = get(mux, "/statusz")
+	var status struct {
+		State string `json:"state"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &status); w.Code != http.StatusOK || err != nil || status.State != "ready" {
+		t.Fatalf("/statusz = %d (%v): %s", w.Code, err, w.Body.String())
 	}
 }
 
@@ -241,6 +245,56 @@ func TestIngestRejectsFarFutureSlice(t *testing.T) {
 	if res := ingest(edge); res.Accepted != 1 || len(res.Rejected) != 0 || res.DBSlices != edge+1 {
 		t.Fatalf("point at the bound: accepted %d, rejected %v, db_slices %d; want it accepted and %d slices",
 			res.Accepted, res.Rejected, res.DBSlices, edge+1)
+	}
+}
+
+// TestDiagnoseMissingSymptomValueFails: once an ingest carries a new slice
+// without the symptom's metric, a diagnosis at that slice has no symptom
+// value to explain. It must fail with a reason naming the series and the
+// slice, stored as a failed record, not report "no causes" as if the
+// symptom were normal.
+func TestDiagnoseMissingSymptomValueFails(t *testing.T) {
+	sc := newTestScenario(t)
+	srv := newTestServer(t, sc, nil)
+	srv.Start()
+	mux := srv.Mux()
+	db := sc.Result.DB
+	var other telemetry.EntityID
+	for _, id := range db.Entities() {
+		if id != sc.Symptom.Entity && len(db.MetricNames(id)) > 0 {
+			other = id
+			break
+		}
+	}
+	batch := IngestBatch{Observations: []IngestPoint{{Entity: other, Metric: db.MetricNames(other)[0], Value: 1}}}
+	w := post(t, mux, "/ingest", batch)
+	if w.Code != http.StatusOK {
+		t.Fatalf("/ingest = %d: %s", w.Code, w.Body.String())
+	}
+	var res IngestResult
+	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil || res.Accepted != 1 {
+		t.Fatalf("/ingest result %+v (%v), want the one point accepted", res, err)
+	}
+
+	w = post(t, mux, "/diagnose", DiagnoseRequest{Symptom: sc.Symptom})
+	if w.Code != http.StatusOK {
+		t.Fatalf("diagnose = %d: %s", w.Code, w.Body.String())
+	}
+	var rec ReportRecord
+	if err := json.Unmarshal(w.Body.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	series := fmt.Sprintf("%s/%s", sc.Symptom.Entity, sc.Symptom.Metric)
+	slice := fmt.Sprintf("slice %d", res.Slice)
+	if !strings.Contains(rec.Err, series) || !strings.Contains(rec.Err, slice) {
+		t.Fatalf("diagnosis error = %q, want one naming %s and %s", rec.Err, series, slice)
+	}
+	if rec.Report == nil || !rec.Report.Partial || len(rec.Report.Causes) != 0 {
+		t.Fatalf("failed diagnosis should store a partial shell without causes: %+v", rec.Report)
+	}
+	recs := decodeReportPage(t, get(mux, "/reports").Body.Bytes())
+	if len(recs) != 1 || recs[0].Seq != rec.Seq || recs[0].Err != rec.Err {
+		t.Fatalf("store holds %+v, want the failed record %d", recs, rec.Seq)
 	}
 }
 

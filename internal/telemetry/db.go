@@ -1,11 +1,14 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"murphy/internal/timeseries"
@@ -24,11 +27,6 @@ const (
 	// second.
 	Directed
 )
-
-// edge is one directed potential-influence edge u → v ("u may influence v").
-type edge struct {
-	from, to EntityID
-}
 
 // DB is the in-memory monitoring database. It stores entities, their
 // metric time series on a shared slice grid, and metadata associations.
@@ -410,22 +408,24 @@ func (db *DB) Clone() *DB {
 	return c
 }
 
-// snapshot is the JSON wire form of a DB.
-type snapshot struct {
-	IntervalSeconds int                               `json:"interval_seconds"`
-	Entities        []*Entity                         `json:"entities"`
-	Edges           [][2]EntityID                     `json:"edges"`
-	Series          map[EntityID]map[string][]float64 `json:"series"`
-	Events          []Event                           `json:"events,omitempty"`
+// snapshot is the JSON wire form of a DB. V is one series' values:
+// WriteJSON encodes them through seriesJSON, ReadJSON decodes snapValues.
+type snapshot[V any] struct {
+	IntervalSeconds int                       `json:"interval_seconds"`
+	Entities        []*Entity                 `json:"entities"`
+	Edges           [][2]EntityID             `json:"edges"`
+	Series          map[EntityID]map[string]V `json:"series"`
+	Events          []Event                   `json:"events,omitempty"`
 }
 
 // WriteJSON serializes the database as JSON. JSON has no NaN, so a missing
-// point is written as 0: gaps do not survive a WriteJSON/ReadJSON round trip
-// and read back as observed zeros.
+// point is written as null, and ReadJSON reads it back as missing: gaps
+// survive a WriteJSON/ReadJSON round trip. A series without gaps is a plain
+// number array, so a fully observed database's snapshot holds no null.
 func (db *DB) WriteJSON(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	snap := snapshot{IntervalSeconds: db.IntervalSeconds}
+	snap := snapshot[any]{IntervalSeconds: db.IntervalSeconds}
 	for _, id := range db.order {
 		snap.Entities = append(snap.Entities, db.entities[id])
 	}
@@ -434,19 +434,11 @@ func (db *DB) WriteJSON(w io.Writer) error {
 			snap.Edges = append(snap.Edges, [2]EntityID{from, to})
 		}
 	}
-	snap.Series = make(map[EntityID]map[string][]float64, len(db.series))
+	snap.Series = make(map[EntityID]map[string]any, len(db.series))
 	for id, metrics := range db.series {
-		m := make(map[string][]float64, len(metrics))
+		m := make(map[string]any, len(metrics))
 		for name, s := range metrics {
-			vals := make([]float64, s.Len())
-			for i := 0; i < s.Len(); i++ {
-				v := s.At(i)
-				if timeseries.IsMissing(v) {
-					v = 0
-				}
-				vals[i] = v
-			}
-			m[name] = vals
+			m[name] = seriesJSON(s.Values())
 		}
 		snap.Series[id] = m
 	}
@@ -455,9 +447,63 @@ func (db *DB) WriteJSON(w io.Writer) error {
 	return enc.Encode(&snap)
 }
 
+// seriesJSON is what WriteJSON encodes for one series' values (read under
+// the database's lock): the plain number array when every point is
+// observed, and otherwise pointers to the observed points, which encode as
+// the same numbers, with nil, encoded as null, at each gap.
+func seriesJSON(vals []float64) any {
+	if !slices.ContainsFunc(vals, timeseries.IsMissing) {
+		return vals
+	}
+	ptrs := make([]*float64, len(vals))
+	for i := range vals {
+		if !timeseries.IsMissing(vals[i]) {
+			ptrs[i] = &vals[i]
+		}
+	}
+	return ptrs
+}
+
+// snapValues decodes one series' values, reading null as missing.
+type snapValues []float64
+
+// UnmarshalJSON parses a JSON array of numbers and nulls. The decoder has
+// already checked that data is one valid JSON value, so splitting at commas
+// is safe: an element that is neither a number nor null (a string, an
+// object, a nested array) fails to parse as a number.
+func (v *snapValues) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	body, ok := bytes.CutPrefix(data, []byte("["))
+	if !ok {
+		return fmt.Errorf("telemetry: series values are not an array")
+	}
+	body = bytes.TrimSpace(bytes.TrimSuffix(body, []byte("]")))
+	// Grown by append, as the standard decoder grows a slice, so a series
+	// keeps the spare capacity later ingests append into.
+	vals := []float64{}
+	for len(body) > 0 {
+		var tok []byte
+		tok, body, _ = bytes.Cut(body, []byte(","))
+		tok = bytes.TrimSpace(tok)
+		if string(tok) == "null" {
+			vals = append(vals, timeseries.Missing)
+			continue
+		}
+		f, err := strconv.ParseFloat(string(tok), 64)
+		if err != nil {
+			return fmt.Errorf("telemetry: series value %s: %w", tok, err)
+		}
+		vals = append(vals, f)
+	}
+	*v = vals
+	return nil
+}
+
 // ReadJSON deserializes a database previously written by WriteJSON.
 func ReadJSON(r io.Reader) (*DB, error) {
-	var snap snapshot
+	var snap snapshot[snapValues]
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("telemetry: decode snapshot: %w", err)
 	}

@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"murphy/internal/timeseries"
@@ -259,6 +261,72 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONRoundTripKeepsGaps: a missing point is written as null and read
+// back as missing, not as an observed 0, while observed values, zeros
+// included, keep their bits; and a fully observed database writes exactly
+// the plain number arrays it wrote before gaps had an encoding.
+func TestJSONRoundTripKeepsGaps(t *testing.T) {
+	db := newTestDB(t)
+	for _, tt := range []int{0, 2, 3, 5} {
+		if err := db.Observe("vm1", MetricCPU, tt, float64(tt)*0.1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Observe("f1", MetricThroughput, 5, 0); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"cpu_util":[0,null,0.2,0.30000000000000004,null,0.5]`, `"throughput":[null,null,null,null,null,0]`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("snapshot lacks %s:\n%s", want, buf.String())
+		}
+	}
+	got, err := ReadJSON(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []EntityID{"vm1", "f1"} {
+		for _, name := range db.MetricNames(id) {
+			want, have := db.Series(id, name).Values(), got.Series(id, name).Values()
+			if len(have) != len(want) {
+				t.Fatalf("%s/%s: %d values after the round trip, want %d", id, name, len(have), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(have[i]) != math.Float64bits(want[i]) && !(math.IsNaN(have[i]) && math.IsNaN(want[i])) {
+					t.Fatalf("%s/%s[%d] = %v after the round trip, want %v", id, name, i, have[i], want[i])
+				}
+			}
+		}
+	}
+
+	full := newTestDB(t)
+	for tt := 0; tt < 3; tt++ {
+		if err := full.Observe("vm1", MetricCPU, tt, 1.5+float64(tt)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf.Reset()
+	if err := full.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Decoded into plain float arrays and encoded again, the snapshot must
+	// come back byte for byte.
+	var plain snapshot[[]float64]
+	if err := json.Unmarshal(buf.Bytes(), &plain); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(&plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != string(want)+"\n" {
+		t.Fatalf("fully observed snapshot changed encoding:\n got %s\nwant %s", buf.String(), want)
+	}
+}
+
 func TestReadJSONErrors(t *testing.T) {
 	if _, err := ReadJSON(bytes.NewBufferString("{")); err == nil {
 		t.Fatal("malformed JSON should error")
@@ -269,6 +337,12 @@ func TestReadJSONErrors(t *testing.T) {
 	bad := `{"interval_seconds":60,"entities":[{"ID":"a","Type":"vm"}],"series":{"ghost":{"cpu_util":[1]}}}`
 	if _, err := ReadJSON(bytes.NewBufferString(bad)); err == nil {
 		t.Fatal("series for unknown entity should error")
+	}
+	for _, vals := range []string{`["1"]`, `[true]`, `[[1]]`, `{"a":1}`, `"x"`, `[1e400]`, `[1,{}]`} {
+		snap := `{"interval_seconds":60,"entities":[{"id":"a","type":"vm"}],"series":{"a":{"cpu_util":` + vals + `}}}`
+		if _, err := ReadJSON(bytes.NewBufferString(snap)); err == nil {
+			t.Fatalf("series values %s should error", vals)
+		}
 	}
 }
 

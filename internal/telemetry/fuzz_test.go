@@ -39,6 +39,7 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add([]byte(`{"interval_seconds":-5,"entities":[{"id":"a"},{"id":"a"}],"series":{"b":{"m":[0]}}}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"series":{"x":{"m":[1e308,-1e308,0.0000001]}}}`))
+	f.Add([]byte(`{"interval_seconds":1,"entities":[{"id":"a"}],"series":{"a":{"cpu":[null,1, null ,0],"mem":[null]}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {
