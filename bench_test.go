@@ -5,24 +5,30 @@
 // reports the reproduced numbers. Run cmd/murphybench -full for the
 // paper-scale parameters.
 //
-// The benches drive internal/harness and the core directly, never the
-// facade, so this file is an external test package (murphy_test).
+// The benches drive internal/harness, the core and the report store
+// directly, never the facade (it supplies only the report types the store
+// benchmark's payloads are built from), so this file is an external test
+// package (murphy_test).
 package murphy_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"murphy/internal/regress"
 	"testing"
 	"time"
 
+	"murphy"
 	"murphy/internal/core"
 	"murphy/internal/enterprise"
 	"murphy/internal/graph"
 	"murphy/internal/harness"
 	"murphy/internal/microsim"
 	"murphy/internal/obs"
+	"murphy/internal/reportstore"
+	"murphy/internal/serve"
 	"murphy/internal/stats"
 	"murphy/internal/telemetry"
 )
@@ -731,5 +737,80 @@ func BenchmarkGibbsKernel(b *testing.B) {
 				b.ReportMetric(float64(drawn)/elapsed, "samples/sec")
 			}
 		})
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Report store replay
+
+// benchReportRecord is a serve report record of ~6 KB for the i-th stored
+// diagnosis, the size of the records perfbench's operator-reads store holds:
+// eight certified causes with their paths and explanation chains over a
+// social-network-sized candidate set.
+func benchReportRecord(i int) *serve.ReportRecord {
+	ent := func(k int) telemetry.EntityID {
+		return telemetry.EntityID(fmt.Sprintf("social-network/ctr/service-%02d", (i+k)%40))
+	}
+	sym := telemetry.Symptom{Entity: ent(0), Metric: "latency", High: true}
+	rep := &murphy.Report{SchemaVersion: murphy.SchemaVersion, Symptom: sym}
+	for c := 1; c <= 8; c++ {
+		path := []telemetry.EntityID{ent(c), ent(c + 1), ent(c + 2), ent(0)}
+		rep.Causes = append(rep.Causes, murphy.Cause{
+			Entity: ent(c), Score: 10 / float64(c), PValue: 0.0001 * float64(c), Effect: 0.5 / float64(c),
+			Path: path, SamplesUsed: 2000,
+			Explanation: fmt.Sprintf("%s [heavy hitter] -> %s [degraded performance] -> %s [degraded performance] -> %s [degraded performance]", path[0], path[1], path[2], path[3]),
+		})
+	}
+	for c := 0; c < 40; c++ {
+		rep.Candidates = append(rep.Candidates, ent(c))
+	}
+	return &serve.ReportRecord{
+		Seq: i, Source: "api", Symptom: sym, Report: rep, QueuedMs: 0.02, WallMs: 100,
+		CompletedAt: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Second),
+	}
+}
+
+// BenchmarkReportStoreOpen times the replay of murphyd's report store at
+// boot: reportstore.Open over a segment of 3,000 records with serve-shaped
+// ~6 KB payloads. MB/s is the segment's replay rate.
+func BenchmarkReportStoreOpen(b *testing.B) {
+	const records = 3000
+	dir := b.TempDir()
+	st, err := reportstore.Open(dir, reportstore.Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 1; i <= records; i++ {
+		rec := benchReportRecord(i)
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srec := &reportstore.Record{
+			Seq: int64(i), At: rec.CompletedAt, Source: rec.Source, Entity: string(rec.Symptom.Entity),
+			Metric: rec.Symptom.Metric, App: "social-network", Payload: payload,
+		}
+		for _, c := range rec.Report.Causes {
+			srec.Causes = append(srec.Causes, string(c.Entity))
+		}
+		if _, err := st.Append(srec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(st.Stats().SegmentBytes)
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		re, err := reportstore.Open(dir, reportstore.Options{NoSync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := re.Len(); n != records {
+			b.Fatalf("replayed %d records, want %d", n, records)
+		}
+		re.Close()
 	}
 }

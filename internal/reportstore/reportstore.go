@@ -10,7 +10,9 @@
 // good one, and the index and sequence advance only after write and fsync
 // succeed. Crash recovery is Open: the segment is scanned frame by frame and
 // a torn or corrupt final record (a crash mid-write) is truncated away, never
-// propagated.
+// propagated. Open decodes each frame's indexed fields and checks its
+// payload's JSON in place; replayed payloads share the buffer the segment was
+// read into.
 //
 // Retention rewrites the segment through the same temp + fsync + rename
 // discipline the serve snapshots use, keeping the newest MaxRecords records.
@@ -20,6 +22,7 @@
 package reportstore
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
@@ -43,9 +46,20 @@ const segmentName = "reports.seg"
 // payload length followed by a 4-byte IEEE CRC32 of the payload.
 const frameHeaderLen = 8
 
-// maxFrameLen rejects absurd lengths decoded from a corrupt header before
-// they turn into huge allocations.
+// maxFrameLen caps a frame's JSON body. Append refuses a longer record, and
+// replay reads a longer length as a corrupt header rather than allocating it.
 const maxFrameLen = 16 << 20
+
+// payloadKey is what Append's encoding writes between the indexed fields and
+// the payload: json.Marshal writes Record's fields in order, payload last,
+// and escapes every quote inside a string, so in a frame Append wrote the
+// first occurrence of these bytes is the payload's key.
+var payloadKey = []byte(`,"payload":`)
+
+// maxNesting is encoding/json's nesting limit. In a frame the payload sits
+// one level below the record, so a payload that reaches the limit on its own
+// is valid by itself but not inside its frame.
+const maxNesting = 10000
 
 // DefaultLimit and MaxLimit bound Query pages.
 const (
@@ -171,10 +185,15 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // replay scans the segment, indexes every intact record, and truncates the
-// file at the first torn or corrupt frame.
+// file at the first torn or corrupt frame. The segment is read in one buffer
+// sized from the file, which the replayed payloads then share.
 func (s *Store) replay() error {
-	buf, err := io.ReadAll(s.f)
+	info, err := s.f.Stat()
 	if err != nil {
+		return fmt.Errorf("reportstore: stat segment: %w", err)
+	}
+	buf := make([]byte, info.Size())
+	if _, err := io.ReadFull(s.f, buf); err != nil {
 		return fmt.Errorf("reportstore: read segment: %w", err)
 	}
 	off := 0
@@ -205,7 +224,9 @@ func (s *Store) replay() error {
 }
 
 // decodeFrame decodes one framed record from the head of buf, returning the
-// record, the bytes consumed, and whether the frame was intact.
+// record, the bytes consumed, and whether the frame was intact: its CRC
+// matches and json.Unmarshal accepts its body as a Record. The record is the
+// one json.Unmarshal yields, but its Payload may alias buf.
 func decodeFrame(buf []byte) (*Record, int, bool) {
 	if len(buf) < frameHeaderLen {
 		return nil, 0, false
@@ -215,15 +236,57 @@ func decodeFrame(buf []byte) (*Record, int, bool) {
 	if n <= 0 || n > maxFrameLen || len(buf) < frameHeaderLen+n {
 		return nil, 0, false
 	}
-	payload := buf[frameHeaderLen : frameHeaderLen+n]
-	if crc32.ChecksumIEEE(payload) != sum {
+	body := buf[frameHeaderLen : frameHeaderLen+n]
+	if crc32.ChecksumIEEE(body) != sum {
 		return nil, 0, false
+	}
+	rec, ok := decodeIndex(body)
+	if !ok {
+		rec = new(Record)
+		if err := json.Unmarshal(body, rec); err != nil {
+			return nil, 0, false
+		}
+	}
+	return rec, frameHeaderLen + n, true
+}
+
+// decodeIndex decodes a frame body without decoding its payload, and yields
+// what json.Unmarshal of the whole body would. The index is the bytes before
+// the first payloadKey, closed with '}'; the payload is the rest less the
+// body's closing brace, checked with json.Valid and kept as a capped
+// sub-slice of body. It reports false, leaving the body to json.Unmarshal,
+// wherever that split could read the body differently: no key or no final
+// '}', an empty or whitespace-padded payload, one that could reach the
+// nesting limit, no member before the key ({,"payload":…}), or an index
+// that does not decode. A key found inside a nested value leaves that value
+// open in the index, which then does not decode; an index that sets Payload
+// itself needs no fall-back, since json.Unmarshal keeps the last member.
+func decodeIndex(body []byte) (*Record, bool) {
+	k := bytes.Index(body, payloadKey)
+	last := len(body) - 1
+	if k < 0 || body[last] != '}' {
+		return nil, false
+	}
+	payload := body[k+len(payloadKey) : last : last]
+	if len(payload) == 0 || isSpace(payload[0]) || isSpace(payload[len(payload)-1]) ||
+		bytes.Count(payload, []byte("{"))+bytes.Count(payload, []byte("[")) >= maxNesting {
+		return nil, false
+	}
+	index := bytes.TrimRight(body[:k], " \t\r\n")
+	if len(index) == 0 || index[len(index)-1] == '{' {
+		return nil, false
 	}
 	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, 0, false
+	if json.Unmarshal(append(body[:k:k], '}'), &rec) != nil || !json.Valid(payload) {
+		return nil, false
 	}
-	return &rec, frameHeaderLen + n, true
+	rec.Payload = payload
+	return &rec, true
+}
+
+// isSpace reports whether c is JSON whitespace.
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\r' || c == '\n'
 }
 
 // encodeFrame appends the framed encoding of payload to dst.
@@ -240,6 +303,7 @@ func encodeFrame(dst []byte, payload []byte) []byte {
 // the store assigns last+1. When Append returns nil the record has been
 // fsynced: it survives kill -9. When it returns an error the store is
 // unchanged, and the next frame overwrites whatever the failed write left.
+// A record whose encoding exceeds the 16 MiB frame cap is refused.
 func (s *Store) Append(rec *Record) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -252,6 +316,11 @@ func (s *Store) Append(rec *Record) (int64, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return 0, fmt.Errorf("reportstore: encode record: %w", err)
+	}
+	if len(payload) > maxFrameLen {
+		// Replay would read the frame as a torn tail and drop it, and every
+		// frame after it.
+		return 0, fmt.Errorf("reportstore: record of %d bytes exceeds the %d-byte frame cap", len(payload), maxFrameLen)
 	}
 	frame := encodeFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
 	if _, err := s.f.WriteAt(frame, s.size); err != nil {

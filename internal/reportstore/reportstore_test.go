@@ -1,11 +1,14 @@
 package reportstore
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -59,7 +62,8 @@ func TestAppendAssignsMonotonicSeqs(t *testing.T) {
 
 // TestReopenRecoversAcknowledgedRecords is the kill -9 contract: every record
 // whose Append returned is replayed by a fresh Open over the same directory,
-// with no Close in between (a crashed process never closes).
+// with no Close in between (a crashed process never closes), with every
+// indexed field and its payload bytes intact.
 func TestReopenRecoversAcknowledgedRecords(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
@@ -67,10 +71,16 @@ func TestReopenRecoversAcknowledgedRecords(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	const n = 100
+	var want []*Record
 	for i := 0; i < n; i++ {
-		if _, err := st.Append(testRecord(i)); err != nil {
+		rec := testRecord(i)
+		if i%10 != 9 { // every tenth record has no payload
+			rec.Payload = json.RawMessage(fmt.Sprintf(`{"seq":%d,"note":"say \"hi\", \"payload\": %d","report":{"causes":[{"entity":"cause-%d"}]}}`, i+1, i, i%7))
+		}
+		if _, err := st.Append(rec); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
+		want = append(want, rec)
 	}
 	// No st.Close(): simulate kill -9 by abandoning the handle.
 	re := mustOpen(t, dir, Options{})
@@ -85,11 +95,91 @@ func TestReopenRecoversAcknowledgedRecords(t *testing.T) {
 		if rec.Seq != int64(i+1) {
 			t.Fatalf("record %d: seq %d, want %d", i, rec.Seq, i+1)
 		}
-		if want := testRecord(i).Entity; rec.Entity != want {
-			t.Fatalf("record %d: entity %q, want %q", i, rec.Entity, want)
+		if !reflect.DeepEqual(rec, want[i]) {
+			t.Fatalf("record %d: recovered %+v (payload %s), appended %+v (payload %s)", i, rec, rec.Payload, want[i], want[i].Payload)
 		}
 	}
 	st.Close()
+}
+
+// TestReplayMatchesFullDecode opens a segment of mixed frames: payload-bearing
+// and bare frames from Append, and hand-built frames with reordered and
+// duplicate keys, the payload key inside string values and nested objects,
+// padding and a member after the payload, then a torn tail. Every record must
+// equal json.Unmarshal of its frame, and the frames Append wrote must take
+// the index-only decode.
+func TestReplayMatchesFullDecode(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir, Options{})
+	for i := 0; i < 6; i++ {
+		rec := testRecord(i)
+		if i%3 != 2 {
+			rec.Payload = json.RawMessage(fmt.Sprintf(`{"seq":%d,"explanation":"a \"chain\", \"payload\": {}","causes":[%d]}`, i+1, i))
+		}
+		rec.Entity = []string{"svc", `a,"payload":b`, `say "hi"`}[i%3]
+		if _, err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+	seg := filepath.Join(dir, segmentName)
+	appended, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handBuilt := []string{
+		`{"payload":{"a":[1,2]},"seq":7,"at":"2026-01-02T00:00:00Z","entity":"first"}`,
+		`{"seq":8,"entity":"middle","payload":{"a":1},"causes":["c"]}`,
+		`{"seq":9,"entity":"a","seq":9,"entity":"b","causes":["x"],"causes":["y"],"payload":[1]}`,
+		`{"Payload":[0],"seq":10,"entity":"e","payload":[1]}`,
+		`{"seq":11,"extra":{"a":1,"payload":2},"entity":"nested","payload":{}}`,
+		`{"seq":12,"entity":"e", "payload":{"a":1,"payload":2}}`,
+		`{"seq":13,"entity":"padded","payload": {"a":1} }`,
+		`{"seq":14,"entity":"spaced" ,"payload":"\"quoted\""}`,
+		`{"seq":15,"entity":"null","payload":null}`,
+	}
+	buf := appended
+	for _, body := range handBuilt {
+		buf = encodeFrame(buf, []byte(body))
+	}
+	good := len(buf)
+	buf = encodeFrame(buf, []byte(`{"seq":16,"entity":"torn","payload":{}}`))[:good+12]
+	if err := os.WriteFile(seg, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var bodies [][]byte
+	for off := 0; off < good; {
+		n := int(binary.BigEndian.Uint32(buf[off:]))
+		bodies = append(bodies, buf[off+frameHeaderLen:off+frameHeaderLen+n])
+		off += frameHeaderLen + n
+	}
+	for i, body := range bodies[:6] {
+		if _, ok := decodeIndex(body); ok != (i%3 != 2) {
+			t.Errorf("Append frame %d (payload %v): index-only decode %v", i, i%3 != 2, ok)
+		}
+	}
+
+	re := mustOpen(t, dir, Options{})
+	if tr := re.Stats().Truncated; tr != int64(len(buf)-good) {
+		t.Fatalf("truncated %d bytes, want the %d-byte torn tail", tr, len(buf)-good)
+	}
+	page, err := re.Query(Query{Limit: MaxLimit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Records) != len(bodies) {
+		t.Fatalf("replayed %d records, want %d", len(page.Records), len(bodies))
+	}
+	for i, body := range bodies {
+		var want Record
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got := page.Records[i]; !reflect.DeepEqual(*got, want) {
+			t.Errorf("frame %d: replayed %+v (payload %s), json.Unmarshal %+v (payload %s)", i, *got, got.Payload, want, want.Payload)
+		}
+	}
 }
 
 func TestTornFinalRecordTruncated(t *testing.T) {
@@ -167,6 +257,33 @@ func TestFailedAppendLeavesStoreUnchanged(t *testing.T) {
 	}
 	if last, n := st.LastSeq(), st.Len(); last != 1 || n != 1 {
 		t.Fatalf("after a failed Append: LastSeq %d with %d records, want 1 and 1", last, n)
+	}
+}
+
+// TestAppendRefusesOversizedFrame: replay reads a frame longer than the cap
+// as a torn tail and drops it with everything after it, so Append refuses
+// such a record instead of acknowledging it.
+func TestAppendRefusesOversizedFrame(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir, Options{})
+	if _, err := st.Append(testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats()
+	big := testRecord(1)
+	big.Payload = json.RawMessage(`"` + strings.Repeat("a", maxFrameLen) + `"`)
+	if _, err := st.Append(big); err == nil {
+		t.Fatal("Append of a record over the frame cap succeeded")
+	}
+	if after := st.Stats(); after != before {
+		t.Fatalf("the refused Append changed the store: %+v, want %+v", after, before)
+	}
+	if seq, err := st.Append(testRecord(2)); err != nil || seq != 2 {
+		t.Fatalf("Append after the refused one: got (%d, %v), want (2, nil)", seq, err)
+	}
+	re := mustOpen(t, dir, Options{}) // no Close: kill -9
+	if got, tr := re.Len(), re.Stats().Truncated; got != 2 || tr != 0 {
+		t.Fatalf("reopen recovered %d records and truncated %d bytes, want 2 and 0", got, tr)
 	}
 }
 
