@@ -698,45 +698,40 @@ func BenchmarkObsOverhead(b *testing.B) {
 // Batched Gibbs kernel throughput
 
 // BenchmarkGibbsKernel times the inner sampling kernel in isolation (one
-// trained model, repeated Diagnose calls on the Table-2 contention workload)
-// per precision, reporting raw sampling throughput as samples/sec — the
-// metric the bench baseline gates with higher-is-better semantics.
+// trained model, repeated Diagnose calls on the Table-2 contention
+// workload), reporting raw sampling throughput as samples/sec — the metric
+// the bench baseline gates with higher-is-better semantics.
 func BenchmarkGibbsKernel(b *testing.B) {
-	for _, prec := range []core.Precision{core.PrecisionFloat64, core.PrecisionFloat32} {
-		b.Run(prec.String(), func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.Samples = 4000
-			cfg.Sampler.Precision = prec
-			rec := obs.New()
-			rec.Enable()
-			sc, err := microsim.Contention(microsim.DefaultContentionOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			g, err := graph.Build(sc.Result.DB, []telemetry.EntityID{sc.Symptom.Entity}, -1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg,
-				core.TrainOpts{Now: -1, Obs: rec})
-			if err != nil {
-				b.Fatal(err)
-			}
-			start := rec.Counter(obs.CtrGibbsSamples)
-			b.ResetTimer()
-			t0 := time.Now()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Diagnose(sc.Symptom); err != nil {
-					b.Fatal(err)
-				}
-			}
-			elapsed := time.Since(t0).Seconds()
-			b.StopTimer()
-			drawn := rec.Counter(obs.CtrGibbsSamples) - start
-			if elapsed > 0 {
-				b.ReportMetric(float64(drawn)/elapsed, "samples/sec")
-			}
-		})
+	cfg := benchConfig()
+	cfg.Samples = 4000
+	rec := obs.New()
+	rec.Enable()
+	sc, err := microsim.Contention(microsim.DefaultContentionOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := graph.Build(sc.Result.DB, []telemetry.EntityID{sc.Symptom.Entity}, -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := core.TrainOpt(context.Background(), sc.Result.DB, g, cfg,
+		core.TrainOpts{Now: -1, Obs: rec})
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := rec.Counter(obs.CtrGibbsSamples)
+	b.ResetTimer()
+	t0 := time.Now()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Diagnose(sc.Symptom); err != nil {
+			b.Fatal(err)
+		}
+	}
+	elapsed := time.Since(t0).Seconds()
+	b.StopTimer()
+	drawn := rec.Counter(obs.CtrGibbsSamples) - start
+	if elapsed > 0 {
+		b.ReportMetric(float64(drawn)/elapsed, "samples/sec")
 	}
 }
 

@@ -13,8 +13,10 @@
 //
 // The baseline file is the raw benchmark output format ("BenchmarkName N
 // ns/op"); -update rewrites it from the current input instead of comparing.
-// Benchmarks present on only one side are reported but never fail the run, so
-// adding or retiring benchmarks does not require touching the guard.
+// A baseline row or metric that the run lacks fails it, so a renamed or
+// dropped benchmark cannot take its gate with it; retiring a benchmark means
+// deleting its baseline row. A benchmark or metric with no baseline is
+// reported as new and never fails.
 //
 // Two metric classes are guarded. ns/op is lower-is-better: the guard fails
 // when current exceeds baseline by more than the tolerance factor. Throughput
@@ -70,7 +72,7 @@ func main() {
 	}
 	failed := compare(os.Stdout, base, cur, *tolerance)
 	if failed > 0 {
-		fatal(fmt.Errorf("%d metric(s) regressed beyond %.1fx", failed, *tolerance))
+		fatal(fmt.Errorf("%d metric(s) regressed beyond %.1fx or missing from the run", failed, *tolerance))
 	}
 }
 
@@ -165,8 +167,8 @@ func writeBaseline(path string, benches map[string]metrics) error {
 }
 
 // compare prints one row per (benchmark, metric) and returns how many
-// regressed: ns/op fails above tolerance, higher-is-better metrics fail below
-// 1/tolerance.
+// failed: ns/op fails above tolerance, higher-is-better metrics fail below
+// 1/tolerance, and a baseline row or metric absent from cur fails once.
 func compare(w io.Writer, base, cur map[string]metrics, tolerance float64) int {
 	names := make([]string, 0, len(cur))
 	for n := range cur {
@@ -202,11 +204,23 @@ func compare(w io.Writer, base, cur map[string]metrics, tolerance float64) int {
 			}
 			fmt.Fprintf(w, "  %-8s %-55s %12.0f %s vs %12.0f (%.2fx)\n", status, n, cur[n][u], u, bv, ratio)
 		}
+		for _, u := range sortedUnits(bm) {
+			if _, ok := cur[n][u]; !ok {
+				fmt.Fprintf(w, "  MISSING  %-55s %s (in baseline, not in current run)\n", n, u)
+				failed++
+			}
+		}
 	}
+	var gone []string
 	for n := range base {
 		if _, ok := cur[n]; !ok {
-			fmt.Fprintf(w, "  missing  %-55s (in baseline, not in current run)\n", n)
+			gone = append(gone, n)
 		}
+	}
+	sort.Strings(gone)
+	for _, n := range gone {
+		fmt.Fprintf(w, "  MISSING  %-55s (in baseline, not in current run)\n", n)
+		failed++
 	}
 	return failed
 }

@@ -83,13 +83,37 @@ func TestCompareOneSided(t *testing.T) {
 		"BenchmarkB":   {"ns/op": 100, "samples/sec": 1}, // new metric on known bench
 	}
 	var sb strings.Builder
-	if got := compare(&sb, base, cur, 4.0); got != 0 {
-		t.Errorf("one-sided benchmarks/metrics must never fail, got %d failures\n%s", got, sb.String())
+	if got := compare(&sb, base, cur, 4.0); got != 1 {
+		t.Errorf("new benchmarks/metrics must never fail and the missing BenchmarkOld must fail once, got %d failures\n%s", got, sb.String())
 	}
 	out := sb.String()
-	for _, want := range []string{"new", "missing", "BenchmarkOld", "BenchmarkNew"} {
+	for _, want := range []string{"new", "MISSING", "BenchmarkOld", "BenchmarkNew"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCompareMissingFails renames a gated benchmark and drops a gated metric:
+// a run whose renamed row reads 1 sample/s must not pass by leaving the
+// baseline row unmatched, and neither may a row that stops reporting its
+// samples/sec.
+func TestCompareMissingFails(t *testing.T) {
+	base := map[string]metrics{
+		"BenchmarkGibbsKernel/float64": {"ns/op": 84930569, "samples/sec": 1695511},
+		"BenchmarkK":                   {"ns/op": 100, "samples/sec": 1000},
+	}
+	cur := map[string]metrics{
+		"BenchmarkGibbsKernel": {"ns/op": 999999999, "samples/sec": 1},
+		"BenchmarkK":           {"ns/op": 100},
+	}
+	var sb strings.Builder
+	if got := compare(&sb, base, cur, 4.0); got != 2 {
+		t.Errorf("compare = %d failures, want 2 (the renamed row and the dropped metric)\n%s", got, sb.String())
+	}
+	for _, want := range []string{"MISSING  BenchmarkGibbsKernel/float64", "MISSING  BenchmarkK"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, sb.String())
 		}
 	}
 }

@@ -37,7 +37,6 @@ func main() {
 		window   = flag.Int("window", 300, "online-training window (time slices)")
 		timeout  = flag.Duration("timeout", 0, "diagnosis deadline; on expiry the partial ranking is printed (0 = none)")
 		workers  = flag.Int("workers", 1, "worker pool for training fits and candidate evaluations (1 = sequential; results identical)")
-		prec     = flag.String("precision", "float64", "sampling kernel precision: float64 (bit-stable default) or float32 (fast path)")
 		retries  = flag.Int("retries", 0, "retry attempts for transient telemetry read faults (0 = no retry layer)")
 		early    = flag.Bool("earlystop", false, "stop each counterfactual test's sampling once its verdict is decided (default: full sample budget)")
 		edges    = flag.String("edges", "", "edge-list file overlaying known associations onto the snapshot (\"a -> b\" directed, \"a -- b\" loose)")
@@ -95,18 +94,8 @@ func main() {
 	if *workers > 1 {
 		opts = append(opts, murphy.WithWorkers(*workers))
 	}
-	sampler := murphy.SamplerConfig{EarlyStop: *early}
-	switch *prec {
-	case "float64", "f64", "":
-		sampler.Precision = murphy.PrecisionFloat64
-	case "float32", "f32":
-		sampler.Precision = murphy.PrecisionFloat32
-	default:
-		fmt.Fprintf(os.Stderr, "murphy: unknown -precision %q (want float64 or float32)\n", *prec)
-		os.Exit(2)
-	}
-	if sampler != (murphy.SamplerConfig{}) {
-		opts = append(opts, murphy.WithSampler(sampler))
+	if *early {
+		opts = append(opts, murphy.WithSampler(murphy.SamplerConfig{EarlyStop: true}))
 	}
 	if *retries > 0 {
 		opts = append(opts, murphy.WithResilience(murphy.Resilience{

@@ -52,14 +52,9 @@ type fastPathJSON struct {
 	FastSamples       int     `json:"fast_samples"`
 	StoreHits         uint64  `json:"store_hits"`
 	StoreRefits       uint64  `json:"store_refits"`
-	// Kernel throughput A/B: the float32 batched kernel against the
-	// bit-stable float64 baseline, as raw Monte-Carlo draws per second of
-	// diagnosis wall time.
-	F32Ms                 float64 `json:"f32_ms"`
+	// BaselineSamplesPerSec is the baseline arm's raw kernel throughput:
+	// Monte-Carlo draws per second of diagnosis wall time.
 	BaselineSamplesPerSec float64 `json:"baseline_samples_per_sec"`
-	F32SamplesPerSec      float64 `json:"f32_samples_per_sec"`
-	KernelSpeedup         float64 `json:"kernel_speedup"`
-	F32CausesIdentical    bool    `json:"f32_causes_identical"`
 }
 
 // incTrainJSON summarizes one incremental-training replay arm.
@@ -109,11 +104,7 @@ func fastPathReport(r *harness.FastPathResult) *fastPathJSON {
 		StoreHits:         r.StoreHits,
 		StoreRefits:       r.StoreRefits,
 
-		F32Ms:                 float64(r.F32Time) / float64(time.Millisecond),
 		BaselineSamplesPerSec: r.BaselineSamplesPerSec,
-		F32SamplesPerSec:      r.F32SamplesPerSec,
-		KernelSpeedup:         r.KernelSpeedup,
-		F32CausesIdentical:    r.F32CausesIdentical,
 	}
 }
 

@@ -18,12 +18,11 @@ import (
 	"murphy/internal/enterprise"
 	"murphy/internal/microsim"
 	"murphy/internal/telemetry"
-	"murphy/internal/tracing"
 )
 
 func main() {
 	var (
-		kind     = flag.String("kind", "enterprise", "dataset kind: enterprise, interference, contention, metrics, traces")
+		kind     = flag.String("kind", "enterprise", "dataset kind: enterprise, interference, contention, metrics")
 		incident = flag.Int("incident", 2, "enterprise incident index 1-13 (0 = no incident)")
 		topo     = flag.String("topo", "hotel", "microservice topology: hotel or social")
 		apps     = flag.Int("apps", 8, "number of enterprise applications")
@@ -94,36 +93,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "scenario %s\n  symptom: %s\n  ground truth: %s\n", sc.Name, sc.Symptom, sc.TruthEntity)
 		db = sc.Result.DB
-	case "traces":
-		// The DeathStarBench trace dataset: run a contention scenario and
-		// export its Jaeger-style request traces (one JSON array of traces).
-		opts := microsim.DefaultContentionOptions()
-		opts.Topo = *topo
-		opts.Steps = *steps
-		opts.Seed = *seed
-		sc, err := microsim.Contention(opts)
-		if err != nil {
-			fatal(err)
-		}
-		store := tracing.NewStore(0.5)
-		n, err := sc.EmitTraces(store, 4, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		w := os.Stdout
-		if *out != "-" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := store.WriteJSON(w); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d sampled traces (%d dropped by sampling)\n", n, store.Dropped())
-		return
 	default:
 		fatal(fmt.Errorf("unknown kind %q", *kind))
 	}

@@ -43,8 +43,6 @@ var internalExportAllowlist = map[string]string{
 	"resilience.Breaker.State":        "observer: tests check the breaker's open and half-open transitions",
 	"serve.Server.System":             "observer: the warm-restart tests read the daemon's factor-store stats",
 	"reportstore.Store.Len":           "observer: the durability tests count recovered records",
-	"tracing.Store.Len":               "observer: the microsim emit tests count collected traces",
-	"tracing.Store.Traces":            "observer: the microsim emit tests read collected traces",
 	"metamorph.CheckInvariants":       "library: EXPERIMENTS.md's replay recipe calls it",
 	"metamorph.CheckCrossConfigs":     "library: EXPERIMENTS.md's replay recipe calls it",
 	"metamorph.CheckIncrementalSlide": "library: the third check beside the replay recipe's two",

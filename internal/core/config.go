@@ -56,42 +56,13 @@ type Config struct {
 	// streams — and therefore every p-value bit — survive the rename.
 	// Production diagnoses should leave it nil.
 	SeedFor func(candidate, symptom telemetry.EntityID) int64
-	// Sampler bundles every sampling-kernel knob: precision and sequential
-	// early stopping.
+	// Sampler configures the sampling kernel: sequential early stopping.
 	Sampler SamplerConfig
 }
 
-// Precision selects the floating-point width of the Gibbs sampling kernel.
-type Precision uint8
-
-const (
-	// PrecisionFloat64 is the default kernel: float64 chain state with
-	// math/rand noise streams, bit-identical to the original per-sample
-	// sampler (the golden rankings are pinned against it).
-	PrecisionFloat64 Precision = iota
-	// PrecisionFloat32 is the fast path: float32 chain state, regression
-	// terms folded to one multiply-add per feature, and a ziggurat noise
-	// source several times faster than math/rand. Verdicts are validated
-	// against float64 by the metamorph rescale-equivalence and
-	// certified-set-equality invariants rather than bit-compared.
-	PrecisionFloat32
-)
-
-// String names the precision for flags and logs.
-func (p Precision) String() string {
-	if p == PrecisionFloat32 {
-		return "float32"
-	}
-	return "float64"
-}
-
-// SamplerConfig is the bundled configuration of the batched Gibbs sampling
-// kernel: arithmetic precision and sequential early stopping. The zero value
-// is the bit-stable default sampler.
+// SamplerConfig configures the batched Gibbs sampling kernel: sequential
+// early stopping. The zero value is the bit-stable default sampler.
 type SamplerConfig struct {
-	// Precision selects float64 (default, bit-compatible with the original
-	// sampler) or the float32 fast path.
-	Precision Precision
 	// EarlyStop enables sequential significance testing: the Monte-Carlo
 	// samples of each counterfactual test are drawn in batches through a
 	// streaming Welch t-test, and sampling stops as soon as the verdict at

@@ -338,7 +338,7 @@ func TestConfigSanitized(t *testing.T) {
 	if got := Sanitized(c).Alpha; got != d.Alpha {
 		t.Fatalf("invalid alpha should reset, got %v", got)
 	}
-	c.Sampler = SamplerConfig{Precision: PrecisionFloat32, EarlyStop: true}
+	c.Sampler = SamplerConfig{EarlyStop: true}
 	if got := Sanitized(c).Sampler; got != c.Sampler {
 		t.Fatalf("sampler fields should pass through: got %+v, want %+v", got, c.Sampler)
 	}

@@ -252,7 +252,7 @@ func TestKernelScalarSlotsMatchEagerFill(t *testing.T) {
 			seed := rng.Int63()
 			noise.Seed(seed)
 			want := eagerPass64(m, plan, ov, rand.New(rand.NewSource(seed)), n)
-			got, err := m.runPass64(context.Background(), plan, ov, &noise, ar, n)
+			got, err := m.runPass(context.Background(), plan, ov, &noise, ar, n)
 			if err != nil {
 				t.Fatal(err)
 			}

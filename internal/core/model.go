@@ -78,7 +78,7 @@ type Model struct {
 	idx     *seriesIndex
 	factors []*factor
 	// current holds the value of every metric at the diagnosis time slice.
-	// It is also the float64 kernel's start state.
+	// It is also the Gibbs kernel's start state.
 	current []float64
 	// trainLo/trainHi is the half-open training window on the slice grid.
 	trainLo, trainHi int
@@ -102,9 +102,6 @@ type Model struct {
 	// arenas pools the Gibbs resampler's scratch buffers across candidate
 	// evaluations.
 	arenas *arenaPool
-	// base caches the float32 copy of `current` the float32 kernel starts
-	// each pass from. Per-model (Rebind changes `current`).
-	base *slotBase
 	// obs receives pipeline instrumentation (stage spans, counters,
 	// histograms, progress events). Never nil: TrainOpt defaults it to
 	// obs.Global(), which is disabled unless something enables it, so the
@@ -213,7 +210,6 @@ func TrainOpt(ctx context.Context, db *telemetry.DB, g *graph.Graph, cfg Config,
 		workers: opts.Workers,
 		paths:   graph.NewSubgraphCache(g),
 		arenas:  newArenaPool(),
-		base:    &slotBase{},
 		obs:     rec,
 	}
 	if rec.Enabled() {
@@ -263,7 +259,6 @@ func (m *Model) Rebind(now int) (*Model, error) {
 	}
 	nm := *m
 	nm.now = now
-	nm.base = &slotBase{} // the float32 start state tracks `current`
 	nm.current = make([]float64, len(m.current))
 	nm.factors = make([]*factor, len(m.factors))
 	for s, ref := range m.idx.refs {

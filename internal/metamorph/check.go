@@ -24,9 +24,6 @@ type Options struct {
 	// both of which promise bit-identical factors to a full retrain. The
 	// diagnosis runs on the second pass's model.
 	Store bool
-	// Precision selects the sampling kernel width (the zero value is the
-	// bit-stable float64 reference; PrecisionFloat32 is the fast path).
-	Precision core.Precision
 	// SeedFor overrides the per-candidate-pair RNG seed derivation (used by
 	// the rename invariant to replay the original IDs' streams).
 	SeedFor func(candidate, symptom telemetry.EntityID) int64
@@ -49,7 +46,6 @@ func BaseConfig() core.Config {
 func Diagnose(c *Case, opt Options) (*core.Diagnosis, error) {
 	cfg := BaseConfig()
 	cfg.Sampler.EarlyStop = opt.EarlyStop
-	cfg.Sampler.Precision = opt.Precision
 	cfg.SeedFor = opt.SeedFor
 	if opt.Samples > 0 {
 		cfg.Samples = opt.Samples
@@ -283,17 +279,15 @@ func hitTopK(d *core.Diagnosis, accept map[telemetry.EntityID]bool, k int) bool 
 }
 
 // FastPathGrid enumerates every fast-path configuration the cross-check
-// compares against the reference serial path: early-stop × workers × kernel
-// precision, plus the incremental-store reuse arm (serial and pooled — both
-// anchor and hit bit-identically, so a full cross product with the sampling
-// axes would only re-test the sampling paths).
+// compares against the reference serial path: early-stop × workers, plus the
+// incremental-store reuse arm (serial and pooled — both anchor and hit
+// bit-identically, so a full cross product with the sampling axes would only
+// re-test the sampling paths).
 func FastPathGrid() []Options {
 	var grid []Options
 	for _, es := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
-			for _, prec := range []core.Precision{core.PrecisionFloat64, core.PrecisionFloat32} {
-				grid = append(grid, Options{EarlyStop: es, Workers: workers, Precision: prec})
-			}
+			grid = append(grid, Options{EarlyStop: es, Workers: workers})
 		}
 	}
 	return append(grid, Options{Store: true}, Options{Store: true, Workers: 4})
@@ -302,10 +296,11 @@ func FastPathGrid() []Options {
 // crossCheckSamples is the Monte-Carlo budget of the configuration
 // cross-check. It is deliberately larger than BaseConfig's: with a small
 // budget the t-statistic itself is noisy enough that an independent RNG
-// stream (the float32 kernel's) can flip a borderline candidate decisively,
-// which is sampling noise, not a fast-path bug. It also exceeds the sequential test's
-// minimum draw count, so the early-stop configurations genuinely stop early
-// instead of degenerating into the full-budget path.
+// stream (early stop's factual stream) can flip a borderline candidate
+// decisively, which is sampling noise, not a fast-path bug. It also exceeds
+// the sequential test's minimum draw count, so the early-stop
+// configurations genuinely stop early instead of degenerating into the
+// full-budget path.
 const crossCheckSamples = 640
 
 // CheckCrossConfigs diagnoses one case under every fast-path configuration
@@ -319,22 +314,22 @@ func CheckCrossConfigs(c *Case) error {
 		return caseErr(c, "reference", err)
 	}
 	for _, opt := range FastPathGrid() {
-		if !opt.EarlyStop && opt.Workers <= 1 && opt.Precision == core.PrecisionFloat64 && !opt.Store {
+		if !opt.EarlyStop && opt.Workers <= 1 && !opt.Store {
 			continue // the reference itself
 		}
 		opt.Samples = crossCheckSamples
-		label := fmt.Sprintf("config{earlystop=%v workers=%d prec=%s store=%v}", opt.EarlyStop, opt.Workers, opt.Precision, opt.Store)
+		label := fmt.Sprintf("config{earlystop=%v workers=%d store=%v}", opt.EarlyStop, opt.Workers, opt.Store)
 		got, err := Diagnose(c, opt)
 		if err != nil {
 			return caseErr(c, label, err)
 		}
-		if !opt.EarlyStop && opt.Precision == core.PrecisionFloat64 {
+		if !opt.EarlyStop {
 			// Training-only variants promise bit-identical factors.
 			err = bitIdentical(ref, got, identity)
 		} else {
-			// Early stopping truncates samples, and the float32 kernel uses
-			// different streams and arithmetic: decisive causes must agree,
-			// borderline ones may flip.
+			// Early stopping truncates samples and draws the factual side
+			// from its own stream: decisive causes must agree, borderline
+			// ones may flip.
 			err = agreeCertified(ref, got)
 		}
 		if err != nil {

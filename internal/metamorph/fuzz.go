@@ -12,9 +12,8 @@
 //     survive entity renaming, edge-insertion-order permutation, affine
 //     metric rescaling, and injection of disconnected decoy entities, must
 //     never *gain* a root cause when the true cause's telemetry is ablated,
-//     and every fast-path configuration (early stopping × workers × kernel
-//     precision, plus incremental-store reuse) must agree with the
-//     reference serial path.
+//     and every fast-path configuration (early stopping × workers, plus
+//     incremental-store reuse) must agree with the reference serial path.
 //
 // The same fuzzer feeds harness.RunBaselines, whose Murphy precision/recall
 // numbers cmd/accguard pins against testdata/acc_baseline.json in CI.
@@ -26,7 +25,6 @@ import (
 
 	"murphy/internal/enterprise"
 	"murphy/internal/microsim"
-	"murphy/internal/stats"
 	"murphy/internal/telemetry"
 )
 
@@ -71,15 +69,28 @@ const (
 // Families lists the scenario families in fixed order.
 var Families = []string{FamilyHeavyHitter, FamilyNoisyNeighbor, FamilyCascade, FamilyConfounder, FamilyEnterprise}
 
+// splitmixGamma is the splitmix64 counter increment (2^64 / φ, odd).
+const splitmixGamma = 0x9e3779b97f4a7c15
+
+// splitMix64 is the SplitMix64 finalizer applied to x + splitmixGamma: a
+// bijective avalanche, so the output of a splitmix64 stream whose counter
+// stands at x is splitMix64(x).
+func splitMix64(x uint64) uint64 {
+	x += splitmixGamma
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // CaseSeed expands (base, family, index) into the case's sub-seed through
-// the splitmix64 finalizer (stats.SplitMix64): unrelated streams per family
-// and index, a pure function of its inputs.
+// the splitmix64 finalizer: unrelated streams per family and index, a pure
+// function of its inputs.
 func CaseSeed(base int64, family string, index int) int64 {
-	h := stats.SplitMix64(uint64(base))
+	h := splitMix64(uint64(base))
 	for i := 0; i < len(family); i++ {
-		h = stats.SplitMix64(h ^ uint64(family[i]))
+		h = splitMix64(h ^ uint64(family[i]))
 	}
-	return int64(stats.SplitMix64(h ^ uint64(index)*0x9e3779b97f4a7c15))
+	return int64(splitMix64(h ^ uint64(index)*splitmixGamma))
 }
 
 // Generate builds case number index of a family from a base seed. All

@@ -33,6 +33,29 @@ func casesPerFamily(t *testing.T, quick int) int {
 	return quick
 }
 
+// TestCaseSeedKnownAnswers pins the seed hash to its published values and
+// CaseSeed to the sub-seeds every recorded replay coordinate and the accuracy
+// baseline were generated from: splitMix64 against the reference SplitMix64
+// stream seeded at 0 (counters 0, γ and 2γ), and CaseSeed(1, family, 0).
+func TestCaseSeedKnownAnswers(t *testing.T) {
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := splitMix64(uint64(i) * splitmixGamma); got != want {
+			t.Errorf("splitMix64(%d·γ) = %#x, want %#x", i, got, want)
+		}
+	}
+	for fam, want := range map[string]int64{
+		FamilyHeavyHitter:   5608117635076166250,
+		FamilyNoisyNeighbor: 5441367168641397064,
+		FamilyCascade:       4194556232451648445,
+		FamilyConfounder:    6179920516212490351,
+		FamilyEnterprise:    7305773262535642150,
+	} {
+		if got := CaseSeed(1, fam, 0); got != want {
+			t.Errorf("CaseSeed(1, %q, 0) = %d, want %d", fam, got, want)
+		}
+	}
+}
+
 // TestMetamorphGenerateDeterministic pins the replay contract: the same
 // (family, index, base) triple must regenerate a byte-identical case.
 func TestMetamorphGenerateDeterministic(t *testing.T) {
@@ -93,8 +116,8 @@ func TestMetamorphInvariants(t *testing.T) {
 }
 
 // TestMetamorphCrossConfigs fuzzes scenarios per family and checks that
-// every fast-path configuration (early-stop × workers × precision, plus
-// store reuse) agrees with the reference serial path.
+// every fast-path configuration (early-stop × workers, plus store reuse)
+// agrees with the reference serial path.
 func TestMetamorphCrossConfigs(t *testing.T) {
 	n := casesPerFamily(t, 2)
 	for _, fam := range Families {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"murphy/internal/telemetry"
-	"murphy/internal/tracing"
 )
 
 // Scenario is one generated failure case ready for diagnosis.
@@ -27,17 +26,6 @@ type Scenario struct {
 	// CallDAG lists the directed cause→effect service edges Sage is given
 	// (built from the affected entrypoint's call tree only, per §6.1).
 	CallDAG [][2]telemetry.EntityID
-	// sim is the emulation that produced Result, kept for trace emission.
-	sim *Sim
-}
-
-// EmitTraces synthesizes Jaeger-style request traces for the scenario's
-// emulation into the store; see Sim.EmitTraces.
-func (sc *Scenario) EmitTraces(store *tracing.Store, tracesPerSlice int, seed int64) (int, error) {
-	if sc.sim == nil {
-		return 0, fmt.Errorf("microsim: scenario has no emulation attached")
-	}
-	return sc.sim.EmitTraces(sc.Result, store, tracesPerSlice, seed)
 }
 
 // InterferenceOptions parameterizes the Fig 5a performance-interference
@@ -115,7 +103,6 @@ func Interference(opts InterferenceOptions) (*Scenario, error) {
 	}
 	sc := &Scenario{
 		Name:        fmt.Sprintf("interference-rps%d", int(opts.AggressorSpikeRPS)),
-		sim:         sim,
 		Result:      res,
 		Symptom:     telemetry.Symptom{Entity: res.ClientEntity["clientB"], Metric: telemetry.MetricLatency, High: true},
 		TruthEntity: res.ClientEntity["clientA"],
@@ -271,7 +258,6 @@ func Contention(opts ContentionOptions) (*Scenario, error) {
 	}
 	sc := &Scenario{
 		Name:        fmt.Sprintf("contention-%s-%s-%s", opts.Topo, opts.Kind, target),
-		sim:         sim,
 		Result:      res,
 		Symptom:     telemetry.Symptom{Entity: res.ClientEntity["client"], Metric: telemetry.MetricLatency, High: true},
 		TruthEntity: res.ContainerEntity[target],

@@ -38,24 +38,9 @@ type FactorStore = core.FactorStore
 // counters; see System.FactorStoreStats.
 type FactorStoreStats = core.FactorStoreStats
 
-// SamplerConfig bundles every knob of the batched Gibbs sampling kernel
-// (precision and early stopping); see WithSampler.
+// SamplerConfig configures the batched Gibbs sampling kernel (early
+// stopping); see WithSampler.
 type SamplerConfig = core.SamplerConfig
-
-// Precision selects the floating-point width of the sampling kernel; see
-// PrecisionFloat64 and PrecisionFloat32.
-type Precision = core.Precision
-
-const (
-	// PrecisionFloat64 is the default kernel: bit-identical to the original
-	// per-sample sampler (golden rankings are pinned against it).
-	PrecisionFloat64 = core.PrecisionFloat64
-	// PrecisionFloat32 is the fast path: float32 chain state, folded
-	// regression terms, and a table-driven noise source — several times the
-	// sampling throughput, validated against float64 by the metamorphic
-	// equivalence suite rather than bit-compared.
-	PrecisionFloat32 = core.PrecisionFloat32
-)
 
 // Option customizes a System.
 type Option func(*System)
@@ -104,12 +89,12 @@ func WithWorkers(n int) Option {
 
 // WithSampler configures the batched Gibbs sampling kernel in one bundle:
 //
-//   - Precision: PrecisionFloat64 (default, bit-identical to the original
-//     sampler) or PrecisionFloat32 (the fast path — several times the
-//     sampling throughput at float32 chain state).
 //   - EarlyStop: sequential significance testing — draws arrive in batches
 //     through a streaming Welch t-test and stop as soon as the verdict at
 //     Alpha is decided with a Φ⁻¹(0.999) ≈ 3.1 standard-error margin.
+//
+// The zero value is the default sampler, bit-identical to the original
+// per-sample sampler (the golden rankings are pinned against it).
 //
 // Each counterfactual test runs one sampling stream; WithWorkers is the
 // one parallelism knob (candidates run concurrently on its pool).
