@@ -49,10 +49,7 @@ func TestDiagnosisSurvivesTransientFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := Wrap(db, Config{Seed: 17, FaultRate: 0.10, CorruptRate: 0.002})
-	src := resilience.NewSource(inj, resilience.Policy{
-		MaxAttempts: 5,
-		Seed:        1,
-	}.WithSleep(func(context.Context, time.Duration) error { return nil }), nil)
+	src := resilience.NewSource(inj, resilience.Policy{MaxAttempts: 5}.WithSleep(func(context.Context, time.Duration) error { return nil }), nil)
 
 	m, err := core.TrainOpt(context.Background(), db, g, murphyConfig(), core.TrainOpts{Now: -1, Src: src})
 	if err != nil {
@@ -86,10 +83,7 @@ func TestParallelDiagnosisUnderChaosAndPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := Wrap(db, Config{Seed: 23, FaultRate: 0.10})
-	src := resilience.NewSource(inj, resilience.Policy{
-		MaxAttempts: 5,
-		Seed:        2,
-	}.WithSleep(func(context.Context, time.Duration) error { return nil }), nil)
+	src := resilience.NewSource(inj, resilience.Policy{MaxAttempts: 5}.WithSleep(func(context.Context, time.Duration) error { return nil }), nil)
 	m, err := core.TrainOpt(context.Background(), db, g, murphyConfig(), core.TrainOpts{Now: -1, Src: src, Workers: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -1151,25 +1151,9 @@ func (s *FactorStore) refitEntry(e *storeEntry, job *incJob, sty *seriesState, p
 		featCols[j] = s.series[feats[j]].win
 	}
 	f.features = feats
-	// The training windows already are the design matrix's columns: a
-	// trainer with the column fast path (the default ridge) consumes them
-	// directly; others get the row-major assembly.
+	// The training windows are the design matrix's columns.
 	model := p.trainer()
-	var err error
-	if cf, ok := model.(regress.ColumnsFitter); ok {
-		err = cf.FitColumns(featCols, sty.win)
-	} else {
-		x := make([][]float64, n)
-		for t := range x {
-			row := make([]float64, len(feats))
-			for j := range feats {
-				row[j] = featCols[j][t]
-			}
-			x[t] = row
-		}
-		err = model.Fit(x, sty.win)
-	}
-	if err != nil {
+	if err := model.Fit(featCols, sty.win); err != nil {
 		return nil, fmt.Errorf("core: fit factor %s: %w", p.idx.keys[job.slot], err)
 	}
 	f.model = model

@@ -115,9 +115,9 @@ func TestKernelVerdictBitsGolden(t *testing.T) {
 // both paths apply the same terms in the same order and draw the same noise
 // stream.
 func TestKernelGenericPathMatchesFused(t *testing.T) {
-	trainer := regress.Trainer(func() regress.Predictor { return rowMajorRidge{regress.NewRidge(DefaultConfig().Lambda)} })
+	trainer := regress.Trainer(func() regress.Predictor { return opaqueRidge{regress.NewRidge(DefaultConfig().Lambda)} })
 	if _, ok := trainer().(linearTermer); ok {
-		t.Fatal("rowMajorRidge must not offer LinearTerms")
+		t.Fatal("opaqueRidge must not offer LinearTerms")
 	}
 	for _, inc := range kernelIncidents(t) {
 		for _, early := range []bool{false, true} {

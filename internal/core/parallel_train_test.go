@@ -70,21 +70,20 @@ func TestParallelTrainingCounter(t *testing.T) {
 	}
 }
 
-// rowMajorRidge is a ridge model that offers only the row-major Fit: it
-// hides Ridge's FitColumns fast path, so training takes the route the
+// opaqueRidge is a ridge model behind the bare Predictor interface: it hides
+// Ridge's LinearTerms, so sampling takes the generic per-sample route the
 // Fig 8a sweep's GMM, MLP and SVR trainers take.
-type rowMajorRidge struct{ r *regress.Ridge }
+type opaqueRidge struct{ r *regress.Ridge }
 
-func (p rowMajorRidge) Fit(x [][]float64, y []float64) error { return p.r.Fit(x, y) }
-func (p rowMajorRidge) Predict(x []float64) float64          { return p.r.Predict(x) }
-func (p rowMajorRidge) ResidualStd() float64                 { return p.r.ResidualStd() }
+func (p opaqueRidge) Fit(cols [][]float64, y []float64) error { return p.r.Fit(cols, y) }
+func (p opaqueRidge) Predict(x []float64) float64             { return p.r.Predict(x) }
+func (p opaqueRidge) ResidualStd() float64                    { return p.r.ResidualStd() }
 
-// TestRowMajorTrainerMatchesColumnFit trains with a trainer lacking
-// FitColumns and requires every factor to select the default trainer's
-// features and predict the same bits (regress.TestFitColumnsBitIdentical is
-// the contract: a column fit equals the row-major fit). A storeless train
-// fits each factor exactly once.
-func TestRowMajorTrainerMatchesColumnFit(t *testing.T) {
+// TestCustomTrainerTrainsDefaultFactors trains with a custom Trainer that
+// wraps the default ridge and requires every factor to select the default
+// trainer's features and predict the same bits. A storeless train fits each
+// factor exactly once.
+func TestCustomTrainerTrainsDefaultFactors(t *testing.T) {
 	db := chainDB(t, 220, 5, 42)
 	g := chainGraph(t, db)
 	cfg := testConfig()
@@ -92,9 +91,9 @@ func TestRowMajorTrainerMatchesColumnFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainer := regress.Trainer(func() regress.Predictor { return rowMajorRidge{regress.NewRidge(cfg.Lambda)} })
-	if _, ok := trainer().(regress.ColumnsFitter); ok {
-		t.Fatal("rowMajorRidge must not offer FitColumns")
+	trainer := regress.Trainer(func() regress.Predictor { return opaqueRidge{regress.NewRidge(cfg.Lambda)} })
+	if _, ok := trainer().(linearTermer); ok {
+		t.Fatal("opaqueRidge must not offer LinearTerms")
 	}
 	rec := obs.New()
 	rec.Enable()
@@ -122,8 +121,8 @@ func TestRowMajorTrainerMatchesColumnFit(t *testing.T) {
 }
 
 // predictCurrent returns the (id, metric) factor's mean prediction from the
-// model's current state, 0 without such a factor. The row-major trainer
-// hides LinearTerms, so FactorView cannot stand in for it.
+// model's current state, 0 without such a factor. opaqueRidge hides
+// LinearTerms, so FactorView cannot stand in for it.
 func predictCurrent(m *Model, id telemetry.EntityID, metric string) float64 {
 	f, _ := m.factorOf(id, metric)
 	if f == nil {
@@ -142,11 +141,11 @@ type cancelAfterTrainer struct {
 	cancel context.CancelFunc
 }
 
-func (c *cancelAfterTrainer) Fit(x [][]float64, y []float64) error {
+func (c *cancelAfterTrainer) Fit(cols [][]float64, y []float64) error {
 	if c.fits.Add(1) == c.after {
 		c.cancel()
 	}
-	return c.Predictor.Fit(x, y)
+	return c.Predictor.Fit(cols, y)
 }
 
 // TestParallelTrainingCancelMidPool cancels the context after a few fits and

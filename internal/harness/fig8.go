@@ -128,23 +128,26 @@ func RunFig8a(opts Fig8aOptions) (*Fig8aResult, error) {
 			if b > len(rank) {
 				b = len(rank)
 			}
-			sel := rank[:b]
-			x := make([][]float64, db.Len())
-			for t := 0; t < db.Len(); t++ {
-				row := make([]float64, len(sel))
-				for j, s := range sel {
-					row[j] = db.At(s.r.id, s.r.m, t)
-				}
-				x[t] = row
+			// The selected features' raw series (gaps stay NaN), cut at the
+			// split for training; the holdout is predicted one row at a time.
+			cols := make([][]float64, b)
+			train := make([][]float64, b)
+			for j, s := range rank[:b] {
+				cols[j] = db.RawWindow(s.r.id, s.r.m, 0, db.Len())
+				train[j] = cols[j][:split]
 			}
+			row := make([]float64, b)
 			for name, tr := range trainers {
 				model := tr()
-				if err := model.Fit(x[:split], y[:split]); err != nil {
+				if err := model.Fit(train, y[:split]); err != nil {
 					continue
 				}
 				pred := make([]float64, db.Len()-split)
 				for t := split; t < db.Len(); t++ {
-					pred[t-split] = model.Predict(x[t])
+					for j, c := range cols {
+						row[j] = c[t]
+					}
+					pred[t-split] = model.Predict(row)
 				}
 				m, err := stats.MASE(pred, y[split:], y[:split])
 				if err != nil || math.IsInf(m, 0) || math.IsNaN(m) {

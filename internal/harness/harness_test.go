@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -218,6 +220,16 @@ func TestFig8aShape(t *testing.T) {
 	if res.Entities < 20 {
 		t.Fatalf("entities scored = %d, want plenty", res.Entities)
 	}
+	// Fig 8a fits its regressors directly, outside core's trainer, so pin
+	// every model's per-entity MASE as exact bits.
+	var b strings.Builder
+	for _, name := range Fig8aModels {
+		fmt.Fprintf(&b, "%s (%d entities)\n", name, len(res.MASE[name]))
+		for i, m := range res.MASE[name] {
+			fmt.Fprintf(&b, "  %2d %016x %.6f\n", i, math.Float64bits(m), m)
+		}
+	}
+	checkGolden(t, "fig8a.golden", b.String())
 	med := map[string]float64{}
 	for name, ms := range res.MASE {
 		med[name] = stats.Median(ms)

@@ -47,34 +47,6 @@ func (m *Dense) Clone() *Dense {
 	return n
 }
 
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
-	t := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
-// MulVec returns the matrix-vector product m*x.
-func (m *Dense) MulVec(x []float64) ([]float64, error) {
-	if m.cols != len(x) {
-		return nil, fmt.Errorf("mat: dimension mismatch %dx%d * vec %d", m.rows, m.cols, len(x))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // AddDiag adds v to every diagonal element in place and returns m. It is the
 // ridge-regularization step (X'X + lambda*I).
 func (m *Dense) AddDiag(v float64) *Dense {
@@ -88,36 +60,17 @@ func (m *Dense) AddDiag(v float64) *Dense {
 	return m
 }
 
-// Gram returns X'X for the design matrix x: a cols-by-cols symmetric matrix.
-func Gram(x *Dense) *Dense {
-	out := NewDense(x.cols, x.cols)
-	for r := 0; r < x.rows; r++ {
-		row := x.data[r*x.cols : (r+1)*x.cols]
-		for i, vi := range row {
-			if vi == 0 {
-				continue
-			}
-			oi := out.data[i*out.cols : (i+1)*out.cols]
-			for j, vj := range row {
-				oi[j] += vi * vj
-			}
-		}
-	}
-	return out
-}
-
 // gramBlockRows is the row-tile size of the blocked Gram kernels: big enough
 // to amortize the loop overhead, small enough that a tile of a dozen feature
 // columns stays in L1/L2 while every (i, j) pair sweeps it.
 const gramBlockRows = 256
 
 // GramCols returns X'X for a design matrix given as feature columns (each
-// column one feature, all of equal length). It is the column-major twin of
-// Gram, bit-identical to Gram on the row-major equivalent: for every output
-// element the products are accumulated over rows in ascending order, exactly
-// as Gram's row sweep does. Rows are processed in blocks so all pairwise
-// accumulations of a tile reuse cached column data, and symmetry is exploited
-// by computing only j >= i and mirroring.
+// column one feature, all of equal length). For every output element the
+// products are accumulated over rows in ascending order, so the bits equal a
+// row sweep of the row-major matrix. Rows are processed in blocks so all
+// pairwise accumulations of a tile reuse cached column data, and symmetry is
+// exploited by computing only j >= i and mirroring.
 func GramCols(cols [][]float64) *Dense {
 	k := len(cols)
 	if k == 0 {
@@ -157,8 +110,7 @@ func GramCols(cols [][]float64) *Dense {
 }
 
 // MulVecCols returns X'y for a design matrix given as feature columns: one
-// dot product per column, accumulated over rows in ascending order, so it is
-// bit-identical to x.T().MulVec(y) on the row-major equivalent.
+// dot product per column, accumulated over rows in ascending order.
 func MulVecCols(cols [][]float64, y []float64) []float64 {
 	out := make([]float64, len(cols))
 	for i, c := range cols {

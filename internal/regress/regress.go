@@ -19,9 +19,10 @@ import (
 // Predictor is a trained model for one target metric given a feature vector
 // of neighbor metrics in the same time slice.
 type Predictor interface {
-	// Fit trains the model on design matrix x (rows are time slices) and
-	// target y. Implementations must record the residual standard deviation.
-	Fit(x [][]float64, y []float64) error
+	// Fit trains the model on feature columns (cols[j][i] is feature j at
+	// time slice i) and target y, the layout the training windows are held
+	// in. Implementations must record the residual standard deviation.
+	Fit(cols [][]float64, y []float64) error
 	// Predict returns the model mean for one feature vector.
 	Predict(x []float64) float64
 	// ResidualStd returns the standard deviation of the training residuals;
@@ -33,47 +34,68 @@ type Predictor interface {
 // Trainer so every entity factor gets its own model instance.
 type Trainer func() Predictor
 
-// ColumnsFitter is implemented by predictors that can train directly from
-// feature columns (each column one feature across all time slices), skipping
-// the row-major design matrix entirely. The MRF training pass holds its
-// telemetry windows as columns, so a ColumnsFitter avoids materializing and
-// then re-transposing an n×B row matrix per factor. Implementations must be
-// bit-identical to Fit on the transposed input.
-type ColumnsFitter interface {
-	FitColumns(cols [][]float64, y []float64) error
-}
-
 // ErrNoData is returned by Fit when the training set is empty or degenerate.
 var ErrNoData = errors.New("regress: no training data")
 
-func checkShape(x [][]float64, y []float64) (nFeat int, err error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return 0, ErrNoData
+// checkShape rejects an empty target and a feature column whose length is
+// not the target's.
+func checkShape(cols [][]float64, y []float64) error {
+	if len(y) == 0 {
+		return ErrNoData
 	}
-	nFeat = len(x[0])
-	for i, row := range x {
-		if len(row) != nFeat {
-			return 0, fmt.Errorf("regress: ragged design row %d", i)
+	for j, c := range cols {
+		if len(c) != len(y) {
+			return fmt.Errorf("regress: feature column %d has %d slices, want %d", j, len(c), len(y))
 		}
 	}
-	return nFeat, nil
+	return nil
 }
 
-func residualStd(pred func([]float64) float64, x [][]float64, y []float64) float64 {
-	n := len(y)
-	if n == 0 {
-		return 0
-	}
+// residualStd is the RMS training residual of pred, which is handed one
+// scratch row per slice, filled from the columns.
+func residualStd(pred func([]float64) float64, cols [][]float64, y []float64) float64 {
+	row := make([]float64, len(cols))
 	ss := 0.0
 	for i := range y {
-		d := y[i] - pred(x[i])
+		for j, c := range cols {
+			row[j] = c[i]
+		}
+		d := y[i] - pred(row)
 		ss += d * d
 	}
-	s := math.Sqrt(ss / float64(n))
+	s := math.Sqrt(ss / float64(len(y)))
 	if math.IsNaN(s) || math.IsInf(s, 0) {
 		return 0
 	}
 	return s
+}
+
+// standardize returns what the SGD-trained models fit on: the feature means
+// and stds (a constant feature gets std 1), the target's mean and std
+// (likewise), and the standardized rows and target.
+func standardize(cols [][]float64, y []float64) (mean, std []float64, ymean, ystd float64, zx [][]float64, zy []float64) {
+	mean = make([]float64, len(cols))
+	std = make([]float64, len(cols))
+	for j, c := range cols {
+		mean[j], std[j] = stats.MeanStd(c)
+		if std[j] == 0 {
+			std[j] = 1
+		}
+	}
+	ymean, ystd = stats.MeanStd(y)
+	if ystd == 0 {
+		ystd = 1
+	}
+	zx = make([][]float64, len(y))
+	zy = make([]float64, len(y))
+	for i := range y {
+		zx[i] = make([]float64, len(cols))
+		for j, c := range cols {
+			zx[i][j] = (c[i] - mean[j]) / std[j]
+		}
+		zy[i] = (y[i] - ymean) / ystd
+	}
+	return mean, std, ymean, ystd, zx, zy
 }
 
 // ---------------------------------------------------------------------------
@@ -107,13 +129,14 @@ func OLSTrainer() Trainer {
 	return func() Predictor { return NewRidge(1e-8) }
 }
 
-// Fit solves (Z'Z + lambda I) b = Z'y on standardized features Z.
-func (r *Ridge) Fit(x [][]float64, y []float64) error {
-	nFeat, err := checkShape(x, y)
-	if err != nil {
+// Fit solves (Z'Z + lambda I) b = Z'y on standardized features Z, built
+// column by column: the Gram and Z'y accumulations run the blocked column
+// kernels in internal/mat.
+func (r *Ridge) Fit(cols [][]float64, y []float64) error {
+	if err := checkShape(cols, y); err != nil {
 		return err
 	}
-	n := len(y)
+	n, nFeat := len(y), len(cols)
 	if nFeat == 0 {
 		// Intercept-only model.
 		r.intercept = stats.Mean(y)
@@ -124,104 +147,6 @@ func (r *Ridge) Fit(x [][]float64, y []float64) error {
 		return nil
 	}
 	// Standardize features; constant features get std 1 so they contribute 0.
-	r.featMean = make([]float64, nFeat)
-	r.featStd = make([]float64, nFeat)
-	col := make([]float64, n)
-	for j := 0; j < nFeat; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = x[i][j]
-		}
-		m, s := stats.MeanStd(col)
-		if s == 0 || math.IsNaN(s) {
-			s = 1
-		}
-		r.featMean[j], r.featStd[j] = m, s
-	}
-	ymean := stats.Mean(y)
-	z := mat.NewDense(n, nFeat)
-	yc := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < nFeat; j++ {
-			z.Set(i, j, (x[i][j]-r.featMean[j])/r.featStd[j])
-		}
-		yc[i] = y[i] - ymean
-	}
-	g := mat.Gram(z).AddDiag(r.Lambda + 1e-10)
-	zt := z.T()
-	zty, err := zt.MulVec(yc)
-	if err != nil {
-		return err
-	}
-	coef, err := mat.CholeskySolve(g, zty)
-	if err != nil {
-		coef, err = mat.Solve(g, zty)
-		if err != nil {
-			return fmt.Errorf("regress: ridge solve: %w", err)
-		}
-	}
-	r.coef = coef
-	r.intercept = ymean
-	r.fitted = true
-	r.resid = residualStd(r.Predict, x, y)
-	return nil
-}
-
-// Predict returns the ridge mean for one feature vector. An untrained model
-// predicts 0; a feature-count mismatch uses only the overlapping prefix, so
-// degraded inputs (Table 2) degrade gracefully instead of panicking.
-func (r *Ridge) Predict(x []float64) float64 {
-	if !r.fitted {
-		return 0
-	}
-	p := r.intercept
-	n := len(r.coef)
-	if len(x) < n {
-		n = len(x)
-	}
-	for j := 0; j < n; j++ {
-		p += r.coef[j] * (x[j] - r.featMean[j]) / r.featStd[j]
-	}
-	return p
-}
-
-// LinearTerms exposes the fitted standardized linear form,
-//
-//	ŷ = intercept + Σ_j coef[j]·(x[j]−mean[j])/std[j],
-//
-// so the batched sampling kernel can apply the model slice-at-a-time over
-// whole chain vectors instead of calling Predict per sample. ok is false
-// until Fit has run. The returned slices are the model's own backing arrays:
-// callers must treat them as read-only.
-func (r *Ridge) LinearTerms() (coef, mean, std []float64, intercept float64, ok bool) {
-	return r.coef, r.featMean, r.featStd, r.intercept, r.fitted
-}
-
-// FitColumns trains the ridge from feature columns (cols[j][i] is feature j
-// at time slice i), bit-identical to Fit on the row-major transpose: the
-// standardization, the Gram/X'y accumulations (via the blocked column kernels
-// in internal/mat), the solve, and the residual pass all execute the same
-// floating-point operations in the same order. It exists for the training
-// hot path, which holds telemetry windows as columns and previously paid an
-// n×B row-matrix materialization plus a transpose per factor.
-func (r *Ridge) FitColumns(cols [][]float64, y []float64) error {
-	n := len(y)
-	if n == 0 {
-		return ErrNoData
-	}
-	nFeat := len(cols)
-	for _, c := range cols {
-		if len(c) != n {
-			return ErrNoData
-		}
-	}
-	if nFeat == 0 {
-		r.intercept = stats.Mean(y)
-		r.coef = nil
-		r.featMean, r.featStd = nil, nil
-		r.resid = stats.StdDev(y)
-		r.fitted = true
-		return nil
-	}
 	r.featMean = make([]float64, nFeat)
 	r.featStd = make([]float64, nFeat)
 	for j, c := range cols {
@@ -257,9 +182,8 @@ func (r *Ridge) FitColumns(cols [][]float64, y []float64) error {
 	r.coef = coef
 	r.intercept = ymean
 	r.fitted = true
-	// Residuals, matching residualStd(r.Predict, rows, y) bit for bit: the
-	// per-row prediction accumulates coefficient terms in feature order,
-	// exactly like Predict on the assembled row.
+	// Residuals: Predict's arithmetic, inlined over the columns because every
+	// factor of a full train comes through here.
 	ss := 0.0
 	for i := 0; i < n; i++ {
 		p := r.intercept
@@ -275,6 +199,36 @@ func (r *Ridge) FitColumns(cols [][]float64, y []float64) error {
 	}
 	r.resid = s
 	return nil
+}
+
+// Predict returns the ridge mean for one feature vector. An untrained model
+// predicts 0; a feature-count mismatch uses only the overlapping prefix, so
+// degraded inputs (Table 2) degrade gracefully instead of panicking.
+func (r *Ridge) Predict(x []float64) float64 {
+	if !r.fitted {
+		return 0
+	}
+	p := r.intercept
+	n := len(r.coef)
+	if len(x) < n {
+		n = len(x)
+	}
+	for j := 0; j < n; j++ {
+		p += r.coef[j] * (x[j] - r.featMean[j]) / r.featStd[j]
+	}
+	return p
+}
+
+// LinearTerms exposes the fitted standardized linear form,
+//
+//	ŷ = intercept + Σ_j coef[j]·(x[j]−mean[j])/std[j],
+//
+// so the batched sampling kernel can apply the model slice-at-a-time over
+// whole chain vectors instead of calling Predict per sample. ok is false
+// until Fit has run. The returned slices are the model's own backing arrays:
+// callers must treat them as read-only.
+func (r *Ridge) LinearTerms() (coef, mean, std []float64, intercept float64, ok bool) {
+	return r.coef, r.featMean, r.featStd, r.intercept, r.fitted
 }
 
 // ResidualStd returns the training residual standard deviation.
@@ -311,13 +265,12 @@ func GMMTrainer(k int, seed int64) Trainer {
 	return func() Predictor { return NewGMM(k, seed) }
 }
 
-// Fit runs EM on the joint (x, y) sample.
-func (g *GMM) Fit(x [][]float64, y []float64) error {
-	nFeat, err := checkShape(x, y)
-	if err != nil {
+// Fit runs EM on the joint (features, target) sample.
+func (g *GMM) Fit(cols [][]float64, y []float64) error {
+	if err := checkShape(cols, y); err != nil {
 		return err
 	}
-	n := len(y)
+	n, nFeat := len(y), len(cols)
 	g.dim = nFeat + 1
 	k := g.K
 	if k < 1 {
@@ -326,23 +279,21 @@ func (g *GMM) Fit(x [][]float64, y []float64) error {
 	if k > n {
 		k = n
 	}
+	// dims are the joint sample's columns: the features, then the target.
+	dims := append(cols[:nFeat:nFeat], y)
 	pts := make([][]float64, n)
 	for i := range pts {
-		p := make([]float64, g.dim)
-		copy(p, x[i])
-		p[nFeat] = y[i]
-		pts[i] = p
+		pts[i] = make([]float64, g.dim)
+		for d, c := range dims {
+			pts[i][d] = c[i]
+		}
 	}
 	g.ymean = stats.Mean(y)
 	rng := rand.New(rand.NewSource(g.Seed))
 	// Initialize means at random points, variances at global variance.
 	gvar := make([]float64, g.dim)
-	for d := 0; d < g.dim; d++ {
-		col := make([]float64, n)
-		for i := range pts {
-			col[i] = pts[i][d]
-		}
-		gvar[d] = stats.Variance(col)
+	for d, c := range dims {
+		gvar[d] = stats.Variance(c)
 		if gvar[d] < 1e-6 {
 			gvar[d] = 1e-6
 		}
@@ -414,7 +365,7 @@ func (g *GMM) Fit(x [][]float64, y []float64) error {
 		}
 	}
 	g.fitted = true
-	g.resid = residualStd(g.Predict, x, y)
+	g.resid = residualStd(g.Predict, cols, y)
 	return nil
 }
 
@@ -505,30 +456,15 @@ func MLPTrainer(hidden int, seed int64) Trainer {
 }
 
 // Fit trains the network on standardized inputs and target.
-func (m *MLP) Fit(x [][]float64, y []float64) error {
-	nFeat, err := checkShape(x, y)
-	if err != nil {
+func (m *MLP) Fit(cols [][]float64, y []float64) error {
+	if err := checkShape(cols, y); err != nil {
 		return err
 	}
-	n := len(y)
+	n, nFeat := len(y), len(cols)
 	m.nFeatures = nFeat
-	m.featMean = make([]float64, nFeat)
-	m.featStd = make([]float64, nFeat)
-	col := make([]float64, n)
-	for j := 0; j < nFeat; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = x[i][j]
-		}
-		mu, s := stats.MeanStd(col)
-		if s == 0 {
-			s = 1
-		}
-		m.featMean[j], m.featStd[j] = mu, s
-	}
-	m.yMean, m.yStd = stats.MeanStd(y)
-	if m.yStd == 0 {
-		m.yStd = 1
-	}
+	var zx [][]float64
+	var zy []float64
+	m.featMean, m.featStd, m.yMean, m.yStd, zx, zy = standardize(cols, y)
 	h := m.Hidden
 	if h < 1 {
 		h = 1
@@ -544,15 +480,6 @@ func (m *MLP) Fit(x [][]float64, y []float64) error {
 			m.w1[i][j] = rng.NormFloat64() * scale
 		}
 		m.w2[i] = rng.NormFloat64() * scale
-	}
-	zx := make([][]float64, n)
-	zy := make([]float64, n)
-	for i := 0; i < n; i++ {
-		zx[i] = make([]float64, nFeat)
-		for j := 0; j < nFeat; j++ {
-			zx[i][j] = (x[i][j] - m.featMean[j]) / m.featStd[j]
-		}
-		zy[i] = (y[i] - m.yMean) / m.yStd
 	}
 	hid := make([]float64, h)
 	order := rng.Perm(n)
@@ -579,7 +506,7 @@ func (m *MLP) Fit(x [][]float64, y []float64) error {
 		}
 	}
 	m.fitted = true
-	m.resid = residualStd(m.Predict, x, y)
+	m.resid = residualStd(m.Predict, cols, y)
 	return nil
 }
 
@@ -640,39 +567,15 @@ func SVRTrainer(seed int64) Trainer {
 }
 
 // Fit runs subgradient descent on the epsilon-insensitive loss.
-func (s *SVR) Fit(x [][]float64, y []float64) error {
-	nFeat, err := checkShape(x, y)
-	if err != nil {
+func (s *SVR) Fit(cols [][]float64, y []float64) error {
+	if err := checkShape(cols, y); err != nil {
 		return err
 	}
-	n := len(y)
+	n, nFeat := len(y), len(cols)
 	s.nFeatures = nFeat
-	s.featMean = make([]float64, nFeat)
-	s.featStd = make([]float64, nFeat)
-	col := make([]float64, n)
-	for j := 0; j < nFeat; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = x[i][j]
-		}
-		mu, sd := stats.MeanStd(col)
-		if sd == 0 {
-			sd = 1
-		}
-		s.featMean[j], s.featStd[j] = mu, sd
-	}
-	s.yMean, s.yStd = stats.MeanStd(y)
-	if s.yStd == 0 {
-		s.yStd = 1
-	}
-	zx := make([][]float64, n)
-	zy := make([]float64, n)
-	for i := 0; i < n; i++ {
-		zx[i] = make([]float64, nFeat)
-		for j := 0; j < nFeat; j++ {
-			zx[i][j] = (x[i][j] - s.featMean[j]) / s.featStd[j]
-		}
-		zy[i] = (y[i] - s.yMean) / s.yStd
-	}
+	var zx [][]float64
+	var zy []float64
+	s.featMean, s.featStd, s.yMean, s.yStd, zx, zy = standardize(cols, y)
 	s.w = make([]float64, nFeat)
 	s.b = 0
 	rng := rand.New(rand.NewSource(s.Seed))
@@ -701,7 +604,7 @@ func (s *SVR) Fit(x [][]float64, y []float64) error {
 		}
 	}
 	s.fitted = true
-	s.resid = residualStd(s.Predict, x, y)
+	s.resid = residualStd(s.Predict, cols, y)
 	return nil
 }
 

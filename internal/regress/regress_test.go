@@ -7,16 +7,17 @@ import (
 	"testing/quick"
 )
 
-// makeLinear generates y = 2*x0 - 3*x1 + 5 + noise.
+// makeLinear generates feature columns x0, x1 and y = 2*x0 - 3*x1 + 5 + noise.
 func makeLinear(n int, noise float64, seed int64) ([][]float64, []float64) {
 	r := rand.New(rand.NewSource(seed))
-	x := make([][]float64, n)
+	cols := [][]float64{make([]float64, n), make([]float64, n)}
 	y := make([]float64, n)
 	for i := 0; i < n; i++ {
-		x[i] = []float64{r.NormFloat64() * 3, r.NormFloat64() * 2}
-		y[i] = 2*x[i][0] - 3*x[i][1] + 5 + r.NormFloat64()*noise
+		x0, x1 := r.NormFloat64()*3, r.NormFloat64()*2
+		cols[0][i], cols[1][i] = x0, x1
+		y[i] = 2*x0 - 3*x1 + 5 + r.NormFloat64()*noise
 	}
-	return x, y
+	return cols, y
 }
 
 func testRecoversLinear(t *testing.T, p Predictor, tol float64) {
@@ -53,9 +54,8 @@ func TestGMMApproximatesLinear(t *testing.T) {
 
 func TestRidgeInterceptOnly(t *testing.T) {
 	r := NewRidge(0.1)
-	x := [][]float64{{}, {}, {}}
 	y := []float64{3, 5, 7}
-	if err := r.Fit(x, y); err != nil {
+	if err := r.Fit(nil, y); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(r.Predict(nil)-5) > 1e-9 {
@@ -68,7 +68,7 @@ func TestRidgeInterceptOnly(t *testing.T) {
 
 func TestRidgeConstantFeature(t *testing.T) {
 	// A constant feature must not blow up the standardization.
-	x := [][]float64{{1, 5}, {2, 5}, {3, 5}, {4, 5}}
+	x := [][]float64{{1, 2, 3, 4}, {5, 5, 5, 5}}
 	y := []float64{2, 4, 6, 8}
 	r := NewRidge(0.01)
 	if err := r.Fit(x, y); err != nil {
@@ -111,7 +111,7 @@ func TestFitErrors(t *testing.T) {
 			t.Fatalf("%T: length mismatch should error", m)
 		}
 		if err := m.Fit([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
-			t.Fatalf("%T: ragged rows should error", m)
+			t.Fatalf("%T: ragged columns should error", m)
 		}
 	}
 }
@@ -148,19 +148,18 @@ func TestGMMSeparatesClusters(t *testing.T) {
 	// Two clusters with different target levels: GMM should track them while
 	// a straight line through both would be off at the extremes.
 	r := rand.New(rand.NewSource(2))
-	var x [][]float64
-	var y []float64
+	var x, y []float64
 	for i := 0; i < 200; i++ {
 		if i%2 == 0 {
-			x = append(x, []float64{r.NormFloat64()*0.2 - 3})
+			x = append(x, r.NormFloat64()*0.2-3)
 			y = append(y, 10+r.NormFloat64()*0.1)
 		} else {
-			x = append(x, []float64{r.NormFloat64()*0.2 + 3})
+			x = append(x, r.NormFloat64()*0.2+3)
 			y = append(y, -10+r.NormFloat64()*0.1)
 		}
 	}
 	g := NewGMM(2, 1)
-	if err := g.Fit(x, y); err != nil {
+	if err := g.Fit([][]float64{x}, y); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(g.Predict([]float64{-3})-10) > 1 {

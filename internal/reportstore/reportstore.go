@@ -153,12 +153,30 @@ type Store struct {
 	f      *os.File
 	size   int64     // end of the last good frame; the next frame goes here
 	recs   []*Record // ascending Seq
+	spans  []span    // spans[i] locates recs[i]'s frame in the segment
 	last   int64
 	closed bool
 
 	appends     uint64
 	compactions uint64
 	truncated   int64
+}
+
+// span locates one frame in the segment, header included. Compaction copies
+// the retained frames by span, so a frame's bytes are never re-encoded.
+type span struct {
+	off int64
+	n   int
+}
+
+// bySeq sorts the index and its frame spans together.
+type bySeq struct{ s *Store }
+
+func (b bySeq) Len() int           { return len(b.s.recs) }
+func (b bySeq) Less(i, j int) bool { return b.s.recs[i].Seq < b.s.recs[j].Seq }
+func (b bySeq) Swap(i, j int) {
+	b.s.recs[i], b.s.recs[j] = b.s.recs[j], b.s.recs[i]
+	b.s.spans[i], b.s.spans[j] = b.s.spans[j], b.s.spans[i]
 }
 
 // Open opens (creating if necessary) the store under dir and replays its
@@ -202,8 +220,9 @@ func (s *Store) replay() error {
 		if !ok {
 			break
 		}
-		off += n
 		s.recs = append(s.recs, rec)
+		s.spans = append(s.spans, span{int64(off), n})
+		off += n
 		if rec.Seq > s.last {
 			s.last = rec.Seq
 		}
@@ -218,7 +237,7 @@ func (s *Store) replay() error {
 	}
 	// Defensive: a hand-edited or merged segment could be out of order;
 	// queries rely on ascending Seq for the cursor binary search.
-	sort.SliceStable(s.recs, func(i, j int) bool { return s.recs[i].Seq < s.recs[j].Seq })
+	sort.Stable(bySeq{s})
 	s.size = int64(off)
 	return nil
 }
@@ -332,8 +351,9 @@ func (s *Store) Append(rec *Record) (int64, error) {
 		}
 	}
 	s.last = rec.Seq
-	s.size += int64(len(frame))
 	s.recs = append(s.recs, rec)
+	s.spans = append(s.spans, span{s.size, len(frame)})
+	s.size += int64(len(frame))
 	s.appends++
 	if s.opts.MaxRecords > 0 && len(s.recs) > s.opts.MaxRecords+s.opts.MaxRecords/4 {
 		if err := s.compactLocked(); err != nil {
@@ -347,23 +367,29 @@ func (s *Store) Append(rec *Record) (int64, error) {
 
 // compactLocked rewrites the segment keeping the newest MaxRecords records,
 // via a temp file and an atomic rename so a crash mid-compaction leaves the
-// previous segment intact. Callers hold s.mu.
+// previous segment intact. The retained frames are copied from the old
+// segment as they are, and the temp file's handle becomes the segment's.
+// Callers hold s.mu.
 func (s *Store) compactLocked() error {
-	keep := s.recs[len(s.recs)-s.opts.MaxRecords:]
+	drop := len(s.recs) - s.opts.MaxRecords
+	keep := s.spans[drop:]
+	size := 0
+	for _, sp := range keep {
+		size += sp.n
+	}
+	buf := make([]byte, size)
+	pos := 0
+	for _, sp := range keep {
+		if _, err := s.f.ReadAt(buf[pos:pos+sp.n], sp.off); err != nil {
+			return err
+		}
+		pos += sp.n
+	}
 	tmp, err := os.CreateTemp(s.dir, ".reports-seg-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
-	var buf []byte
-	for _, rec := range keep {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		buf = encodeFrame(buf, payload)
-	}
 	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		return err
@@ -372,22 +398,22 @@ func (s *Store) compactLocked() error {
 		tmp.Close()
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
 	if err := os.Rename(tmp.Name(), s.path); err != nil {
+		tmp.Close()
 		return err
 	}
-	// The old handle points at the unlinked inode; reopen the published file
-	// for subsequent appends (positioned writes, so no O_APPEND).
-	f, err := os.OpenFile(s.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
+	// The old handle points at the unlinked inode; appends go on through the
+	// temp file's handle, which now names the published segment.
 	s.f.Close()
-	s.f = f
-	s.size = int64(len(buf))
-	s.recs = append(s.recs[:0], keep...)
+	s.f = tmp
+	s.size = int64(size)
+	pos = 0
+	for i, sp := range keep {
+		s.spans[i] = span{int64(pos), sp.n}
+		pos += sp.n
+	}
+	s.spans = s.spans[:len(keep)]
+	s.recs = append(s.recs[:0], s.recs[drop:]...)
 	s.compactions++
 	return nil
 }

@@ -345,6 +345,83 @@ func TestRetentionCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionCopiesFramesVerbatim writes hand-framed records whose
+// payloads and index fields are valid JSON but not compact, out of sequence
+// order in the segment, and drives a compaction. The retained frames must be
+// copied byte for byte: replay and /reports keep a payload as it was stored,
+// so compaction must not re-encode it. Appends after the compaction must land
+// in the published segment.
+func TestCompactionCopiesFramesVerbatim(t *testing.T) {
+	dir := t.TempDir()
+	bodies := map[int64]string{
+		3: `{"seq": 3, "entity": "hand-3", "payload": {"a": 1}}`,
+		1: `{"seq":1,"entity":"hand-1","payload":{"b": [1, 2]}}`,
+		4: `{"entity":"hand-4","seq":4,"payload":[ 1,2 ]}`,
+		2: `{"seq":2,"entity":"hand-2","payload":{"c": "d"}}`,
+	}
+	var seg []byte
+	for _, seq := range []int64{3, 1, 4, 2} {
+		seg = encodeFrame(seg, []byte(bodies[seq]))
+	}
+	path := filepath.Join(dir, segmentName)
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := mustOpen(t, dir, Options{MaxRecords: 4})
+	want := encodeFrame(encodeFrame(nil, []byte(bodies[3])), []byte(bodies[4]))
+	for i := 5; i <= 6; i++ {
+		rec := testRecord(i)
+		rec.Payload = json.RawMessage(fmt.Sprintf(`{"n":%d}`, i))
+		if _, err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = encodeFrame(want, body)
+	}
+	if c := st.Stats().Compactions; c != 1 {
+		t.Fatalf("%d compactions, want 1", c)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("compacted segment:\n%q\nwant the retained frames verbatim:\n%q", got, want)
+	}
+	if size := st.Stats().SegmentBytes; size != int64(len(want)) {
+		t.Fatalf("SegmentBytes %d, want %d", size, len(want))
+	}
+	if _, err := st.Append(testRecord(7)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	re := mustOpen(t, dir, Options{MaxRecords: 4})
+	page, err := re.Query(Query{Limit: MaxLimit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs []int64
+	for _, rec := range page.Records {
+		seqs = append(seqs, rec.Seq)
+	}
+	if !reflect.DeepEqual(seqs, []int64{3, 4, 5, 6, 7}) {
+		t.Fatalf("reopened seqs %v, want [3 4 5 6 7]", seqs)
+	}
+	for _, rec := range page.Records[:2] {
+		var hand Record
+		if err := json.Unmarshal([]byte(bodies[rec.Seq]), &hand); err != nil {
+			t.Fatal(err)
+		}
+		if string(rec.Payload) != string(hand.Payload) {
+			t.Errorf("seq %d: payload %s, want %s as stored", rec.Seq, rec.Payload, hand.Payload)
+		}
+	}
+}
+
 func TestQueryFilters(t *testing.T) {
 	st := mustOpen(t, t.TempDir(), Options{NoSync: true})
 	for i := 0; i < 60; i++ {

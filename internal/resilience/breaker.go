@@ -46,9 +46,6 @@ type BreakerConfig struct {
 	// Cooldown is how long the breaker stays open before letting a probe
 	// through (default 5 s).
 	Cooldown time.Duration
-	// SuccessesToClose is how many half-open probe successes close the
-	// breaker again (default 1).
-	SuccessesToClose int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -57,9 +54,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Second
-	}
-	if c.SuccessesToClose <= 0 {
-		c.SuccessesToClose = 1
 	}
 	return c
 }
@@ -76,10 +70,9 @@ type Breaker struct {
 	// transitions to Open.
 	onTrip func()
 
-	mu        sync.Mutex
-	state     BreakerState
-	failures  int // consecutive failures while closed
-	successes int // consecutive probe successes while half-open
+	mu       sync.Mutex
+	state    BreakerState
+	failures int // consecutive failures while closed
 	// probes counts half-open probe calls admitted but not yet recorded.
 	// Only a single in-flight probe is admitted at a time: concurrent Allow
 	// calls during half-open must not race to hammer a recovering source
@@ -121,7 +114,6 @@ func (b *Breaker) State() BreakerState {
 func (b *Breaker) tick() {
 	if b.state == Open && b.now().Sub(b.openedAt) >= b.cfg.Cooldown {
 		b.state = HalfOpen
-		b.successes = 0
 		b.probes = 0
 	}
 }
@@ -188,11 +180,9 @@ func (b *Breaker) recordLocked(err error) bool {
 			b.trip()
 			return true
 		}
-		b.successes++
-		if b.successes >= b.cfg.SuccessesToClose {
-			b.state = Closed
-			b.failures = 0
-		}
+		// One probe success closes the breaker.
+		b.state = Closed
+		b.failures = 0
 	case Open:
 		// A straggler finishing after the trip; nothing to update.
 	}
@@ -204,6 +194,5 @@ func (b *Breaker) trip() {
 	b.state = Open
 	b.openedAt = b.now()
 	b.failures = 0
-	b.successes = 0
 	b.probes = 0
 }

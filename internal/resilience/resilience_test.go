@@ -57,21 +57,22 @@ func TestDoExhaustsAttempts(t *testing.T) {
 	}
 }
 
+// TestDoBackoffGrowsAndIsCapped checks the fixed schedule: the nominal delay
+// doubles from BaseDelay up to the 1 s cap, and jitter keeps each delay
+// within ±25% of it.
 func TestDoBackoffGrowsAndIsCapped(t *testing.T) {
 	var delays []time.Duration
-	p := Policy{
-		MaxAttempts: 6,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    40 * time.Millisecond,
-		Jitter:      -1, // disable for exact delays
-	}.WithSleep(noSleep(&delays))
+	p := Policy{MaxAttempts: 11, BaseDelay: 10 * time.Millisecond}.WithSleep(noSleep(&delays))
 	_, _ = Do(context.Background(), p, func(context.Context) (int, error) {
 		return 0, errors.New("always")
 	})
-	want := []time.Duration{10, 20, 40, 40, 40}
-	for i, w := range want {
-		if delays[i] != w*time.Millisecond {
-			t.Fatalf("delay[%d] = %v, want %v", i, delays[i], w*time.Millisecond)
+	if len(delays) != 10 {
+		t.Fatalf("slept %d times, want 10", len(delays))
+	}
+	for k, d := range delays {
+		nominal := min(10*time.Millisecond<<k, time.Second)
+		if d < nominal*3/4 || d > nominal*5/4 {
+			t.Fatalf("delay[%d] = %v, want within 25%% of %v", k, d, nominal)
 		}
 	}
 }
@@ -79,7 +80,7 @@ func TestDoBackoffGrowsAndIsCapped(t *testing.T) {
 func TestDoJitterDeterministic(t *testing.T) {
 	run := func() []time.Duration {
 		var delays []time.Duration
-		p := Policy{MaxAttempts: 4, Seed: 7}.WithSleep(noSleep(&delays))
+		p := Policy{MaxAttempts: 4}.WithSleep(noSleep(&delays))
 		_, _ = Do(context.Background(), p, func(context.Context) (int, error) {
 			return 0, errors.New("always")
 		})

@@ -14,8 +14,16 @@ import (
 	"time"
 )
 
+// The backoff schedule: the delay doubles after each attempt up to maxDelay,
+// and half of each delay is randomized (d * (0.75 + 0.5u) for uniform u,
+// so ±25%) from a stream seeded with 0, so a schedule is reproducible.
+const (
+	maxDelay = time.Second
+	jitter   = 0.5
+)
+
 // Policy parameterizes a retry loop. The zero value retries up to four
-// attempts starting at a 10 ms backoff, doubling up to 1 s, with ±50%
+// attempts starting at a 10 ms backoff, doubling up to 1 s, with ±25%
 // jitter, retrying every error except context cancellation.
 type Policy struct {
 	// MaxAttempts is the total number of attempts, including the first
@@ -23,20 +31,10 @@ type Policy struct {
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt (default 10 ms).
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff growth (default 1 s).
-	MaxDelay time.Duration
-	// Multiplier is the backoff growth factor (default 2).
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomized, in [0, 1]:
-	// the actual delay is d * (1 - Jitter/2 + Jitter*u) for uniform u.
-	// Negative disables jitter; 0 means the default of 0.5.
-	Jitter float64
 	// RetryIf decides whether an error is worth another attempt. Nil
 	// retries everything except context.Canceled / DeadlineExceeded
 	// (those also stop the loop regardless of RetryIf).
 	RetryIf func(error) bool
-	// Seed makes the jitter sequence deterministic (0 is a valid seed).
-	Seed int64
 	// sleep is a test seam; nil uses a context-aware timer sleep.
 	sleep func(ctx context.Context, d time.Duration) error
 }
@@ -54,20 +52,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 10 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = time.Second
-	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = 2
-	}
-	switch {
-	case p.Jitter < 0:
-		p.Jitter = 0
-	case p.Jitter == 0:
-		p.Jitter = 0.5
-	case p.Jitter > 1:
-		p.Jitter = 1
 	}
 	if p.sleep == nil {
 		p.sleep = sleepCtx
@@ -99,7 +83,7 @@ func contextErr(err error) bool {
 // are returned on failure; the error reports how many attempts were made.
 func Do[T any](ctx context.Context, p Policy, op func(context.Context) (T, error)) (T, error) {
 	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(p.Seed))
+	rng := rand.New(rand.NewSource(0))
 	var zero T
 	delay := p.BaseDelay
 	var err error
@@ -121,18 +105,11 @@ func Do[T any](ctx context.Context, p Policy, op func(context.Context) (T, error
 		if attempt >= p.MaxAttempts {
 			break
 		}
-		d := delay
-		if p.Jitter > 0 {
-			f := 1 - p.Jitter/2 + p.Jitter*rng.Float64()
-			d = time.Duration(float64(d) * f)
-		}
+		d := time.Duration(float64(delay) * (1 - jitter/2 + jitter*rng.Float64()))
 		if serr := p.sleep(ctx, d); serr != nil {
 			return zero, fmt.Errorf("resilience: aborted during backoff after attempt %d: %w", attempt, serr)
 		}
-		delay = time.Duration(float64(delay) * p.Multiplier)
-		if delay > p.MaxDelay {
-			delay = p.MaxDelay
-		}
+		delay = min(2*delay, maxDelay)
 	}
 	return zero, fmt.Errorf("resilience: %d attempts exhausted: %w", p.MaxAttempts, err)
 }

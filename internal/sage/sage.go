@@ -113,25 +113,15 @@ func Train(db *telemetry.DB, g *graph.Graph, cfg Config) (*Model, error) {
 	// Fit per-node factors on parent metrics.
 	for i, id := range g.IDs() {
 		m.factors[i] = make(map[string]*regress.Ridge)
-		var featRefs [][2]interface{}
+		var cols [][]float64
 		for _, p := range m.parents[i] {
 			for _, pm := range db.MetricNames(g.ID(p)) {
-				featRefs = append(featRefs, [2]interface{}{p, pm})
+				cols = append(cols, windows[p][pm])
 			}
 		}
 		for _, metric := range db.MetricNames(id) {
-			y := windows[i][metric]
-			n := len(y)
-			x := make([][]float64, n)
-			for t := 0; t < n; t++ {
-				row := make([]float64, len(featRefs))
-				for j, fr := range featRefs {
-					row[j] = windows[fr[0].(int)][fr[1].(string)][t]
-				}
-				x[t] = row
-			}
 			rg := regress.NewRidge(cfg.Lambda)
-			if err := rg.Fit(x, y); err != nil {
+			if err := rg.Fit(cols, windows[i][metric]); err != nil {
 				return nil, fmt.Errorf("sage: fit %s/%s: %w", id, metric, err)
 			}
 			m.factors[i][metric] = rg

@@ -306,7 +306,7 @@ func TestWithSourceRetryAbsorbsChaos(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Samples = 300
 	cfg.TrainWindow = 220
-	retry := resilience.Policy{MaxAttempts: 6, Seed: 3}.
+	retry := resilience.Policy{MaxAttempts: 6}.
 		WithSleep(func(context.Context, time.Duration) error { return nil })
 	sys, err := New(db, WithConfig(cfg),
 		WithResilience(Resilience{Source: inj, Retry: &retry}))

@@ -15,9 +15,10 @@ type Config = core.Config
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // RetryPolicy configures the retry arm of the resilient telemetry read path
-// (attempt budget, backoff, jitter); it aliases the resilience layer's
-// Policy so external callers can construct one without reaching into
-// internal packages.
+// (attempt budget, first backoff, which errors to retry; the backoff doubles
+// up to 1 s with ±25% jitter); it aliases the resilience layer's Policy so
+// external callers can construct one without reaching into internal
+// packages.
 type RetryPolicy = resilience.Policy
 
 // BreakerConfig tunes the circuit breaker of the resilient telemetry read
