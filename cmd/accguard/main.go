@@ -20,8 +20,6 @@
 // size, and the comparison run replays exactly those cases, so any diff is a
 // code change, never sampling noise. Improvements never fail the run; the
 // printed table shows them so the baseline can be ratcheted with -update.
-// Legacy Murphy-only baselines (the pre-comparative `families` schema) are
-// still parsed; -update migrates them to the per-method schema.
 package main
 
 import (

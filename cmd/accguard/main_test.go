@@ -152,22 +152,3 @@ func TestUpdateRoundTripsSchema(t *testing.T) {
 		}
 	}
 }
-
-// TestLegacyBaselineUpgrades: the pre-comparative Murphy-only schema still
-// gates Murphy (lowered row fails) when compared against a new-schema run.
-func TestLegacyBaselineUpgrades(t *testing.T) {
-	dir := t.TempDir()
-	legacy := []byte(`{"seed":1,"cases_per_family":4,"families":{"cascade":{"cases":4,"precision":0.9,"top1":0.9,"top3":0.9,"top5":0.9},"confounder":{"cases":4,"precision":0.9,"top1":0.9,"top3":0.9,"top5":0.9}}}`)
-	base := filepath.Join(dir, "legacy.json")
-	if err := os.WriteFile(base, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cur := writeJSON(t, dir, "cur.json", fakeResult(0.7, 0.5))
-	code, out := guard(t, noEnv, "-baseline", base, "-current", cur)
-	if code != 1 {
-		t.Fatalf("exit %d on regression vs legacy baseline, want 1\n%s", code, out)
-	}
-	if !strings.Contains(out, "REGRESS") {
-		t.Errorf("missing REGRESS marker:\n%s", out)
-	}
-}

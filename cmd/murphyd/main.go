@@ -72,16 +72,13 @@ func main() {
 		repKeep  = flag.Int("report-retention", 10000, "reports retained in the report store before compaction drops the oldest")
 		retries  = flag.Int("retries", 0, "retry attempts for transient telemetry read faults (0 = no retry layer)")
 		inctrain = flag.Bool("inctrain", false, "train incrementally: slide per-factor sufficient statistics as windows advance instead of retraining full windows; the factor store persists in the -state snapshot so warm restarts skip training")
-		driftTh  = flag.Float64("drift-threshold", 0, "MASE drift score above which an incrementally maintained factor is fully refit (0 = default 4.0; needs -inctrain)")
 		pprof    = flag.Bool("pprof", false, "expose /debug/pprof on the daemon mux")
 		// Chaos flags drive soak drills: they inject faults into the
 		// daemon's own telemetry read path so the degradation ladder is
 		// exercisable against a real process.
 		chaosFault   = flag.Float64("chaos-fault", 0, "probability a telemetry read fails transiently (soak drills)")
-		chaosLatency = flag.Float64("chaos-latency", 0, "probability a telemetry read stalls (soak drills)")
-		chaosStall   = flag.Duration("chaos-stall", 5*time.Millisecond, "injected stall duration for -chaos-latency")
+		chaosLatency = flag.Float64("chaos-latency", 0, "probability a telemetry read stalls for 5ms (soak drills)")
 		chaosCorrupt = flag.Float64("chaos-corrupt", 0, "per-value probability a read is corrupted to missing (soak drills)")
-		chaosSeed    = flag.Int64("chaos-seed", 1, "chaos injector seed")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -137,10 +134,10 @@ func main() {
 	res := murphy.Resilience{}
 	if *chaosFault > 0 || *chaosLatency > 0 || *chaosCorrupt > 0 {
 		res.Source = chaos.Wrap(db, chaos.Config{
-			Seed:        *chaosSeed,
+			Seed:        1,
 			FaultRate:   *chaosFault,
 			LatencyRate: *chaosLatency,
-			Latency:     *chaosStall,
+			Latency:     5 * time.Millisecond,
 			CorruptRate: *chaosCorrupt,
 		})
 	}
@@ -151,9 +148,7 @@ func main() {
 		sysOpts = append(sysOpts, murphy.WithResilience(res))
 	}
 	if *inctrain {
-		sysOpts = append(sysOpts, murphy.WithIncrementalTraining(murphy.IncrementalTraining{
-			DriftThreshold: *driftTh,
-		}))
+		sysOpts = append(sysOpts, murphy.WithIncrementalTraining(murphy.IncrementalTraining{}))
 	}
 
 	srv, err := serve.New(db, serve.Config{

@@ -36,7 +36,6 @@ import (
 var internalExportAllowlist = map[string]string{
 	"core.Model.SetEvalHook":          "test hook: the chaos drill's panicking evaluator",
 	"core.Model.SetRecorder":          "test hook: BenchmarkObsOverhead's disabled and enabled arms",
-	"core.FactorStore.Reset":          "test hook: BenchmarkIncrementalTrain's untimed re-anchor",
 	"obs.Recorder.Reset":              "test hook: zeroes a recorder between measured runs",
 	"resilience.Breaker.WithClock":    "test hook: drives the breaker's cooldown without sleeping",
 	"resilience.Policy.WithSleep":     "test hook: runs retry backoff without sleeping",

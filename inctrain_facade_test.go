@@ -95,30 +95,11 @@ func TestWithIncrementalTrainingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWithIncrementalTrainingPrecedence: zero fields keep the default
-// policy, non-zero fields override it, and every System gets its own store.
-func TestWithIncrementalTrainingPrecedence(t *testing.T) {
-	// Zero-value bundle: own store with the default policy.
+// TestWithIncrementalTrainingOwnStore: every System builds its own store.
+func TestWithIncrementalTrainingOwnStore(t *testing.T) {
 	sys := testSystem(t, WithIncrementalTraining(IncrementalTraining{}))
-	st, ok := sys.FactorStoreStats()
-	if !ok || st.DriftThreshold != 4.0 || st.RefreshEvery != 512 {
-		t.Fatalf("zero bundle should inherit defaults: %+v (ok=%v)", st, ok)
-	}
-
-	// Non-zero fields override.
-	sys2 := testSystem(t, WithIncrementalTraining(IncrementalTraining{
-		DriftThreshold: 2.5, RefreshEvery: 64,
-	}))
-	if st, _ := sys2.FactorStoreStats(); st.DriftThreshold != 2.5 || st.RefreshEvery != 64 {
-		t.Fatalf("non-zero fields should override: %+v", st)
-	}
-
-	// A partial bundle overrides only what it sets.
-	sys3 := testSystem(t, WithIncrementalTraining(IncrementalTraining{RefreshEvery: 64}))
-	if st, _ := sys3.FactorStoreStats(); st.DriftThreshold != 4.0 || st.RefreshEvery != 64 {
-		t.Fatalf("zero fields should keep the default policy: %+v", st)
-	}
-	if sys.FactorStore() == sys2.FactorStore() || sys2.FactorStore() == sys3.FactorStore() {
+	sys2 := testSystem(t, WithIncrementalTraining(IncrementalTraining{}))
+	if sys.FactorStore() == nil || sys.FactorStore() == sys2.FactorStore() {
 		t.Fatal("every System should own its store")
 	}
 }

@@ -21,15 +21,15 @@ import (
 
 // Incremental training defaults and guard thresholds.
 const (
-	// DefaultDriftThreshold is the MASE score of a factor's one-step-ahead
+	// defaultDriftThreshold is the MASE score of a factor's one-step-ahead
 	// predictions above which the incremental trainer falls back to a full
 	// refit: the stale model predicts several times worse than a naive
 	// forecaster, so the neighbor relationship it learned has shifted.
-	DefaultDriftThreshold = 4.0
-	// DefaultRefreshEvery bounds how many window slides a factor's sufficient
+	defaultDriftThreshold = 4.0
+	// defaultRefreshEvery bounds how many window slides a factor's sufficient
 	// statistics may accumulate before a full re-anchor, capping the
 	// accumulated floating-point drift of the slid Gram/cross sums.
-	DefaultRefreshEvery = 512
+	defaultRefreshEvery = 512
 	// selectionMarginEps is the minimum |Pearson| gap between adjacent
 	// feature-selection ranks for the incremental ranking to be trusted: the
 	// slid correlations differ from the full recomputation by rounding only,
@@ -188,7 +188,7 @@ type storeEntry struct {
 //   - the MASE drift score of the factor's one-step-ahead predictions
 //     exceeds the drift threshold (the learned relationship shifted);
 //   - numeric conditioning fails (non-PD standardized Gram, negative
-//     residual sum of squares), or RefreshEvery slides accumulated;
+//     residual sum of squares), or 512 slides accumulated;
 //   - the window slid by more than half its width, the hyperparameters or
 //     database changed, or a series has in-window missing values (its
 //     placeholder fill is window-dependent).
@@ -210,7 +210,10 @@ type storeEntry struct {
 // All methods are safe for concurrent use; a training pass holds the store
 // lock, so concurrent Train calls on one store serialize.
 type FactorStore struct {
-	mu             sync.Mutex
+	mu sync.Mutex
+	// driftThreshold and refreshEvery are the retrain guards, fixed at
+	// defaultDriftThreshold and defaultRefreshEvery; tests raise them to
+	// isolate one mechanism from the refits the guards would force.
 	driftThreshold float64
 	refreshEvery   int
 
@@ -233,26 +236,12 @@ type FactorStore struct {
 	exactRanks, gramDots                                    uint64
 }
 
-// NewFactorStore returns an empty incremental factor store with the default
-// drift threshold and refresh interval.
+// NewFactorStore returns an empty incremental factor store: a factor is
+// refit when its drift score exceeds 4.0, and re-anchored after 512 slides.
 func NewFactorStore() *FactorStore {
 	return &FactorStore{
-		driftThreshold: DefaultDriftThreshold,
-		refreshEvery:   DefaultRefreshEvery,
-	}
-}
-
-// SetPolicy overrides the retrain guards: driftThreshold is the MASE score
-// above which a factor is refit (<= 0 keeps the current value), refreshEvery
-// the slide budget before a forced re-anchor (<= 0 keeps the current value).
-func (s *FactorStore) SetPolicy(driftThreshold float64, refreshEvery int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if driftThreshold > 0 {
-		s.driftThreshold = driftThreshold
-	}
-	if refreshEvery > 0 {
-		s.refreshEvery = refreshEvery
+		driftThreshold: defaultDriftThreshold,
+		refreshEvery:   defaultRefreshEvery,
 	}
 }
 
@@ -274,9 +263,6 @@ type FactorStoreStats struct {
 	ExactRanks, GramDots uint64
 	// Factors and Series are the current state sizes.
 	Factors, Series int
-	// DriftThreshold and RefreshEvery echo the active retrain policy.
-	DriftThreshold float64
-	RefreshEvery   int
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -289,7 +275,6 @@ func (s *FactorStore) Stats() FactorStoreStats {
 		Slides:     s.slideCount, Resets: s.resets,
 		ExactRanks: s.exactRanks, GramDots: s.gramDots,
 		Factors: countLive(s.entries), Series: countLive(s.series),
-		DriftThreshold: s.driftThreshold, RefreshEvery: s.refreshEvery,
 	}
 }
 
@@ -355,14 +340,6 @@ func (s *FactorStore) EntityHealth(id telemetry.EntityID) []FactorHealth {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Metric < out[j].Metric })
 	return out
-}
-
-// Reset discards all incremental state (the next train re-anchors from
-// scratch). Counters and policy survive.
-func (s *FactorStore) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.resetLocked(nil, nil, 0, 0, 0)
 }
 
 func (s *FactorStore) resetLocked(db *telemetry.DB, g *graph.Graph, window, topB int, lambda float64) {

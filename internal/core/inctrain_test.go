@@ -21,67 +21,16 @@ import (
 // for bit (anchored/refit factors ARE bit-identical and tested as such).
 const incViewTol = 1e-6
 
-func floatClose(a, b, tol float64) bool {
-	if a == b || (math.IsNaN(a) && math.IsNaN(b)) {
-		return true
-	}
-	m := math.Abs(a)
-	if mb := math.Abs(b); mb > m {
-		m = mb
-	}
-	return math.Abs(a-b) <= tol*(1+m)
-}
-
-func sliceClose(a, b []float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !floatClose(a[i], b[i], tol) {
-			return false
-		}
-	}
-	return true
-}
-
-// compareFactorViews requires every factor of the two models to agree within
-// tol (tol = 0 demands bitwise equality).
-func compareFactorViews(t *testing.T, label string, want, got *Model, db *telemetry.DB, g *graph.Graph, tol float64) {
+// requireFactors fails the test unless CompareFactors finds got's factors
+// within tol of want's (tol = 0 demands equal parameters).
+func requireFactors(t *testing.T, label string, want, got *Model, tol float64) {
 	t.Helper()
-	for _, id := range g.IDs() {
-		for _, name := range db.MetricNames(id) {
-			w, ok1 := want.FactorView(id, name)
-			v, ok2 := got.FactorView(id, name)
-			if ok1 != ok2 {
-				t.Fatalf("%s: %s/%s: factor presence %v vs %v", label, id, name, ok1, ok2)
-			}
-			if !ok1 {
-				continue
-			}
-			if len(w.Features) != len(v.Features) {
-				t.Fatalf("%s: %s/%s: features %v vs %v", label, id, name, w.Features, v.Features)
-			}
-			for i := range w.Features {
-				if w.Features[i] != v.Features[i] {
-					t.Fatalf("%s: %s/%s: feature %d: %q vs %q", label, id, name, i, w.Features[i], v.Features[i])
-				}
-			}
-			if !sliceClose(w.Coef, v.Coef, tol) || !sliceClose(w.FeatMean, v.FeatMean, tol) || !sliceClose(w.FeatStd, v.FeatStd, tol) {
-				t.Fatalf("%s: %s/%s: model terms differ beyond %v:\n full %+v\n  inc %+v", label, id, name, tol, w, v)
-			}
-			for _, pair := range [][2]float64{
-				{w.Intercept, v.Intercept}, {w.ResidualStd, v.ResidualStd},
-				{w.HMean, v.HMean}, {w.HStd, v.HStd},
-				{w.Med, v.Med}, {w.MADScale, v.MADScale}, {w.RScore, v.RScore},
-			} {
-				if !floatClose(pair[0], pair[1], tol) {
-					t.Fatalf("%s: %s/%s: scalar differs beyond %v:\n full %+v\n  inc %+v", label, id, name, tol, w, v)
-				}
-			}
-			if w.Novel != v.Novel {
-				t.Fatalf("%s: %s/%s: novel %v vs %v", label, id, name, w.Novel, v.Novel)
-			}
-		}
+	d, err := CompareFactors(want, got)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if d.Worst > tol {
+		t.Fatalf("%s: %s differs by %g, beyond %g", label, d.At, d.Worst, tol)
 	}
 }
 
@@ -113,7 +62,7 @@ func TestIncrementalAnchorBitIdentical(t *testing.T) {
 	store := NewFactorStore()
 	inc := incTrainAt(t, db, g, cfg, 260, store)
 	full := fullTrainAt(t, db, g, cfg, 260)
-	compareFactorViews(t, "anchor", full, inc, db, g, 0)
+	requireFactors(t, "anchor", full, inc, 0)
 	st := store.Stats()
 	if st.Refits != 5 || st.Hits != 0 {
 		t.Fatalf("anchor pass should refit everything: %+v", st)
@@ -133,7 +82,7 @@ func TestIncrementalSlideMatchesFull(t *testing.T) {
 		inc = incTrainAt(t, db, g, cfg, now, store)
 		if (now-250)%10 == 0 || now == 319 {
 			full := fullTrainAt(t, db, g, cfg, now)
-			compareFactorViews(t, "slide", full, inc, db, g, incViewTol)
+			requireFactors(t, "slide", full, inc, incViewTol)
 		}
 	}
 	st := store.Stats()
@@ -177,7 +126,7 @@ func TestIncrementalRepeatedWindowIsPureHit(t *testing.T) {
 	if st.Hits != 5 || st.Refits != 5 {
 		t.Fatalf("expected 5 anchor refits + 5 pure hits: %+v", st)
 	}
-	compareFactorViews(t, "repeat", m1, m2, db, g, 0)
+	requireFactors(t, "repeat", m1, m2, 0)
 }
 
 // twoNodeDB builds a minimal a->b chain where b's CPU tracks a's with gain
@@ -228,7 +177,7 @@ func TestIncrementalDriftTrip(t *testing.T) {
 		})
 	cfg := testConfig()
 	store := NewFactorStore()
-	store.SetPolicy(2.0, 1<<30) // sensitive drift, no scheduled refresh
+	store.driftThreshold, store.refreshEvery = 2.0, 1<<30 // sensitive drift, no scheduled refresh
 	var inc *Model
 	for now := 249; now < 400; now++ {
 		inc = incTrainAt(t, db, g, cfg, now, store)
@@ -238,7 +187,7 @@ func TestIncrementalDriftTrip(t *testing.T) {
 		t.Fatalf("relationship flip should trip the drift guard: %+v", st)
 	}
 	full := fullTrainAt(t, db, g, cfg, 399)
-	compareFactorViews(t, "post-flip", full, inc, db, g, incViewTol)
+	requireFactors(t, "post-flip", full, inc, incViewTol)
 }
 
 // TestIncrementalRecenter runs a large-mean series with a drifting level:
@@ -255,7 +204,7 @@ func TestIncrementalRecenter(t *testing.T) {
 		})
 	cfg := testConfig()
 	store := NewFactorStore()
-	store.SetPolicy(1e9, 1<<30) // isolate the recenter machinery: no drift/refresh refits
+	store.driftThreshold, store.refreshEvery = 1e9, 1<<30 // isolate the recenter machinery: no drift/refresh refits
 	var inc *Model
 	for now := 249; now < 420; now++ {
 		inc = incTrainAt(t, db, g, cfg, now, store)
@@ -265,7 +214,7 @@ func TestIncrementalRecenter(t *testing.T) {
 		t.Fatalf("recenter test should stay on the incremental path: %+v", st)
 	}
 	full := fullTrainAt(t, db, g, cfg, 419)
-	compareFactorViews(t, "recenter", full, inc, db, g, incViewTol)
+	requireFactors(t, "recenter", full, inc, incViewTol)
 }
 
 // TestIncrementalDegenerateSeries: a constant metric yields zero
@@ -282,8 +231,8 @@ func TestIncrementalDegenerateSeries(t *testing.T) {
 		inc = incTrainAt(t, db, g, cfg, now, store)
 	}
 	full := fullTrainAt(t, db, g, cfg, 299)
-	compareFactorViews(t, "degenerate", full, inc, db, g, incViewTol)
-	if v, ok := inc.FactorView("b", telemetry.MetricCPU); !ok || len(v.Features) != 0 {
+	requireFactors(t, "degenerate", full, inc, incViewTol)
+	if v, ok := inc.factorView("b", telemetry.MetricCPU); !ok || len(v.features) != 0 {
 		t.Fatalf("constant target should select no features: %+v", v)
 	}
 }
@@ -335,13 +284,13 @@ func TestIncrementalDirtySeries(t *testing.T) {
 		inc = incTrainAt(t, rngDB, g, cfg, now, store)
 		if (now-280)%15 == 0 || now == 339 {
 			full := fullTrainAt(t, rngDB, g, cfg, now)
-			compareFactorViews(t, "dirty", full, inc, rngDB, g, incViewTol)
+			requireFactors(t, "dirty", full, inc, incViewTol)
 			// The dirty-target factor must be bit-identical: it takes a
 			// full refit while any NaN is in-window.
 			if now < 300+cfg.TrainWindow && now >= 290 {
-				w, _ := full.FactorView("front", telemetry.MetricCPU)
-				v, _ := inc.FactorView("front", telemetry.MetricCPU)
-				if !sliceClose(w.Coef, v.Coef, 0) || w.Intercept != v.Intercept || w.Med != v.Med || w.MADScale != v.MADScale {
+				w, _ := full.factorView("front", telemetry.MetricCPU)
+				v, _ := inc.factorView("front", telemetry.MetricCPU)
+				if !slices.Equal(w.coef, v.coef) || w.intercept != v.intercept || w.med != v.med || w.madScale != v.madScale {
 					t.Fatalf("dirty-target factor not bit-identical at %d:\n full %+v\n  inc %+v", now, w, v)
 				}
 			}
@@ -364,7 +313,7 @@ func TestIncrementalMetricAppears(t *testing.T) {
 		t.Helper()
 		for now := from; now <= to; now++ {
 			inc := incTrainAt(t, db, g, cfg, now, store)
-			compareFactorViews(t, fmt.Sprintf("slide %d", now), fullTrainAt(t, db, g, cfg, now), inc, db, g, incViewTol)
+			requireFactors(t, fmt.Sprintf("slide %d", now), fullTrainAt(t, db, g, cfg, now), inc, incViewTol)
 		}
 	}
 	slide(250, 279)
@@ -421,7 +370,7 @@ func TestFactorStoreSnapshotRoundTrip(t *testing.T) {
 	if st.Hits != 5 {
 		t.Fatalf("warm restart should serve every factor: %+v", st)
 	}
-	compareFactorViews(t, "warm", m1, m2, db, g, 0)
+	requireFactors(t, "warm", m1, m2, 0)
 
 	// The restored statistics must keep sliding correctly.
 	var inc *Model
@@ -429,7 +378,7 @@ func TestFactorStoreSnapshotRoundTrip(t *testing.T) {
 		inc = incTrainAt(t, db, g, cfg, now, warm)
 	}
 	full := fullTrainAt(t, db, g, cfg, 339)
-	compareFactorViews(t, "warm-slide", full, inc, db, g, incViewTol)
+	requireFactors(t, "warm-slide", full, inc, incViewTol)
 }
 
 // TestFactorStoreSnapshotMismatchDiscarded: a snapshot taken under different
@@ -459,7 +408,7 @@ func TestFactorStoreSnapshotMismatchDiscarded(t *testing.T) {
 		t.Fatalf("mismatched snapshot must be discarded: %+v", st)
 	}
 	full := fullTrainAt(t, db, g, other, 300)
-	compareFactorViews(t, "discard", full, inc, db, g, 0)
+	requireFactors(t, "discard", full, inc, 0)
 
 	// Different data (another seed): window fingerprints cannot match.
 	db2 := chainDB(t, 340, 5, 99)
@@ -472,7 +421,7 @@ func TestFactorStoreSnapshotMismatchDiscarded(t *testing.T) {
 	if st := cold2.Stats(); st.Refits != 5 {
 		t.Fatalf("foreign-data snapshot must be discarded: %+v", st)
 	}
-	compareFactorViews(t, "discard-data", fullTrainAt(t, db2, g2, cfg, 300), inc2, db2, g2, 0)
+	requireFactors(t, "discard-data", fullTrainAt(t, db2, g2, cfg, 300), inc2, 0)
 }
 
 // TestIncrementalWorkersBitIdentical: the pooled factor phase must produce
@@ -495,7 +444,7 @@ func TestIncrementalWorkersBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	compareFactorViews(t, "workers", ms, mp, db, g, 0)
+	requireFactors(t, "workers", ms, mp, 0)
 	a, b := serial.Stats(), pooled.Stats()
 	if a.Hits != b.Hits || a.Refits != b.Refits {
 		t.Fatalf("pooled stats diverged: %+v vs %+v", a, b)
@@ -515,7 +464,7 @@ func TestIncrementalFarJumpResets(t *testing.T) {
 	if st.Resets == 0 {
 		t.Fatalf("far jump should reset: %+v", st)
 	}
-	compareFactorViews(t, "jump", fullTrainAt(t, db, g, cfg, 339), m, db, g, 0)
+	requireFactors(t, "jump", fullTrainAt(t, db, g, cfg, 339), m, 0)
 }
 
 // countdownCtx reports cancellation once Err has been polled `left` times:
@@ -554,7 +503,7 @@ func TestIncrementalCancelledPassResets(t *testing.T) {
 			t.Fatalf("polls=%d: a failed pass should void the store: %+v", polls, st)
 		}
 		m := incTrainAt(t, db, g, cfg, 261, store)
-		compareFactorViews(t, "after cancel", fullTrainAt(t, db, g, cfg, 261), m, db, g, 0)
+		requireFactors(t, "after cancel", fullTrainAt(t, db, g, cfg, 261), m, 0)
 	}
 }
 
@@ -655,17 +604,17 @@ func TestIncrementalPartialRerankMatchesExact(t *testing.T) {
 	cfg := testConfig()
 	cfg.TrainWindow = tieWindow
 	store := NewFactorStore()
-	store.SetPolicy(1e9, 1<<30) // isolate selection: no drift or refresh refits
+	store.driftThreshold, store.refreshEvery = 1e9, 1<<30 // isolate selection: no drift or refresh refits
 
 	anchor := total - 1 - slides
 	prev := incTrainAt(t, db, g, cfg, anchor, store)
-	hub, _ := prev.FactorView("hub", telemetry.MetricCPU)
-	if len(hub.Features) != cfg.TopB {
-		t.Fatalf("hub/cpu selects %d features, want %d: %v", len(hub.Features), cfg.TopB, hub.Features)
+	hub, _ := prev.factorView("hub", telemetry.MetricCPU)
+	if len(hub.features) != cfg.TopB {
+		t.Fatalf("hub/cpu selects %d features, want %d: %v", len(hub.features), cfg.TopB, hub.features)
 	}
-	for i, f := range hub.Features {
+	for i, f := range hub.features {
 		if isTie := strings.HasPrefix(f, "z"); isTie != (i >= 7) {
-			t.Fatalf("fixture: the tie run must fill ranks 7-9 of hub/cpu exactly: %v", hub.Features)
+			t.Fatalf("fixture: the tie run must fill ranks 7-9 of hub/cpu exactly: %v", hub.features)
 		}
 	}
 
@@ -677,14 +626,14 @@ func TestIncrementalPartialRerankMatchesExact(t *testing.T) {
 	var orderOnly, swaps int
 	for now := anchor + 1; now < total; now++ {
 		inc := incTrainAt(t, db, g, cfg, now, store)
-		compareFactorViews(t, fmt.Sprintf("slide to %d", now), fullTrainAt(t, db, g, cfg, now), inc, db, g, incViewTol)
+		requireFactors(t, fmt.Sprintf("slide to %d", now), fullTrainAt(t, db, g, cfg, now), inc, incViewTol)
 		for _, id := range g.IDs() {
 			for _, name := range db.MetricNames(id) {
-				was, _ := prev.FactorView(id, name)
-				is, _ := inc.FactorView(id, name)
+				was, _ := prev.factorView(id, name)
+				is, _ := inc.factorView(id, name)
 				switch {
-				case slices.Equal(was.Features, is.Features):
-				case slices.Equal(sorted(was.Features), sorted(is.Features)):
+				case slices.Equal(was.features, is.features):
+				case slices.Equal(sorted(was.features), sorted(is.features)):
 					orderOnly++
 				default:
 					swaps++

@@ -106,10 +106,10 @@ func TestCustomTrainerTrainsDefaultFactors(t *testing.T) {
 	}
 	for _, id := range g.IDs() {
 		for _, name := range db.MetricNames(id) {
-			wv, _ := want.FactorView(id, name)
-			gv, ok := got.FactorView(id, name)
-			if !ok || !slices.Equal(wv.Features, gv.Features) {
-				t.Fatalf("%s/%s: features %v vs %v (trained %v)", id, name, wv.Features, gv.Features, ok)
+			wv, _ := want.factorView(id, name)
+			gv, ok := got.factorView(id, name)
+			if !ok || !slices.Equal(wv.features, gv.features) {
+				t.Fatalf("%s/%s: features %v vs %v (trained %v)", id, name, wv.features, gv.features, ok)
 			}
 			wp := predictCurrent(want, id, name)
 			gp := predictCurrent(got, id, name)
@@ -122,7 +122,7 @@ func TestCustomTrainerTrainsDefaultFactors(t *testing.T) {
 
 // predictCurrent returns the (id, metric) factor's mean prediction from the
 // model's current state, 0 without such a factor. opaqueRidge hides
-// LinearTerms, so FactorView cannot stand in for it.
+// LinearTerms, so factorView cannot stand in for it.
 func predictCurrent(m *Model, id telemetry.EntityID, metric string) float64 {
 	f, _ := m.factorOf(id, metric)
 	if f == nil {

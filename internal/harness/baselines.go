@@ -147,28 +147,17 @@ func (r *BaselinesResult) MarshalIndent() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// ParseBaselines parses a comparative accuracy JSON file. Legacy Murphy-only
-// files (the pre-comparative `families` shape) are upgraded in place: their
-// numbers become the Murphy method, other methods absent.
+// ParseBaselines parses a comparative accuracy JSON file; one without Murphy
+// rows is rejected.
 func ParseBaselines(data []byte) (*BaselinesResult, error) {
-	var r struct {
-		BaselinesResult
-		// Families is the legacy Murphy-only shape.
-		Families map[string]FamilyAccuracy `json:"families"`
-	}
+	var r BaselinesResult
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("parse baselines JSON: %w", err)
-	}
-	if len(r.Methods) == 0 {
-		if r.Families == nil {
-			return nil, fmt.Errorf("parse baselines JSON: no methods recorded and not a legacy accuracy file")
-		}
-		r.Methods = map[string]map[string]FamilyAccuracy{SchemeMurphy: r.Families}
 	}
 	if len(r.Methods[SchemeMurphy]) == 0 {
 		return nil, fmt.Errorf("parse baselines JSON: no Murphy rows recorded")
 	}
-	return &r.BaselinesResult, nil
+	return &r, nil
 }
 
 // SweepRegressors is the Fig 8a comparison order: the factor regression

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -161,21 +162,14 @@ func TestBaselinesGoldenRankings(t *testing.T) {
 	checkGolden(t, "baseline_rankings.golden", b.String())
 }
 
-// TestParseBaselinesLegacy checks the pre-comparative Murphy-only baseline
-// schema still parses, upgraded into the Murphy method.
-func TestParseBaselinesLegacy(t *testing.T) {
-	legacy := []byte(`{"seed":7,"cases_per_family":3,"families":{"cascade":{"cases":3,"precision":1,"top1":1,"top3":1,"top5":1}}}`)
-	r, err := ParseBaselines(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Seed != 7 || r.CasesPerFamily != 3 {
-		t.Errorf("legacy header lost: %+v", r)
-	}
-	if got := r.Methods[SchemeMurphy]["cascade"]; got.Precision != 1 || got.Cases != 3 {
-		t.Errorf("legacy families not upgraded to Murphy method: %+v", got)
-	}
-	// Round-trip: the upgraded result re-marshals in the new schema.
+// TestParseBaselinesRoundTrip: a result re-parses from its own JSON, and a
+// file without Murphy rows, such as one in the Murphy-only `families`
+// shape, is rejected.
+func TestParseBaselinesRoundTrip(t *testing.T) {
+	r := &BaselinesResult{Seed: 7, CasesPerFamily: 3, Methods: map[string]map[string]FamilyAccuracy{
+		SchemeMurphy:   {"cascade": {Cases: 3, Precision: 1, Top1: 1, Top3: 1, Top5: 1}},
+		SchemeNetMedic: {"cascade": {Cases: 3, Precision: 0.5, Top1: 0, Top3: 1, Top5: 1}},
+	}}
 	data, err := r.MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +178,11 @@ func TestParseBaselinesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Methods[SchemeMurphy]["cascade"] != r.Methods[SchemeMurphy]["cascade"] {
+	if !reflect.DeepEqual(r2, r) {
 		t.Errorf("round-trip lost data: %+v vs %+v", r2, r)
+	}
+	legacy := []byte(`{"seed":7,"cases_per_family":3,"families":{"cascade":{"cases":3,"precision":1,"top1":1,"top3":1,"top5":1}}}`)
+	if _, err := ParseBaselines(legacy); err == nil || !strings.Contains(err.Error(), "no Murphy rows") {
+		t.Errorf("families-only file: err = %v, want no Murphy rows", err)
 	}
 }

@@ -136,11 +136,16 @@ func RunFig8a(opts Fig8aOptions) (*Fig8aResult, error) {
 				cols[j] = db.RawWindow(s.r.id, s.r.m, 0, db.Len())
 				train[j] = cols[j][:split]
 			}
+			// A metric is scored only when every model fits it and gets a
+			// finite MASE, so the four CDFs average the same metrics: MASE
+			// is +Inf on a flat training series unless the prediction is
+			// exact, which ridge manages and the MLP does not.
 			row := make([]float64, b)
+			scores := make(map[string]float64, len(trainers))
 			for name, tr := range trainers {
 				model := tr()
 				if err := model.Fit(train, y[:split]); err != nil {
-					continue
+					break
 				}
 				pred := make([]float64, db.Len()-split)
 				for t := split; t < db.Len(); t++ {
@@ -151,22 +156,23 @@ func RunFig8a(opts Fig8aOptions) (*Fig8aResult, error) {
 				}
 				m, err := stats.MASE(pred, y[split:], y[:split])
 				if err != nil || math.IsInf(m, 0) || math.IsNaN(m) {
-					continue
+					break
 				}
-				perModel[name] = append(perModel[name], m)
+				scores[name] = m
+			}
+			if len(scores) == len(trainers) {
+				for name, m := range scores {
+					perModel[name] = append(perModel[name], m)
+				}
 			}
 		}
-		counted := false
+		if len(perModel) == 0 {
+			continue
+		}
 		for name, ms := range perModel {
-			if len(ms) == 0 {
-				continue
-			}
 			res.MASE[name] = append(res.MASE[name], stats.Mean(ms))
-			counted = true
 		}
-		if counted {
-			res.Entities++
-		}
+		res.Entities++
 	}
 	return res, nil
 }

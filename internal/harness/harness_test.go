@@ -220,6 +220,13 @@ func TestFig8aShape(t *testing.T) {
 	if res.Entities < 20 {
 		t.Fatalf("entities scored = %d, want plenty", res.Entities)
 	}
+	// Every model is scored on the same entities, or the CDFs compare
+	// different populations.
+	for _, name := range Fig8aModels {
+		if n := len(res.MASE[name]); n != res.Entities {
+			t.Errorf("%s scored %d entities, want all %d", name, n, res.Entities)
+		}
+	}
 	// Fig 8a fits its regressors directly, outside core's trainer, so pin
 	// every model's per-entity MASE as exact bits.
 	var b strings.Builder

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -158,14 +157,12 @@ func RunIncTrain(opts IncTrainOptions) (*IncTrainResult, error) {
 			res.FullTime += fullWall
 			res.IncTime += incWall
 		}
-		n, d, err := compareFactors(db, fullModel, incModel)
+		d, err := core.CompareFactors(fullModel, incModel)
 		if err != nil {
 			return nil, fmt.Errorf("harness: slide %d: %w", t, err)
 		}
-		res.Factors = n
-		if d > res.MaxDelta {
-			res.MaxDelta = d
-		}
+		res.Factors = d.Factors
+		res.MaxDelta = max(res.MaxDelta, d.Worst)
 	}
 	if res.IncTime > 0 {
 		res.Speedup = float64(res.FullTime) / float64(res.IncTime)
@@ -186,64 +183,6 @@ func RunIncTrain(opts IncTrainOptions) (*IncTrainResult, error) {
 	res.Hits, res.Refits, res.Reselects, res.DriftTrips = st.Hits, st.Refits, st.Reselects, st.DriftTrips
 	res.ExactRanks, res.GramDots = st.ExactRanks, st.GramDots
 	return res, nil
-}
-
-// compareFactors walks every (entity, metric) pair, requires the two models
-// to have trained the same factor set, and returns the factor count and the
-// worst per-parameter relative delta.
-func compareFactors(db *telemetry.DB, full, inc *core.Model) (int, float64, error) {
-	var n int
-	var worst float64
-	for _, id := range db.Entities() {
-		for _, metric := range db.MetricNames(id) {
-			fv, fok := full.FactorView(id, metric)
-			iv, iok := inc.FactorView(id, metric)
-			if fok != iok {
-				return 0, 0, fmt.Errorf("factor %s/%s trained on one path only (full=%v inc=%v)", id, metric, fok, iok)
-			}
-			if !fok {
-				continue
-			}
-			n++
-			if len(fv.Features) != len(iv.Features) {
-				return 0, 0, fmt.Errorf("factor %s/%s selected %d features vs %d", id, metric, len(fv.Features), len(iv.Features))
-			}
-			for i := range fv.Features {
-				if fv.Features[i] != iv.Features[i] {
-					return 0, 0, fmt.Errorf("factor %s/%s feature %d: %s vs %s", id, metric, i, fv.Features[i], iv.Features[i])
-				}
-			}
-			pairs := [][2]float64{
-				{fv.Intercept, iv.Intercept}, {fv.ResidualStd, iv.ResidualStd},
-				{fv.HMean, iv.HMean}, {fv.HStd, iv.HStd},
-				{fv.Med, iv.Med}, {fv.MADScale, iv.MADScale}, {fv.RScore, iv.RScore},
-			}
-			for i := range fv.Coef {
-				pairs = append(pairs, [2]float64{fv.Coef[i], iv.Coef[i]},
-					[2]float64{fv.FeatMean[i], iv.FeatMean[i]},
-					[2]float64{fv.FeatStd[i], iv.FeatStd[i]})
-			}
-			for _, p := range pairs {
-				if d := relDelta(p[0], p[1]); d > worst {
-					worst = d
-				}
-			}
-		}
-	}
-	return n, worst, nil
-}
-
-// relDelta is |a-b| scaled by max(1, |a|), so tiny parameters compare
-// absolutely and large ones relatively. NaN-on-both compares equal.
-func relDelta(a, b float64) float64 {
-	if math.IsNaN(a) && math.IsNaN(b) {
-		return 0
-	}
-	scale := math.Abs(a)
-	if scale < 1 {
-		scale = 1
-	}
-	return math.Abs(a-b) / scale
 }
 
 // String prints the replay summary.

@@ -377,20 +377,12 @@ func CheckIncrementalSlide(c *Case) error {
 	if err != nil {
 		return caseErr(c, "inc-slide", err)
 	}
-	for _, id := range c.DB.Entities() {
-		for _, metric := range c.DB.MetricNames(id) {
-			fv, fok := fullModel.FactorView(id, metric)
-			iv, iok := incModel.FactorView(id, metric)
-			if fok != iok {
-				return caseErr(c, "inc-slide", fmt.Errorf("factor %s/%s trained on one path only (full=%v inc=%v)", id, metric, fok, iok))
-			}
-			if !fok {
-				continue
-			}
-			if err := factorWithin(fv, iv, incSlideTol); err != nil {
-				return caseErr(c, "inc-slide", fmt.Errorf("factor %s/%s: %w", id, metric, err))
-			}
-		}
+	d, err := core.CompareFactors(fullModel, incModel)
+	if err != nil {
+		return caseErr(c, "inc-slide", err)
+	}
+	if d.Worst > incSlideTol {
+		return caseErr(c, "inc-slide", fmt.Errorf("%s differs from the full retrain by %g (tolerance %.0e)", d.At, d.Worst, incSlideTol))
 	}
 	fullDiag, err := fullModel.Diagnose(c.Symptom)
 	if err != nil {
@@ -402,62 +394,6 @@ func CheckIncrementalSlide(c *Case) error {
 	}
 	if err := agreeCertified(fullDiag, incDiag); err != nil {
 		return caseErr(c, "inc-slide", err)
-	}
-	return nil
-}
-
-// factorWithin checks that two factor views selected the same features and
-// agree on every learned parameter within the relative tolerance.
-func factorWithin(want, got core.FactorView, tol float64) error {
-	if len(want.Features) != len(got.Features) {
-		return fmt.Errorf("selected %d features, full retrain selected %d", len(got.Features), len(want.Features))
-	}
-	for i := range want.Features {
-		if want.Features[i] != got.Features[i] {
-			return fmt.Errorf("feature %d is %s, full retrain selected %s", i, got.Features[i], want.Features[i])
-		}
-	}
-	check := func(name string, a, b float64) error {
-		if math.IsNaN(a) && math.IsNaN(b) {
-			return nil
-		}
-		scale := math.Abs(a)
-		if scale < 1 {
-			scale = 1
-		}
-		if math.Abs(a-b) > tol*scale {
-			return fmt.Errorf("%s = %v, full retrain got %v (tolerance %.0e)", name, b, a, tol)
-		}
-		return nil
-	}
-	if err := check("intercept", want.Intercept, got.Intercept); err != nil {
-		return err
-	}
-	if err := check("residual-std", want.ResidualStd, got.ResidualStd); err != nil {
-		return err
-	}
-	for i := range want.Coef {
-		if err := check(fmt.Sprintf("coef[%d]", i), want.Coef[i], got.Coef[i]); err != nil {
-			return err
-		}
-		if err := check(fmt.Sprintf("feat-mean[%d]", i), want.FeatMean[i], got.FeatMean[i]); err != nil {
-			return err
-		}
-		if err := check(fmt.Sprintf("feat-std[%d]", i), want.FeatStd[i], got.FeatStd[i]); err != nil {
-			return err
-		}
-	}
-	for _, p := range [][3]any{
-		{"hmean", want.HMean, got.HMean}, {"hstd", want.HStd, got.HStd},
-		{"median", want.Med, got.Med}, {"mad-scale", want.MADScale, got.MADScale},
-		{"rscore", want.RScore, got.RScore},
-	} {
-		if err := check(p[0].(string), p[1].(float64), p[2].(float64)); err != nil {
-			return err
-		}
-	}
-	if want.Novel != got.Novel {
-		return fmt.Errorf("novel = %v, full retrain got %v", got.Novel, want.Novel)
 	}
 	return nil
 }

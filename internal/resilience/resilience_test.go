@@ -44,7 +44,7 @@ func TestDoExhaustsAttempts(t *testing.T) {
 	var delays []time.Duration
 	p := Policy{MaxAttempts: 3}.WithSleep(noSleep(&delays))
 	calls := 0
-	boom := errors.New("boom")
+	boom := fmt.Errorf("boom: %w", telemetry.ErrTransient)
 	_, err := Do(context.Background(), p, func(context.Context) (int, error) {
 		calls++
 		return 0, boom
@@ -64,7 +64,7 @@ func TestDoBackoffGrowsAndIsCapped(t *testing.T) {
 	var delays []time.Duration
 	p := Policy{MaxAttempts: 11, BaseDelay: 10 * time.Millisecond}.WithSleep(noSleep(&delays))
 	_, _ = Do(context.Background(), p, func(context.Context) (int, error) {
-		return 0, errors.New("always")
+		return 0, fmt.Errorf("always: %w", telemetry.ErrTransient)
 	})
 	if len(delays) != 10 {
 		t.Fatalf("slept %d times, want 10", len(delays))
@@ -82,7 +82,7 @@ func TestDoJitterDeterministic(t *testing.T) {
 		var delays []time.Duration
 		p := Policy{MaxAttempts: 4}.WithSleep(noSleep(&delays))
 		_, _ = Do(context.Background(), p, func(context.Context) (int, error) {
-			return 0, errors.New("always")
+			return 0, fmt.Errorf("always: %w", telemetry.ErrTransient)
 		})
 		return delays
 	}
@@ -94,8 +94,8 @@ func TestDoJitterDeterministic(t *testing.T) {
 	}
 }
 
-func TestDoRespectsRetryIf(t *testing.T) {
-	p := Policy{MaxAttempts: 5, RetryIf: telemetry.IsTransient}.WithSleep(noSleep(new([]time.Duration)))
+func TestDoRetriesOnlyTransient(t *testing.T) {
+	p := Policy{MaxAttempts: 5}.WithSleep(noSleep(new([]time.Duration)))
 	calls := 0
 	permanent := errors.New("permanent")
 	_, err := Do(context.Background(), p, func(context.Context) (int, error) {

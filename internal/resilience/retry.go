@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"murphy/internal/telemetry"
 )
 
 // The backoff schedule: the delay doubles after each attempt up to maxDelay,
@@ -24,17 +26,13 @@ const (
 
 // Policy parameterizes a retry loop. The zero value retries up to four
 // attempts starting at a 10 ms backoff, doubling up to 1 s, with ±25%
-// jitter, retrying every error except context cancellation.
+// jitter. Only transient faults (telemetry.IsTransient) are retried.
 type Policy struct {
 	// MaxAttempts is the total number of attempts, including the first
 	// (<= 0 means the default of 4; 1 disables retries).
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt (default 10 ms).
 	BaseDelay time.Duration
-	// RetryIf decides whether an error is worth another attempt. Nil
-	// retries everything except context.Canceled / DeadlineExceeded
-	// (those also stop the loop regardless of RetryIf).
-	RetryIf func(error) bool
 	// sleep is a test seam; nil uses a context-aware timer sleep.
 	sleep func(ctx context.Context, d time.Duration) error
 }
@@ -77,10 +75,12 @@ func contextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Do runs op under the policy: on a retryable error it backs off
+// Do runs op under the policy: on a transient fault it backs off
 // (exponentially, with jitter) and tries again until the attempts are
-// exhausted or the context is done. The zero value of T and the last error
-// are returned on failure; the error reports how many attempts were made.
+// exhausted or the context is done. Any other error, a context error above
+// all, ends the loop at once. The zero value of T and the last error are
+// returned on failure; an exhausted loop's error reports how many attempts
+// were made.
 func Do[T any](ctx context.Context, p Policy, op func(context.Context) (T, error)) (T, error) {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(0))
@@ -96,10 +96,7 @@ func Do[T any](ctx context.Context, p Policy, op func(context.Context) (T, error
 		if err == nil {
 			return v, nil
 		}
-		if contextErr(err) {
-			return zero, err
-		}
-		if p.RetryIf != nil && !p.RetryIf(err) {
+		if contextErr(err) || !telemetry.IsTransient(err) {
 			return zero, err
 		}
 		if attempt >= p.MaxAttempts {

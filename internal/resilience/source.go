@@ -28,8 +28,7 @@ type SourceStats struct {
 // Source wraps a telemetry source with a retry policy and an optional
 // circuit breaker: transient read faults are absorbed by backoff-retries;
 // persistent failure opens the breaker so a sick source gets a cooldown
-// instead of retry pressure. A nil retry RetryIf defaults to retrying only
-// transient faults (telemetry.IsTransient).
+// instead of retry pressure.
 type Source struct {
 	inner   telemetry.Source
 	retry   Policy
@@ -52,9 +51,6 @@ func (s *Source) SetHook(fn func(retried, failed bool)) { s.hook = fn }
 // NewSource builds a resilient view over inner. breaker may be nil (retry
 // only).
 func NewSource(inner telemetry.Source, retry Policy, breaker *Breaker) *Source {
-	if retry.RetryIf == nil {
-		retry.RetryIf = telemetry.IsTransient
-	}
 	return &Source{inner: inner, retry: retry, breaker: breaker}
 }
 
@@ -98,15 +94,8 @@ func (s *Source) ReadRawWindow(ctx context.Context, id telemetry.EntityID, metri
 		}
 		return w, err
 	}
-	retry := s.retry
-	if s.breaker != nil {
-		// An open breaker means "stop asking": never burn retries on it.
-		userIf := retry.RetryIf
-		retry.RetryIf = func(err error) bool {
-			return !errors.Is(err, ErrOpen) && userIf(err)
-		}
-	}
-	w, err := Do(ctx, retry, op)
+	// ErrOpen is not transient, so an open breaker ends the retries at once.
+	w, err := Do(ctx, s.retry, op)
 	if err != nil {
 		s.bump(func(st *SourceStats) {
 			st.Failed++

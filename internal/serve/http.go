@@ -307,11 +307,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // handleStatusz serves the live operational status.
 func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Status())
+	writeJSON(w, http.StatusOK, s.status())
 }
 
-// Status returns a point-in-time view of the daemon's operational state.
-func (s *Server) Status() map[string]any {
+// status returns a point-in-time view of the daemon's operational state.
+func (s *Server) status() status {
 	s.mu.Lock()
 	st := status{
 		State:       s.State().String(),
@@ -333,10 +333,5 @@ func (s *Server) Status() map[string]any {
 		st.UptimeS = time.Since(s.started).Seconds()
 	}
 	st.DBSlices = s.db.Len()
-	// Serve as a map so the schema stays open for additions without
-	// breaking strict clients.
-	buf, _ := json.Marshal(st)
-	var m map[string]any
-	_ = json.Unmarshal(buf, &m)
-	return m
+	return st
 }

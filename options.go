@@ -15,10 +15,10 @@ type Config = core.Config
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // RetryPolicy configures the retry arm of the resilient telemetry read path
-// (attempt budget, first backoff, which errors to retry; the backoff doubles
-// up to 1 s with ±25% jitter); it aliases the resilience layer's Policy so
-// external callers can construct one without reaching into internal
-// packages.
+// (attempt budget and first backoff; it retries transient faults only, and
+// the backoff doubles up to 1 s with ±25% jitter); it aliases the resilience
+// layer's Policy so external callers can construct one without reaching into
+// internal packages.
 type RetryPolicy = resilience.Policy
 
 // BreakerConfig tunes the circuit breaker of the resilient telemetry read
@@ -144,20 +144,13 @@ func WithResilience(r Resilience) Option {
 	}
 }
 
-// IncrementalTraining bundles the amortized-training configuration. Each
-// System builds its own store (the store binds to the System's relationship
-// graph); reach it through System.FactorStore, e.g. to snapshot and restore
-// it across daemon restarts. Non-positive fields keep the defaults
-// (DefaultDriftThreshold / DefaultRefreshEvery).
-type IncrementalTraining struct {
-	// DriftThreshold is the MASE score of a factor's one-step-ahead
-	// predictions above which the incremental path falls back to a full
-	// refit. <= 0 keeps the default.
-	DriftThreshold float64
-	// RefreshEvery bounds how many window slides a factor's statistics may
-	// accumulate before a scheduled full re-anchor. <= 0 keeps the default.
-	RefreshEvery int
-}
+// IncrementalTraining selects amortized training; it has no fields, since
+// the store's retrain policy is fixed (a factor is refit when the MASE drift
+// score of its one-step-ahead predictions exceeds 4, and re-anchored after
+// 512 slides). Each System builds its own store (the store binds to the
+// System's relationship graph); reach it through System.FactorStore, e.g. to
+// snapshot and restore it across daemon restarts.
+type IncrementalTraining struct{}
 
 // WithIncrementalTraining makes training amortized: instead of recomputing
 // every factor's Gram matrix, correlation ranking, and robust statistics
@@ -176,9 +169,5 @@ type IncrementalTraining struct {
 // interposed (WithResilience), since its reads may fail or degrade
 // nondeterministically.
 func WithIncrementalTraining(it IncrementalTraining) Option {
-	return func(s *System) {
-		st := core.NewFactorStore()
-		st.SetPolicy(it.DriftThreshold, it.RefreshEvery)
-		s.incStore = st
-	}
+	return func(s *System) { s.incStore = core.NewFactorStore() }
 }

@@ -199,7 +199,7 @@ func TestEntitySummaryFactorHealth(t *testing.T) {
 		t.Fatal("no factor health after an incremental diagnosis")
 	}
 	f := sum.Factors[0]
-	if f.Metric != telemetry.MetricCPU || !f.Trained || f.DriftThreshold <= 0 {
+	if f.Metric != telemetry.MetricCPU || !f.Trained || f.DriftThreshold != 4 {
 		t.Fatalf("factor health wrong: %+v", f)
 	}
 	if f.DriftScore == nil {
